@@ -16,6 +16,8 @@ pipeline of layers, each importable on its own:
   networks derived from them;
 * :mod:`repro.routing` — the BSOR framework (MILP and Dijkstra selectors)
   and the baseline oblivious routers (XY/YX DOR, ROMM, Valiant, O1TURN);
+* :mod:`repro.planning` — the one route-planning funnel every front end
+  obtains its routes from (``plan_routes``, ``router_for``);
 * :mod:`repro.simulator` — a cycle-accurate wormhole virtual-channel NoC
   simulator with a flat-array fast path;
 * :mod:`repro.runner` — the parallel experiment engine: multi-process
@@ -93,9 +95,9 @@ from .exceptions import (
 )
 from .faults import (
     FailureSchedule,
-    FaultRoutingResult,
     FaultSet,
     LinkFault,
+    RoutePlan,
     RouterFault,
     route_with_faults,
 )
@@ -205,7 +207,6 @@ __all__ = [
     "FailureSchedule",
     "FastSimulator",
     "FaultError",
-    "FaultRoutingResult",
     "FaultSet",
     "Flow",
     "FlowGraph",
@@ -223,6 +224,7 @@ __all__ = [
     "ResultSet",
     "Ring",
     "Route",
+    "RoutePlan",
     "RouteSet",
     "RouterFault",
     "RouterSpec",

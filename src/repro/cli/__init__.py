@@ -19,10 +19,8 @@ Every way of running the reproduction goes through this CLI::
 
 ``run`` executes a declarative :class:`~repro.study.spec.Study` file;
 ``figure`` / ``table`` / ``sweep`` / ``cache`` / ``profile`` are the
-reproduction commands that used to live in ``python -m repro.runner``, and
-``compare`` is the matrix engine that used to live in ``python -m
-repro.compare`` — both old entry points keep working as deprecation shims
-that forward here.  ``serve`` / ``submit`` / ``worker`` are the
+paper-reproduction commands, and ``compare`` is the matrix engine
+(:mod:`repro.compare`).  ``serve`` / ``submit`` / ``worker`` are the
 serving plane (:mod:`repro.serve`): a study-serving HTTP front door, its
 client, and the work-queue drainer behind ``--execution queue``.  ``list``
 enumerates every registered vocabulary (routers, workloads, backends,
@@ -204,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exit_code:
         # argparse exits 0 for --help and 2 for usage errors; surface the
         # code instead of letting SystemExit escape so embedding callers
-        # (tests, the deprecation shims) get a plain return value
+        # (tests) get a plain return value
         code = exit_code.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:

@@ -1,8 +1,7 @@
 """The ``compare`` subcommand: the routing-comparison engine's CLI face.
 
-Moved here from ``repro.compare.cli`` (which now forwards); the option set
-and output are unchanged: an adaptive saturation search over the
-(topology x pattern x router) matrix, rendered as markdown or JSON.
+An adaptive saturation search over the (topology x pattern x router)
+matrix, rendered as markdown or JSON.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ def add_compare_options(parser: argparse.ArgumentParser) -> None:
     """Add the comparison-specific option set to *parser*.
 
     The shared worker/profile/backend/cache options are NOT defined here —
-    both callers (the unified CLI's subparser and the legacy shim's parser)
-    attach :func:`repro.cli.common.common_options` as a parent, so those
-    options keep their SUPPRESS defaults and survive being given before
-    the ``compare`` subcommand.
+    the unified CLI's subparser attaches
+    :func:`repro.cli.common.common_options` as a parent, so those options
+    keep their SUPPRESS defaults and survive being given before the
+    ``compare`` subcommand.
     """
     parser.add_argument("--topology", "--topologies", dest="topologies",
                         default="mesh8x8",

@@ -1,9 +1,7 @@
 """The figure / table / sweep / cache / profile subcommands.
 
-These are the reproduction commands that predate the unified CLI — they
-lived in ``python -m repro.runner``, which now forwards here.  Each command
-builds an :class:`~repro.experiments.config.ExperimentConfig` from the
-shared option set and drives the parallel
+Each command builds an :class:`~repro.experiments.config.ExperimentConfig`
+from the shared option set and drives the parallel
 :class:`~repro.runner.engine.ExperimentRunner`.
 """
 
@@ -141,8 +139,7 @@ def run_sweep(args: argparse.Namespace, runner: ExperimentRunner) -> str:
 
     from ..experiments import build_mesh, workload_flow_set
     from ..experiments.report import render_pivot
-    from ..routing.bsor.framework import full_strategy_set, paper_strategies
-    from ..routing.registry import router_spec
+    from ..planning import router_for
     from ..study.resultset import ResultSet
 
     config = experiment_config(args)
@@ -152,17 +149,7 @@ def run_sweep(args: argparse.Namespace, runner: ExperimentRunner) -> str:
     # Resolve through the routing registry: canonical slugs ("bsor-dijkstra"),
     # aliases ("xy") and display names ("BSOR-Dijkstra") all work, and an
     # unknown name fails with the full list of registered algorithms.
-    strategies = (full_strategy_set(mesh) if config.explore_full_cdg_set
-                  else paper_strategies())
-    algorithms = [
-        router_spec(name).create(
-            seed=config.seed,
-            strategies=strategies,
-            hop_slack=config.hop_slack,
-            milp_time_limit=config.milp_time_limit,
-        )
-        for name in wanted
-    ]
+    algorithms = [router_for(name, config, mesh) for name in wanted]
     rates: "Sequence[float]" = config.offered_rates
     if args.rates:
         try:
@@ -204,26 +191,21 @@ def run_profile(args: argparse.Namespace) -> str:
     import pstats
 
     from ..experiments import build_mesh, workload_flow_set
-    from ..routing.registry import router_spec
+    from ..planning import plan_routes
     from ..simulator.backends import backend_spec
-    from ..simulator.simulation import phase_boundaries_for, simulate_route_set
+    from ..simulator.simulation import simulate_route_set
 
     config = experiment_config(args)
     backend = backend_spec(args.backend or config.simulation.backend)
     mesh = build_mesh(config)
     flow_set = workload_flow_set(args.workload, mesh, config)
-    algorithm = router_spec(args.algorithm).create(
-        seed=config.seed,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
-    route_set = algorithm.compute_routes(mesh, flow_set)
-    boundaries = phase_boundaries_for(algorithm, route_set)
+    plan = plan_routes(args.algorithm, mesh, flow_set, config)
 
     profiler = cProfile.Profile()
     profiler.enable()
-    stats = simulate_route_set(mesh, route_set, config.simulation, args.rate,
-                               phase_boundaries=boundaries,
+    stats = simulate_route_set(mesh, plan.route_set, config.simulation,
+                               args.rate,
+                               phase_boundaries=plan.phase_boundaries,
                                backend=backend.name)
     profiler.disable()
     stream = io.StringIO()

@@ -13,7 +13,7 @@ first-class way to run that comparison:
   (:func:`dense_saturation` is the grid sweep it replaces, kept for
   agreement tests and benchmarks);
 * :func:`render_markdown` / :func:`render_json` — report emission;
-* a CLI: ``python -m repro.compare --topology mesh8x8 --patterns
+* a CLI: ``python -m repro compare --topology mesh8x8 --patterns
   transpose,bit_complement --routers dor,o1turn,bsor-dijkstra``.
 
 Routers are named via :mod:`repro.routing.registry`; new algorithms become

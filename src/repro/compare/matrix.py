@@ -4,13 +4,12 @@
 comparative experiment — BSOR against the oblivious baselines across
 topologies and traffic patterns.  For every cell of the cross-product it
 
-1. builds the topology (``"mesh8x8"``-style specs, see
-   :func:`parse_topology`) and the traffic pattern (synthetic patterns by
-   name/alias, or one of the application workloads on a mesh);
-2. instantiates the router from the :mod:`repro.routing.registry` and
-   computes its static route set (offline metrics — maximum channel load,
-   average hops — come straight from the routes);
-3. runs the adaptive :class:`~repro.compare.saturation.SaturationSearch`
+1. plans the cell through :func:`repro.planning.plan_matrix`: the topology
+   (``"mesh8x8"``-style specs), the traffic pattern (synthetic patterns by
+   name/alias, or an application workload), the registered router and its
+   static route set (offline metrics — maximum channel load, average hops —
+   come straight from the routes);
+2. runs the adaptive :class:`~repro.compare.saturation.SaturationSearch`
    instead of a dense rate sweep.  All unfinished cells propose their next
    offered rate each round and the whole round is submitted to the
    :class:`~repro.runner.engine.ExperimentRunner` as one batch, so the
@@ -23,102 +22,22 @@ The output is a list of :class:`CompareCell` rows that
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import ExperimentError, TrafficError
+from ..exceptions import ExperimentError
 from ..experiments.config import ExperimentConfig
-from ..experiments.workloads import APPLICATION_WORKLOADS, workload_flow_set
-from ..faults import FaultSet, route_with_faults
+from ..faults import FaultSet, RoutePlan
 from ..metrics.statistics import SimulationStatistics
-from ..routing.base import RouteSet, RoutingAlgorithm
-from ..routing.bsor.framework import full_strategy_set
+from ..planning import (  # parse_topology / pattern_flow_set: re-exported
+    canonical_pattern,
+    parse_topology,
+    pattern_flow_set,
+    plan_matrix,
+)
 from ..routing.registry import router_spec
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
-from ..simulator.simulation import phase_boundaries_for
-from ..topology.base import Topology
-from ..topology.mesh import Mesh2D
-from ..topology.ring import Ring
-from ..topology.torus import Torus2D
-from ..traffic.flow import FlowSet
-from ..traffic.synthetic import normalize_pattern_name, synthetic_by_name
-from ..workloads.registry import is_registered_workload, workload_spec
-from ..workloads.registry import workload_flow_set as registry_workload_flow_set
 from .saturation import SaturationCriteria, SaturationResult, SaturationSearch
-
-_TOPOLOGY_SPEC = re.compile(r"^(mesh|torus|ring)(\d+)(?:x(\d+))?$")
-
-
-def parse_topology(spec: str) -> Topology:
-    """Build a topology from a compact spec string.
-
-    ``mesh8x8`` / ``mesh8`` -> :class:`Mesh2D`, ``torus4x4`` ->
-    :class:`Torus2D`, ``ring16`` -> :class:`Ring`.  Raises
-    :class:`ExperimentError` with the accepted forms for anything else.
-    """
-    match = _TOPOLOGY_SPEC.match(spec.strip().lower())
-    if not match:
-        raise ExperimentError(
-            f"unknown topology spec {spec!r}; expected forms: mesh8x8, "
-            f"mesh8, torus4x4, ring16"
-        )
-    kind, first, second = match.group(1), int(match.group(2)), match.group(3)
-    if kind == "ring":
-        if second is not None:
-            raise ExperimentError(
-                f"ring topologies are one-dimensional: {spec!r}"
-            )
-        return Ring(first)
-    height = int(second) if second is not None else first
-    if kind == "mesh":
-        return Mesh2D(first, height)
-    return Torus2D(first, height)
-
-
-def pattern_flow_set(pattern: str, topology: Topology,
-                     config: ExperimentConfig) -> FlowSet:
-    """Instantiate a traffic pattern or application workload on *topology*.
-
-    Synthetic patterns (``transpose``, ``bit_complement``, aliases included)
-    work on any power-of-two topology; the paper's application workloads
-    (``h264``, ``perf-modeling``, ``transmitter``) are task graphs mapped
-    onto a mesh; any other name resolves through the
-    :mod:`repro.workloads` registry (``decoder-pipeline``,
-    ``fft-butterfly``, ...) and maps onto meshes and tori alike — so BSOR's
-    bandwidth allocation is configured from the application's own flow
-    graph.
-    """
-    key = pattern.strip().lower()
-    if key in APPLICATION_WORKLOADS:
-        if not isinstance(topology, (Mesh2D, Torus2D)):
-            raise ExperimentError(
-                f"application workload {pattern!r} requires a mesh or torus "
-                f"topology, got {type(topology).__name__}"
-            )
-        if isinstance(topology, Mesh2D):
-            return workload_flow_set(key, topology, config)
-    if is_registered_workload(key):
-        return registry_workload_flow_set(
-            key, topology,
-            strategy=config.mapping_strategy,
-            seed=config.seed,
-        )
-    try:
-        return synthetic_by_name(pattern, topology.num_nodes,
-                                 demand=config.synthetic_demand)
-    except TrafficError as error:
-        # neither a synthetic pattern nor a workload: surface both
-        # vocabularies (workload_spec's error carries a did-you-mean hint
-        # over the registry)
-        try:
-            workload_spec(key)
-        except TrafficError as workload_error:
-            raise ExperimentError(
-                f"unknown pattern or workload {pattern!r}: {error}; "
-                f"{workload_error}"
-            ) from error
-        raise  # pragma: no cover - workload_spec cannot succeed here
 
 
 @dataclass
@@ -195,7 +114,7 @@ class CompareResult:
     def cell(self, topology: str, pattern: str, router: str,
              faults: Optional[str] = None) -> CompareCell:
         router = router_spec(router).name
-        pattern = _canonical_pattern(pattern)
+        pattern = canonical_pattern(pattern)
         topology = topology.strip().lower()
         label = None if faults is None else FaultSet.from_spec(faults).label()
         for candidate in self.cells:
@@ -231,30 +150,14 @@ class CompareResult:
         return ResultSet([cell.to_row() for cell in self.cells])
 
 
-def _canonical_pattern(pattern: str) -> str:
-    key = pattern.strip().lower()
-    if key in APPLICATION_WORKLOADS:
-        return key
-    if is_registered_workload(key):
-        return workload_spec(key).name
-    return normalize_pattern_name(pattern)
-
-
 @dataclass
 class _Cell:
     """Internal per-cell state while the matrix is running."""
 
-    topology_name: str
-    pattern: str
-    router: str
-    display_name: str
-    topology: Topology
-    algorithm: RoutingAlgorithm
-    route_set: RouteSet
-    boundaries: Dict[str, int]
+    #: the cell's canonical row tags (see :func:`repro.planning.plan_matrix`)
+    tags: Dict
+    plan: RoutePlan
     search: SaturationSearch
-    faults: str = "none"
-    fault_schedule: Optional[object] = None
     #: offered rate -> simulated statistics, for the latency columns.
     statistics: Dict[float, SimulationStatistics] = field(default_factory=dict)
 
@@ -313,10 +216,11 @@ class CompareMatrix:
                 break
             specs = {
                 key: SweepSpec(
-                    cell.topology, cell.route_set, self.config.simulation,
-                    [rate], workload=cell.pattern,
-                    phase_boundaries=cell.boundaries or None,
-                    fault_schedule=cell.fault_schedule,
+                    cell.plan.topology, cell.plan.route_set,
+                    self.config.simulation, [rate],
+                    workload=cell.tags["pattern"],
+                    phase_boundaries=cell.plan.phase_boundaries or None,
+                    fault_schedule=cell.plan.schedule or None,
                 )
                 for key, (cell, rate) in batch.items()
             }
@@ -342,60 +246,11 @@ class CompareMatrix:
             raise ExperimentError(
                 "comparison needs at least one topology, pattern and router"
             )
-        parsed_faults = [FaultSet.from_spec(entry)
-                         for entry in (fault_sets
-                                       if fault_sets else [None])]
-        cells: List[_Cell] = []
-        for topology_name in topologies:
-            topology = parse_topology(topology_name)
-            # same CDG search space as the figure/table harnesses: the full
-            # strategy set when the config asks for it (mesh only — the ad
-            # hoc and turn-model strategies are mesh constructions)
-            strategies = (
-                full_strategy_set(topology)
-                if self.config.explore_full_cdg_set and
-                isinstance(topology, Mesh2D) else None
-            )
-            for pattern in patterns:
-                flow_set = pattern_flow_set(pattern, topology, self.config)
-                for router_name in routers:
-                    spec = router_spec(router_name)
-                    for fault_set in parsed_faults:
-                        router = spec.create(
-                            seed=self.config.seed,
-                            strategies=strategies,
-                            hop_slack=self.config.hop_slack,
-                            milp_time_limit=self.config.milp_time_limit,
-                        )
-                        if fault_set:
-                            routed = route_with_faults(
-                                router, topology, flow_set, fault_set,
-                            )
-                            cell_topology = routed.topology
-                            route_set = routed.route_set
-                            boundaries = routed.phase_boundaries
-                            schedule = routed.schedule or None
-                        else:
-                            cell_topology = topology
-                            route_set = router.compute_routes(topology,
-                                                              flow_set)
-                            boundaries = phase_boundaries_for(router,
-                                                              route_set)
-                            schedule = None
-                        cells.append(_Cell(
-                            topology_name=topology_name.strip().lower(),
-                            pattern=_canonical_pattern(pattern),
-                            router=spec.name,
-                            display_name=spec.display_name,
-                            topology=cell_topology,
-                            algorithm=router,
-                            route_set=route_set,
-                            boundaries=boundaries,
-                            search=SaturationSearch(self.criteria),
-                            faults=fault_set.label(),
-                            fault_schedule=schedule,
-                        ))
-        return cells
+        return [
+            _Cell(tags=tags, plan=plan, search=SaturationSearch(self.criteria))
+            for _, _, tags, plan in plan_matrix(
+                topologies, patterns, routers, fault_sets, self.config)
+        ]
 
     def _finish_cell(self, cell: _Cell) -> CompareCell:
         result = cell.search.result()
@@ -403,17 +258,11 @@ class CompareMatrix:
         low_stats = cell.statistics.get(low_rate)
         stable_stats = cell.statistics.get(result.last_stable_rate, low_stats)
         return CompareCell(
-            topology=cell.topology_name,
-            pattern=cell.pattern,
-            router=cell.router,
-            display_name=cell.display_name,
-            max_channel_load=cell.route_set.max_channel_load(),
-            average_hops=cell.route_set.average_hop_count(),
+            **cell.tags,
             saturation=result,
             low_load_latency=(low_stats.average_latency if low_stats else 0.0),
             p99_latency=(stable_stats.latency_percentile(0.99)
                          if stable_stats else 0.0),
-            faults=cell.faults,
         )
 
 

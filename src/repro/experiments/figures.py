@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ExperimentError
+from ..planning import plan_on, router_for
 from ..routing.base import RoutingAlgorithm
-from ..routing.bsor.framework import full_strategy_set, paper_strategies
-from ..routing.registry import create_router
 from ..runner.engine import ExperimentRunner, SweepSpec, runner_for
 from ..simulator.config import SimulationConfig
-from ..simulator.simulation import SweepResult, phase_boundaries_for
+from ..simulator.simulation import SweepResult
 from .config import ExperimentConfig
 from .report import improvement_summary, render_pivot
 from .workloads import build_mesh, workload_flow_set
@@ -142,30 +141,13 @@ class FigureResult:
 
 def default_algorithms(config: ExperimentConfig, mesh,
                        include_milp: bool = True) -> List[RoutingAlgorithm]:
-    """The six algorithms plotted in Figures 6-1 .. 6-6.
-
-    Instantiated through :mod:`repro.routing.registry`, so the figure
-    harness, the comparison engine and the CLIs all construct algorithms
-    the same way; each factory picks the options it understands from the
-    shared bag (``seed`` for ROMM/Valiant, ``strategies``/``hop_slack``/
-    ``milp_time_limit`` for BSOR).
-    """
-    strategies = (full_strategy_set(mesh) if config.explore_full_cdg_set
-                  else paper_strategies())
+    """The six algorithms plotted in Figures 6-1 .. 6-6, built through
+    :func:`repro.planning.router_for` like every other front end's."""
     names = ["dor", "yx", "romm", "valiant"]
     if include_milp:
         names.append("bsor-milp")
     names.append("bsor-dijkstra")
-    return [
-        create_router(
-            name,
-            seed=config.seed,
-            strategies=strategies,
-            hop_slack=config.hop_slack,
-            milp_time_limit=config.milp_time_limit,
-        )
-        for name in names
-    ]
+    return [router_for(name, config, mesh) for name in names]
 
 
 def _run_sweeps(algorithms: Sequence[RoutingAlgorithm], mesh, flow_set,
@@ -323,10 +305,8 @@ def figure_vc_sweep(workload: str,
     for algorithm in candidates:
         if algorithm.name not in wanted:
             continue
-        route_set = algorithm.compute_routes(mesh, flow_set)
-        route_sets[algorithm.name] = (
-            route_set, phase_boundaries_for(algorithm, route_set)
-        )
+        plan = plan_on(algorithm, mesh, flow_set)
+        route_sets[algorithm.name] = (plan.route_set, plan.phase_boundaries)
     specs: Dict[str, SweepSpec] = {}
     for vcs in vc_counts:
         simulation = config.simulation.with_vcs(vcs)

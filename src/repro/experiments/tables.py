@@ -17,16 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..routing.base import RoutingAlgorithm
-from ..routing.bsor.framework import (
-    BSORRouting,
-    CDGStrategy,
-    full_strategy_set,
-    paper_strategies,
-)
-from ..routing.dor import XYRouting, YXRouting
-from ..routing.romm import ROMMRouting
-from ..routing.valiant import ValiantRouting
+from ..planning import plan_routes
+from ..routing.bsor.framework import BSORRouting, CDGStrategy, paper_strategies
 from ..runner.engine import ExperimentRunner, runner_for
 from .config import ExperimentConfig
 from .report import render_table
@@ -214,34 +206,15 @@ def table_6_2(config: Optional[ExperimentConfig] = None,
 TABLE_6_3_COLUMNS = ("XY", "YX", "ROMM", "Valiant", "BSOR-MILP", "BSOR-Dijkstra")
 
 
-def _bsor_for(selector: str, config: ExperimentConfig, mesh) -> BSORRouting:
-    strategies = (full_strategy_set(mesh) if config.explore_full_cdg_set
-                  else paper_strategies())
-    return BSORRouting(
-        selector=selector,
-        strategies=strategies,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
-
-
 def _algorithm_mcl_row(task) -> Dict[str, Optional[float]]:
     """One Table 6.3 row: MCL of every algorithm on one workload."""
     config, workload = task
     mesh = build_mesh(config)
     flow_set = workload_flow_set(workload, mesh, config)
-    algorithms: List[RoutingAlgorithm] = [
-        XYRouting(),
-        YXRouting(),
-        ROMMRouting(seed=config.seed),
-        ValiantRouting(seed=config.seed),
-        _bsor_for("milp", config, mesh),
-        _bsor_for("dijkstra", config, mesh),
-    ]
     row: Dict[str, Optional[float]] = {}
-    for algorithm in algorithms:
-        route_set = algorithm.compute_routes(mesh, flow_set)
-        row[algorithm.name] = route_set.max_channel_load()
+    for column in TABLE_6_3_COLUMNS:
+        plan = plan_routes(column, mesh, flow_set, config)
+        row[column] = plan.route_set.max_channel_load()
     return row
 
 

@@ -18,7 +18,10 @@ This module makes faults a first-class scenario axis:
   the fault unsupported with a clear :class:`~repro.exceptions.RoutingError`
   — and *every* degraded route set is re-verified for CDG acyclicity with
   :func:`repro.routing.deadlock.analyze_virtual_networks` before any
-  simulation starts.
+  simulation starts;
+* :func:`plan_on` / :class:`RoutePlan` — routes ready to simulate from a
+  built router, with or without faults (the by-name funnel on top of it is
+  :mod:`repro.planning`).
 
 Spec grammar (one fault set)::
 
@@ -36,7 +39,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from .exceptions import (
     DeadlockError,
@@ -49,6 +60,9 @@ from .routing.base import RouteSet, RoutingAlgorithm
 from .routing.deadlock import DeadlockReport, analyze_virtual_networks
 from .topology.base import Topology
 from .topology.links import Channel
+
+if TYPE_CHECKING:
+    from .routing.registry import RouterSpec
 
 
 # ----------------------------------------------------------------------
@@ -401,16 +415,21 @@ class FailureSchedule:
 # deadlock-safe rerouting
 # ----------------------------------------------------------------------
 @dataclass
-class FaultRoutingResult:
-    """Everything :func:`route_with_faults` produces for one scenario point.
+class RoutePlan:
+    """Routes ready to simulate: what every planning call returns.
+
+    Produced by :func:`plan_on` (and, under a non-empty fault set, by
+    :func:`route_with_faults`); :func:`repro.planning.plan_routes` fills in
+    ``spec``.
 
     Attributes
     ----------
     topology:
-        The degraded topology (the base topology object itself when the
-        fault set has no static faults).
+        The topology to simulate on: the degraded one under static faults,
+        otherwise the base topology object itself.
     route_set:
-        A complete, deadlock-verified route set on that topology.
+        A complete route set on that topology (deadlock-verified whenever
+        faults were applied).
     phase_boundaries:
         The per-flow virtual-network split of the routing algorithm
         (empty for single-network algorithms).
@@ -420,10 +439,17 @@ class FaultRoutingResult:
     rerouted_flows:
         Flows whose nominal route died with a static fault and were
         re-routed by the BFS patch fallback (empty when the router computed
-        natively on the degraded graph).
+        natively).
     report:
         The :class:`~repro.routing.deadlock.DeadlockReport` of the
-        mandatory re-verification; always ``deadlock_free``.
+        mandatory re-verification under faults (always ``deadlock_free``);
+        ``None`` on the fault-free path, which verifies nothing.
+    router:
+        The :class:`~repro.routing.base.RoutingAlgorithm` instance that
+        computed the routes.
+    spec:
+        The router's :class:`~repro.routing.registry.RouterSpec` when the
+        plan was made by name.
     """
 
     topology: Topology
@@ -432,6 +458,8 @@ class FaultRoutingResult:
     schedule: FailureSchedule
     rerouted_flows: Tuple[str, ...] = ()
     report: Optional[DeadlockReport] = None
+    router: Optional[RoutingAlgorithm] = None
+    spec: Optional["RouterSpec"] = None
 
 
 def _bfs_path(topology: Topology, src: int, dst: int) -> List[int]:
@@ -512,7 +540,7 @@ def _patch_routes(router: RoutingAlgorithm, base: Topology,
 
 
 def route_with_faults(router: RoutingAlgorithm, topology: Topology,
-                      flow_set, faults=None) -> FaultRoutingResult:
+                      flow_set, faults=None) -> RoutePlan:
     """Compute deadlock-verified routes for *flow_set* under *faults*.
 
     The rerouting contract, in order:
@@ -531,7 +559,7 @@ def route_with_faults(router: RoutingAlgorithm, topology: Topology,
        virtual network raises :class:`~repro.exceptions.DeadlockError`
        declaring the fault unsupported for this router.
 
-    The returned :class:`FaultRoutingResult` carries everything a caller
+    The returned :class:`RoutePlan` carries everything a caller
     needs to simulate the point: degraded topology, route set, phase
     boundaries and the mid-run failure schedule.
     """
@@ -557,11 +585,37 @@ def route_with_faults(router: RoutingAlgorithm, topology: Topology,
             f"[{fault_set.label()}]: the degraded route set is not "
             f"deadlock free ({report.detail})"
         )
-    return FaultRoutingResult(
+    return RoutePlan(
         topology=degraded,
         route_set=route_set,
         phase_boundaries=boundaries,
         schedule=fault_set.schedule(degraded),
         rerouted_flows=rerouted,
         report=report,
+        router=router,
+    )
+
+
+def plan_on(router: RoutingAlgorithm, topology: Topology, flow_set,
+            faults=None) -> RoutePlan:
+    """Plan *flow_set* with an already-built *router*.
+
+    A non-empty fault set goes through :func:`route_with_faults`.  The
+    fault-free path is exactly one ``compute_routes`` call plus the
+    router's phase boundaries — no reachability walk and no deadlock
+    re-verification, because on an intact topology every registered router
+    is deadlock free by construction.
+    """
+    from .simulator.simulation import phase_boundaries_for
+
+    fault_set = FaultSet.from_spec(faults)
+    if fault_set:
+        return route_with_faults(router, topology, flow_set, fault_set)
+    route_set = router.compute_routes(topology, flow_set)
+    return RoutePlan(
+        topology=topology,
+        route_set=route_set,
+        phase_boundaries=phase_boundaries_for(router, route_set),
+        schedule=FailureSchedule(),
+        router=router,
     )

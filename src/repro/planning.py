@@ -1,0 +1,217 @@
+"""Route planning: the one funnel from names and a config to routes.
+
+The paper's contribution is a single offline step — given a topology and an
+application's flows, pick an acyclic channel dependence graph and select
+routes (MILP or Dijkstra) that minimise the maximum channel load.  Every
+front end that needs routes (studies, the comparison matrix, the figure and
+table harnesses, the ``sweep`` / ``profile`` commands, the HTML report's
+occupancy heatmap) obtains them here, so the decisions below exist once:
+
+* which names mean what — :func:`parse_topology`, :func:`pattern_flow_set`,
+  :func:`canonical_pattern`, and the routing registry for router names;
+* which acyclic CDGs BSOR explores and which options a router receives from
+  an :class:`~repro.experiments.config.ExperimentConfig` —
+  :func:`router_for`;
+* how a router's routes become simulatable, with or without faults —
+  :func:`plan_routes`, returning a :class:`~repro.faults.RoutePlan`
+  (fault-free: one ``compute_routes`` call plus phase boundaries; under
+  faults: :func:`~repro.faults.route_with_faults`, deadlock re-verified);
+* how a (topology x pattern x router x fault set) cross-product is walked
+  and tagged — :func:`plan_matrix`.
+"""
+
+from __future__ import annotations
+
+import functools
+import re
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+from .exceptions import ExperimentError, TrafficError
+from .faults import FaultSet, RoutePlan, plan_on
+from .routing.base import RoutingAlgorithm
+from .routing.bsor.framework import CDGStrategy, full_strategy_set
+from .routing.registry import RouterSpec, router_spec
+from .topology.base import Topology
+from .topology.mesh import Mesh2D
+from .topology.ring import Ring
+from .topology.torus import Torus2D
+from .traffic.flow import FlowSet
+from .traffic.synthetic import normalize_pattern_name, synthetic_by_name
+from .workloads.registry import (
+    is_registered_workload,
+    workload_flow_set as registry_workload_flow_set,
+    workload_spec,
+)
+
+_TOPOLOGY_SPEC = re.compile(r"^(mesh|torus|ring)(\d+)(?:x(\d+))?$")
+
+
+def parse_topology(spec: str) -> Topology:
+    """Build a topology from a compact spec string.
+
+    ``mesh8x8`` / ``mesh8`` -> :class:`Mesh2D`, ``torus4x4`` ->
+    :class:`Torus2D`, ``ring16`` -> :class:`Ring`.  Raises
+    :class:`ExperimentError` with the accepted forms for anything else.
+    """
+    match = _TOPOLOGY_SPEC.match(spec.strip().lower())
+    if not match:
+        raise ExperimentError(
+            f"unknown topology spec {spec!r}; expected forms: mesh8x8, "
+            f"mesh8, torus4x4, ring16"
+        )
+    kind, first, second = match.group(1), int(match.group(2)), match.group(3)
+    if kind == "ring":
+        if second is not None:
+            raise ExperimentError(
+                f"ring topologies are one-dimensional: {spec!r}"
+            )
+        return Ring(first)
+    height = int(second) if second is not None else first
+    if kind == "mesh":
+        return Mesh2D(first, height)
+    return Torus2D(first, height)
+
+
+def pattern_flow_set(pattern: str, topology: Topology, config) -> FlowSet:
+    """Instantiate a traffic pattern or application workload on *topology*.
+
+    Synthetic patterns (``transpose``, ``bit_complement``, aliases included)
+    work on any power-of-two topology; the paper's application workloads
+    (``h264``, ``perf-modeling``, ``transmitter``) are task graphs mapped
+    onto a mesh; any other name resolves through the
+    :mod:`repro.workloads` registry (``decoder-pipeline``,
+    ``fft-butterfly``, ...) and maps onto meshes and tori alike — so BSOR's
+    bandwidth allocation is configured from the application's own flow
+    graph.
+    """
+    # the experiments package imports this module from its __init__ (the
+    # figure and table harnesses plan here), so its workloads load late
+    from .experiments.workloads import APPLICATION_WORKLOADS, workload_flow_set
+
+    key = pattern.strip().lower()
+    if key in APPLICATION_WORKLOADS:
+        if not isinstance(topology, (Mesh2D, Torus2D)):
+            raise ExperimentError(
+                f"application workload {pattern!r} requires a mesh or torus "
+                f"topology, got {type(topology).__name__}"
+            )
+        if isinstance(topology, Mesh2D):
+            return workload_flow_set(key, topology, config)
+    if is_registered_workload(key):
+        return registry_workload_flow_set(
+            key, topology,
+            strategy=config.mapping_strategy,
+            seed=config.seed,
+        )
+    try:
+        return synthetic_by_name(pattern, topology.num_nodes,
+                                 demand=config.synthetic_demand)
+    except TrafficError as error:
+        # neither a synthetic pattern nor a workload: surface both
+        # vocabularies (workload_spec's error carries a did-you-mean hint
+        # over the registry)
+        try:
+            workload_spec(key)
+        except TrafficError as workload_error:
+            raise ExperimentError(
+                f"unknown pattern or workload {pattern!r}: {error}; "
+                f"{workload_error}"
+            ) from error
+        raise  # pragma: no cover - workload_spec cannot succeed here
+
+
+def canonical_pattern(name: str) -> str:
+    """Resolve a pattern/workload name to its canonical form, or raise.
+
+    Accepts the vocabulary of :func:`pattern_flow_set`: any registered
+    :mod:`repro.workloads` entry (the paper's applications included) and
+    the synthetic patterns (aliases included).  Raises a did-you-mean
+    carrying :class:`~repro.exceptions.ReproError` for anything else.
+    """
+    key = name.strip().lower()
+    if is_registered_workload(key):
+        return workload_spec(key).name
+    return normalize_pattern_name(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_mesh_strategies(width: int, height: int) -> Tuple[CDGStrategy, ...]:
+    # finding the 12 acyclic two-turn models builds 16 candidate CDGs, and
+    # the strategies are recipes that do not hold the mesh: once per size
+    return tuple(full_strategy_set(Mesh2D(width, height)))
+
+
+def _create(spec: RouterSpec, config, topology: Topology) -> RoutingAlgorithm:
+    # the full 12 + 3 CDG exploration when the config asks for it (mesh
+    # only — the ad hoc and turn-model strategies are mesh constructions);
+    # None leaves BSOR on the paper's five-column set
+    strategies = None
+    if config.explore_full_cdg_set and isinstance(topology, Mesh2D):
+        strategies = _full_mesh_strategies(topology.width, topology.height)
+    return spec.create(
+        seed=config.seed,
+        strategies=strategies,
+        hop_slack=config.hop_slack,
+        milp_time_limit=config.milp_time_limit,
+    )
+
+
+def router_for(name: str, config, topology: Topology) -> RoutingAlgorithm:
+    """A fresh instance of the registered router *name* for *config*.
+
+    The one place an :class:`~repro.experiments.config.ExperimentConfig`
+    turns into router options: each factory picks what it understands from
+    ``seed`` (ROMM / Valiant / O1TURN) and ``strategies`` / ``hop_slack`` /
+    ``milp_time_limit`` (BSOR).  *topology* is the intact one the CDG
+    strategies are chosen for.
+    """
+    return _create(router_spec(name), config, topology)
+
+
+def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
+                faults=None) -> RoutePlan:
+    """Routes of router *name* for *flow_set*, ready to simulate.
+
+    Builds a fresh router (randomized ones carry per-compute state) and
+    plans through :func:`~repro.faults.plan_on`; *faults* is anything
+    :meth:`~repro.faults.FaultSet.from_spec` accepts.
+    """
+    spec = router_spec(name)
+    plan = plan_on(_create(spec, config, topology), topology, flow_set, faults)
+    plan.spec = spec
+    return plan
+
+
+def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
+                routers: Sequence[str], fault_sets: Optional[Sequence],
+                config) -> Iterator[Tuple[str, str, Dict, RoutePlan]]:
+    """Plan every (topology x pattern x router x fault set) cell, in order.
+
+    Yields ``(topology name, pattern, tags, plan)`` with the names as
+    given and *tags* the canonical result-row columns of the cell:
+    ``topology`` (lower-cased), ``pattern`` (canonical), ``router`` (registry
+    slug), ``display_name``, ``faults`` (canonical label), and the route
+    set's ``max_channel_load`` and ``average_hops``.  An empty or ``None``
+    *fault_sets* is the single fault-free point.
+    """
+    fault_axis = [FaultSet.from_spec(entry)
+                  for entry in (fault_sets or (None,))]
+    for topology_name in topologies:
+        topology = parse_topology(topology_name)
+        topology_tag = topology_name.strip().lower()
+        for pattern in patterns:
+            flow_set = pattern_flow_set(pattern, topology, config)
+            pattern_tag = canonical_pattern(pattern)
+            for router_name in routers:
+                for fault_set in fault_axis:
+                    plan = plan_routes(router_name, topology, flow_set,
+                                       config, fault_set)
+                    yield topology_name, pattern, {
+                        "topology": topology_tag,
+                        "pattern": pattern_tag,
+                        "router": plan.spec.name,
+                        "display_name": plan.spec.display_name,
+                        "faults": fault_set.label(),
+                        "max_channel_load": plan.route_set.max_channel_load(),
+                        "average_hops": plan.route_set.average_hop_count(),
+                    }, plan

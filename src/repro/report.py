@@ -123,22 +123,16 @@ def occupancy_heatmap(topology_name: str, pattern: str, router: str,
     every channel along its flow's route, bucketed by injection cycle.
     Pure trace-layer arithmetic: the simulator never runs.
     """
-    from .compare.matrix import parse_topology, pattern_flow_set
     from .experiments.config import ExperimentConfig
-    from .routing.registry import router_spec
+    from .planning import parse_topology, pattern_flow_set, plan_routes
     from .simulator.injection import make_injection_process
     from .workloads.trace import RecordingInjection
 
     config = config or ExperimentConfig()
     topology = parse_topology(topology_name)
     flow_set = pattern_flow_set(pattern, topology, config)
-    spec = router_spec(router)
-    algorithm = spec.create(
-        seed=config.seed,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
-    route_set = algorithm.compute_routes(topology, flow_set)
+    plan = plan_routes(router, topology, flow_set, config)
+    route_set = plan.route_set
 
     recorder = RecordingInjection(make_injection_process(
         flow_set, offered_rate,
@@ -169,7 +163,7 @@ def occupancy_heatmap(topology_name: str, pattern: str, router: str,
     return OccupancyHeatmap(
         topology=topology_name,
         pattern=pattern,
-        router=spec.name,
+        router=plan.spec.name,
         offered_rate=offered_rate,
         num_cycles=num_cycles,
         buckets=buckets,

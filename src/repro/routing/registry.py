@@ -385,7 +385,7 @@ def render_routing_guide() -> str:
         "Every routing algorithm in the library is registered in "
         "`repro.routing.registry` under a canonical name and can be built "
         "with `create_router(name, **options)`.  The comparison engine "
-        "(`python -m repro.compare`) and this guide are both driven by that "
+        "(`python -m repro compare`) and this guide are both driven by that "
         "registry, so the table below is always the full set.",
         "",
         "| Name | Aliases | Display name | Paper | Summary |",

@@ -27,7 +27,7 @@ Typical use::
     )
     print(result.curve.throughputs, runner.last_report.describe())
 
-The command line mirrors the API: ``python -m repro.runner figure 6-1
+The command line mirrors the API: ``python -m repro figure 6-1
 --workers 4`` regenerates a figure, ``... cache info`` inspects the store.
 """
 

@@ -36,6 +36,7 @@ from typing import (
 )
 
 from ..exceptions import SimulationError
+from ..faults import plan_on
 from ..metrics.statistics import SimulationStatistics, SweepCurve, SweepPoint
 from ..progress import ProgressObserver, emitter_for
 from ..routing.base import RouteSet, RoutingAlgorithm
@@ -43,7 +44,6 @@ from ..simulator.backends import backend_spec
 from ..simulator.config import SimulationConfig
 from ..simulator.simulation import (
     SweepResult,
-    phase_boundaries_for,
     simulate_route_set,
     simulate_route_set_batch,
 )
@@ -276,11 +276,11 @@ class ExperimentRunner:
         """Sweep several algorithms; all points share one worker pool."""
         specs: Dict[str, SweepSpec] = {}
         for algorithm in algorithms:
-            route_set = algorithm.compute_routes(topology, flow_set)
+            plan = plan_on(algorithm, topology, flow_set)
             specs[algorithm.name] = SweepSpec(
-                topology, route_set, config, offered_rates,
+                topology, plan.route_set, config, offered_rates,
                 workload=workload,
-                phase_boundaries=phase_boundaries_for(algorithm, route_set),
+                phase_boundaries=plan.phase_boundaries,
             )
         return self.sweep_many(specs)
 

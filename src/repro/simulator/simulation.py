@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..exceptions import SimulationError
+from ..faults import plan_on
 from ..metrics.statistics import SimulationStatistics, SweepCurve, SweepPoint
 from ..routing.base import RouteSet, RoutingAlgorithm
 from ..routing.o1turn import O1TurnRouting
@@ -207,11 +208,10 @@ def sweep_algorithm(algorithm: RoutingAlgorithm, topology: Topology,
                     offered_rates: Sequence[float],
                     workload: str = "") -> SweepResult:
     """Compute routes with *algorithm* and sweep the offered injection rate."""
-    route_set = algorithm.compute_routes(topology, flow_set)
-    boundaries = phase_boundaries_for(algorithm, route_set)
+    plan = plan_on(algorithm, topology, flow_set)
     return sweep_injection_rates(
-        topology, route_set, config, offered_rates,
-        workload=workload, phase_boundaries=boundaries,
+        topology, plan.route_set, config, offered_rates,
+        workload=workload, phase_boundaries=plan.phase_boundaries,
     )
 
 

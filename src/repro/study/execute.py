@@ -26,19 +26,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compare.matrix import CompareMatrix, parse_topology, pattern_flow_set
+from ..compare.matrix import CompareMatrix
 from ..compare.saturation import SaturationCriteria
 from ..exceptions import ReproError, StudyError
-from ..faults import FaultSet, route_with_faults
 from ..experiments.config import ExperimentConfig
-from ..experiments.workloads import APPLICATION_WORKLOADS
-from ..routing.bsor.framework import full_strategy_set, paper_strategies
-from ..routing.registry import router_spec
+from ..planning import canonical_pattern as validate_pattern  # re-exported
+from ..planning import plan_matrix
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
-from ..simulator.simulation import phase_boundaries_for
-from ..topology.mesh import Mesh2D
-from ..traffic.synthetic import normalize_pattern_name
-from ..workloads.registry import is_registered_workload, workload_spec
 from .resultset import ResultSet
 from .spec import Scenario, Study
 
@@ -56,23 +50,6 @@ SATURATE_COLUMNS = (
     "saturation_throughput", "low_load_latency", "p99_latency",
     "max_channel_load", "average_hops", "sim_points",
 )
-
-
-def validate_pattern(name: str) -> str:
-    """Resolve a pattern/workload name to its canonical form, or raise.
-
-    Accepts the same vocabulary as
-    :func:`repro.compare.matrix.pattern_flow_set`: the paper's application
-    workloads, any registered :mod:`repro.workloads` entry, and the
-    synthetic patterns (aliases included).  Raises a did-you-mean carrying
-    :class:`~repro.exceptions.ReproError` for anything else.
-    """
-    key = name.strip().lower()
-    if key in APPLICATION_WORKLOADS:
-        return key
-    if is_registered_workload(key):
-        return workload_spec(key).name
-    return normalize_pattern_name(name)
 
 
 @dataclass
@@ -190,10 +167,6 @@ def _scenario_topologies(scenario: Scenario,
     return [f"mesh{config.mesh_size}x{config.mesh_size}"]
 
 
-def _canonical_pattern(pattern: str) -> str:
-    return validate_pattern(pattern)
-
-
 def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
                         runner: ExperimentRunner
                         ) -> Tuple[List[Dict], RunnerReport]:
@@ -208,85 +181,41 @@ def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
     rates = list(scenario.rates) if scenario.rates else \
         list(config.offered_rates)
     vc_counts: Tuple[Optional[int], ...] = scenario.vcs or (None,)
-    fault_axis = [FaultSet.from_spec(entry)
-                  for entry in (scenario.faults or ("none",))]
 
     specs: Dict[str, SweepSpec] = {}
     meta: Dict[str, Dict] = {}
-    for topology_name in _scenario_topologies(scenario, config):
-        topology = parse_topology(topology_name)
-        strategies = (
-            full_strategy_set(topology)
-            if config.explore_full_cdg_set and isinstance(topology, Mesh2D)
-            else paper_strategies()
-        )
-        for pattern in scenario.patterns:
-            flow_set = pattern_flow_set(pattern, topology, config)
-            for router_name in scenario.routers:
-                spec = router_spec(router_name)
-                for fault_set in fault_axis:
-                    # a fresh router per fault point: randomized routers
-                    # (ROMM / Valiant / O1TURN) carry per-compute state
-                    router = spec.create(
-                        seed=config.seed,
-                        strategies=strategies,
-                        hop_slack=config.hop_slack,
-                        milp_time_limit=config.milp_time_limit,
-                    )
-                    if fault_set:
-                        routed = route_with_faults(router, topology,
-                                                   flow_set, fault_set)
-                        sim_topology = routed.topology
-                        route_set = routed.route_set
-                        boundaries = routed.phase_boundaries
-                        schedule = routed.schedule or None
-                    else:
-                        sim_topology = topology
-                        route_set = router.compute_routes(topology, flow_set)
-                        boundaries = phase_boundaries_for(router, route_set)
-                        schedule = None
-                    label = fault_set.label()
-                    for vcs in vc_counts:
-                        simulation = config.simulation if vcs is None \
-                            else config.simulation.with_vcs(vcs)
-                        key = (f"{topology_name}|{pattern}|{spec.name}|"
-                               f"{vcs}|{label}")
-                        specs[key] = SweepSpec(
-                            sim_topology, route_set, simulation, rates,
-                            workload=pattern,
-                            phase_boundaries=boundaries or None,
-                            fault_schedule=schedule,
-                        )
-                        meta[key] = {
-                            "topology": topology_name.strip().lower(),
-                            "pattern": _canonical_pattern(pattern),
-                            "router": spec.name,
-                            "display_name": spec.display_name,
-                            "vcs": vcs if vcs is not None
-                            else simulation.num_vcs,
-                            "faults": label,
-                            "max_channel_load": route_set.max_channel_load(),
-                            "average_hops": route_set.average_hop_count(),
-                        }
+    for topology_name, pattern, tags, plan in plan_matrix(
+            _scenario_topologies(scenario, config), scenario.patterns,
+            scenario.routers, scenario.faults, config):
+        for vcs in vc_counts:
+            simulation = config.simulation if vcs is None \
+                else config.simulation.with_vcs(vcs)
+            key = (f"{topology_name}|{pattern}|{tags['router']}|"
+                   f"{vcs}|{tags['faults']}")
+            specs[key] = SweepSpec(
+                plan.topology, plan.route_set, simulation, rates,
+                workload=pattern,
+                phase_boundaries=plan.phase_boundaries or None,
+                fault_schedule=plan.schedule or None,
+            )
+            meta[key] = {
+                **tags,
+                "vcs": vcs if vcs is not None else simulation.num_vcs,
+            }
     results = runner.sweep_many(specs)
 
     rows: List[Dict] = []
     for key, sweep in results.items():
-        tags = meta[key]
         for rate, stats in zip(rates, sweep.statistics):
             rows.append({
                 "scenario": scenario.name,
                 "mode": "sweep",
-                **{column: tags[column]
-                   for column in ("topology", "pattern", "router",
-                                  "display_name", "vcs", "faults")},
+                **meta[key],
                 "offered_rate": rate,
                 "throughput": stats.throughput,
                 "average_latency": stats.average_latency,
                 "delivery_ratio": stats.delivery_ratio,
                 "p99_latency": stats.latency_percentile(0.99),
-                "max_channel_load": tags["max_channel_load"],
-                "average_hops": tags["average_hops"],
             })
     return rows, runner.last_report
 

@@ -202,7 +202,7 @@ def render_workloads_guide() -> str:
         "with `create_workload(name, **options)` (the logical task graph) "
         "or `workload_flow_set(name, topology, ...)` (the placed flow set "
         "the route selectors consume).  The comparison engine "
-        "(`python -m repro.compare --workloads ...`) and this guide are "
+        "(`python -m repro compare --workloads ...`) and this guide are "
         "both driven by that registry, so the table below is always the "
         "full set.  See `docs/tutorial.md` for defining your own "
         "`AppGraph` and for capturing / replaying injection traces.",

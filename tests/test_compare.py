@@ -14,7 +14,7 @@ from repro.compare import (
     render_markdown,
     result_to_dict,
 )
-from repro.compare.cli import main as compare_main
+from repro.cli import main as repro_main
 from repro.exceptions import ExperimentError
 from repro.experiments import ExperimentConfig
 from repro.topology import Mesh2D, Ring, Torus2D
@@ -110,12 +110,13 @@ class TestCompareMatrix:
         full = replace(QUICK, explore_full_cdg_set=True)
         cells = CompareMatrix(config=full, criteria=CRITERIA)._build_cells(
             ["mesh4x4"], ["transpose"], ["bsor-dijkstra"])
-        assert len(cells[0].algorithm.strategies) == \
+        assert len(cells[0].plan.router.strategies) == \
             len(full_strategy_set(Mesh2D(4)))
 
         default = CompareMatrix(config=QUICK, criteria=CRITERIA)._build_cells(
             ["mesh4x4"], ["transpose"], ["bsor-dijkstra"])
-        assert len(default[0].algorithm.strategies) == len(paper_strategies())
+        assert len(default[0].plan.router.strategies) == \
+            len(paper_strategies())
 
     def test_cell_lookup_unknown_raises(self, quick_result):
         with pytest.raises(ExperimentError, match="no comparison cell"):
@@ -216,7 +217,8 @@ class TestReports:
 
 class TestCLI:
     def test_quick_run_prints_markdown(self, capsys):
-        code = compare_main([
+        code = repro_main([
+            "compare",
             "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor,yx", "--profile", "quick",
             "--workers", "1", "--no-cache",
@@ -229,7 +231,8 @@ class TestCLI:
         assert "| YX |" in out
 
     def test_json_output(self, capsys):
-        code = compare_main([
+        code = repro_main([
+            "compare",
             "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor", "--profile", "quick",
             "--workers", "1", "--no-cache",
@@ -241,7 +244,8 @@ class TestCLI:
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
-        code = compare_main([
+        code = repro_main([
+            "compare",
             "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor", "--profile", "quick",
             "--workers", "1", "--no-cache",
@@ -253,13 +257,14 @@ class TestCLI:
         assert str(target) in capsys.readouterr().out
 
     def test_list_routers(self, capsys):
-        assert compare_main(["--list-routers"]) == 0
+        assert repro_main(["compare", "--list-routers"]) == 0
         out = capsys.readouterr().out
         assert "bsor-dijkstra" in out
         assert "o1turn" in out
 
     def test_unknown_router_fails_cleanly(self, capsys):
-        code = compare_main([
+        code = repro_main([
+            "compare",
             "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "nope", "--profile", "quick", "--no-cache",
         ])
@@ -267,7 +272,8 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_pattern_fails_cleanly(self, capsys):
-        code = compare_main([
+        code = repro_main([
+            "compare",
             "--topology", "mesh4x4", "--patterns", "nope",
             "--routers", "dor", "--profile", "quick", "--no-cache",
         ])

@@ -1,6 +1,6 @@
 """The comparison engine's --workload axis (ISSUE 3 acceptance criterion).
 
-``python -m repro.compare --topology mesh8x8 --workload decoder-pipeline
+``python -m repro compare --topology mesh8x8 --workload decoder-pipeline
 --routers dor,o1turn,bsor-dijkstra`` must produce a report whose BSOR route
 set is derived from the application's flow graph, and a captured trace of
 any cell must replay bit-identically.
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.compare.cli import main as compare_main
+from repro.cli import main as repro_main
 from repro.compare.matrix import CompareMatrix, pattern_flow_set, parse_topology
 from repro.experiments.config import ExperimentConfig
 from repro.compare.saturation import SaturationCriteria
@@ -89,24 +89,24 @@ def test_bsor_routes_are_derived_from_the_app_flow_graph():
     cells = matrix._build_cells(["mesh8x8"], ["decoder-pipeline"],
                                 ["bsor-dijkstra"])
     assert len(cells) == 1
-    cell = cells[0]
+    plan = cells[0].plan
     graph = create_workload("decoder-pipeline")
     from repro.workloads import workload_spec
     strategy = config.mapping_strategy or \
         workload_spec("decoder-pipeline").default_mapping
-    mapped = graph.mapped_onto(cell.topology, strategy=strategy,
+    mapped = graph.mapped_onto(plan.topology, strategy=strategy,
                                seed=config.seed)
     # the route set BSOR computed covers exactly the application's flows,
     # with the application's bandwidth demands
-    routed = {route.flow.name: route.flow for route in cell.route_set}
+    routed = {route.flow.name: route.flow for route in plan.route_set}
     assert set(routed) == {flow.name for flow in mapped}
     for flow in mapped:
         assert routed[flow.name].pair == flow.pair
         assert routed[flow.name].demand == pytest.approx(flow.demand)
     # ... and its per-channel loads are demand-weighted (application-aware),
     # so the MCL is expressible in the app's bandwidth units
-    assert cell.route_set.max_channel_load() <= mapped.total_demand()
-    assert cell.route_set.max_channel_load() >= \
+    assert plan.route_set.max_channel_load() <= mapped.total_demand()
+    assert plan.route_set.max_channel_load() >= \
         max(flow.demand for flow in mapped)
 
 
@@ -115,20 +115,23 @@ def test_captured_cell_trace_replays_bit_identically():
     matrix = CompareMatrix(config=config)
     [cell] = matrix._build_cells(["mesh8x8"], ["decoder-pipeline"],
                                  ["bsor-dijkstra"])
-    boundaries = phase_boundaries_for(cell.algorithm, cell.route_set)
+    plan = cell.plan
+    boundaries = phase_boundaries_for(plan.router, plan.route_set)
+    assert boundaries == plan.phase_boundaries
     live, trace = capture_simulation(
-        cell.topology, cell.route_set, config.simulation, 1.0,
-        phase_boundaries=boundaries, workload=cell.pattern,
+        plan.topology, plan.route_set, config.simulation, 1.0,
+        phase_boundaries=boundaries, workload=cell.tags["pattern"],
     )
     replayed = replay_simulation(
-        cell.topology, cell.route_set, config.simulation, trace,
+        plan.topology, plan.route_set, config.simulation, trace,
         phase_boundaries=boundaries,
     )
     assert replayed == live
 
 
 def test_cli_workload_axis_mesh4(capsys):
-    exit_code = compare_main([
+    exit_code = repro_main([
+        "compare",
         "--topology", "mesh4x4", "--workload", "decoder-pipeline",
         "--routers", "dor,o1turn", "--profile", "quick", "--no-cache",
     ])
@@ -139,7 +142,8 @@ def test_cli_workload_axis_mesh4(capsys):
 
 
 def test_cli_workloads_combine_with_patterns(capsys):
-    exit_code = compare_main([
+    exit_code = repro_main([
+        "compare",
         "--topology", "mesh4x4", "--patterns", "transpose",
         "--workloads", "fft-butterfly", "--routers", "dor",
         "--profile", "quick", "--no-cache", "--json",
@@ -151,7 +155,8 @@ def test_cli_workloads_combine_with_patterns(capsys):
 
 
 def test_cli_unknown_workload_fails_with_hint(capsys):
-    exit_code = compare_main([
+    exit_code = repro_main([
+        "compare",
         "--topology", "mesh4x4", "--workloads", "decoder-pipelin",
         "--routers", "dor", "--profile", "quick", "--no-cache",
     ])
@@ -163,7 +168,8 @@ def test_cli_unknown_workload_fails_with_hint(capsys):
 @pytest.mark.slow
 def test_cli_acceptance_mesh8x8_decoder_pipeline(capsys):
     """The literal acceptance command (quick profile keeps cycles small)."""
-    exit_code = compare_main([
+    exit_code = repro_main([
+        "compare",
         "--topology", "mesh8x8", "--workload", "decoder-pipeline",
         "--routers", "dor,o1turn,bsor-dijkstra",
         "--profile", "quick", "--no-cache", "--json",

@@ -108,7 +108,7 @@ class TestFigure67BitIdentity:
     """
 
     def test_same_cache_keys_and_statistics(self, tmp_path, capsys):
-        from repro.runner.cli import main as runner_main
+        from repro.cli import main as runner_main
 
         cache_dir = str(tmp_path / "cache")
         code = runner_main(["figure", "6.7", "--profile", "quick",
@@ -140,7 +140,7 @@ class TestFigure67BitIdentity:
 
     def test_legacy_rerun_hits_study_cache_too(self, tmp_path, capsys):
         """The identity is symmetric: study first, legacy second."""
-        from repro.runner.cli import main as runner_main
+        from repro.cli import main as runner_main
 
         cache_dir = str(tmp_path / "cache")
         study = Study.from_file(EXAMPLES / "figure_6_7.yaml")

@@ -8,7 +8,8 @@
 #                     suite
 #   make coverage   - full suite under coverage with the CI coverage floor
 #                     (needs pytest-cov: pip install pytest-cov)
-#   make smoke      - one fast figure benchmark through the parallel runner
+#   make smoke      - every figure benchmark (Figures 6-1 .. 6-10) at the
+#                     quick profile through the parallel runner (~10 s)
 #   make smoke-cli  - exercise the unified CLI end to end: help, a registry
 #                     listing, schema validation of every bundled study
 #                     spec, and the smoke study on a tiny mesh
@@ -59,7 +60,7 @@ coverage:
 		--cov-fail-under=$(COVERAGE_FLOOR)
 
 smoke:
-	REPRO_BENCH_PROFILE=quick $(PYTHON) -m pytest benchmarks/bench_figure_6_1.py \
+	REPRO_BENCH_PROFILE=quick $(PYTHON) -m pytest benchmarks/bench_figure_6_*.py \
 		--benchmark-only -x -q -p no:cacheprovider
 
 smoke-cli:

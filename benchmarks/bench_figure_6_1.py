@@ -7,19 +7,19 @@ other routing algorithms, at a comparable average packet latency."
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_throughput_latency
+from repro.experiments import improvement_summary, render_figure, run_figure
 
 
 def test_figure_6_1_transpose(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_throughput_latency, args=("transpose", config),
-        kwargs=dict(figure_name="Figure 6-1"), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-1", config), rounds=1, iterations=1,
     )
-    emit("Figure 6-1 (transpose)", figure.render())
-    emit("Saturation summary", figure.summary("BSOR-Dijkstra"))
+    emit("Figure 6-1 (transpose)", render_figure("6-1", results))
 
-    saturation = figure.saturation_throughputs()
+    saturation = results.reduce("throughput", max, "display_name")
+    emit("Saturation summary",
+         improvement_summary(saturation, "BSOR-Dijkstra"))
     baselines = [saturation[name] for name in ("XY", "YX", "ROMM", "Valiant")]
     if is_full_scale(config):
         # BSOR must clearly outperform every baseline on transpose.

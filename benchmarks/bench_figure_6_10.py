@@ -9,23 +9,19 @@ says BSOR's effectiveness "can no longer be guaranteed".
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_variation_sweep
-from repro.routing import BSORRouting, XYRouting, YXRouting
+from repro.experiments import render_figure, run_figure
 
-
-def _algorithms(config):
-    return [XYRouting(), YXRouting(),
-            BSORRouting(selector="dijkstra", hop_slack=config.hop_slack)]
+ROUTERS = ["dor", "yx", "bsor-dijkstra"]
 
 
 def test_figure_6_10_transpose_50pct(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_variation_sweep, args=("transpose", 0.50, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-10", config),
+        kwargs=dict(routers=ROUTERS), rounds=1, iterations=1,
     )
-    emit("Figure 6-10(a) transpose, 50% variation", figure.render())
-    saturation = figure.saturation_throughputs()
+    emit("Figure 6-10(a) transpose, 50% variation", render_figure("6-10", results))
+    saturation = results.reduce("throughput", max, "display_name")
     if is_full_scale(config):
         # Transpose: BSOR's advantage survives even 50% mis-estimation.
         assert saturation["BSOR-Dijkstra"] >= saturation["XY"]
@@ -35,12 +31,13 @@ def test_figure_6_10_transpose_50pct(benchmark):
 
 def test_figure_6_10_h264_50pct(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_variation_sweep, args=("h264", 0.50, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-10", config),
+        kwargs=dict(workload="h264", routers=ROUTERS),
+        rounds=1, iterations=1,
     )
-    emit("Figure 6-10(b) H.264, 50% variation", figure.render())
-    saturation = figure.saturation_throughputs()
+    emit("Figure 6-10(b) H.264, 50% variation", render_figure("6-10", results))
+    saturation = results.reduce("throughput", max, "display_name")
     # The paper's point here is only that minimal routing becomes competitive
     # when estimates are badly wrong — BSOR need not win, but it must still
     # deliver a functional network (throughput within 2x of the best).

@@ -7,23 +7,23 @@ Valiant saturate earlier and exhibit instability beyond saturation.
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_throughput_latency
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_2_bit_complement(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_throughput_latency, args=("bit-complement", config),
-        kwargs=dict(figure_name="Figure 6-2"), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-2", config), rounds=1, iterations=1,
     )
-    emit("Figure 6-2 (bit-complement)", figure.render())
+    emit("Figure 6-2 (bit-complement)", render_figure("6-2", results))
 
-    saturation = figure.saturation_throughputs()
+    saturation = results.reduce("throughput", max, "display_name")
+    route_mcl = results.reduce("max_channel_load", max, "display_name")
     # BSOR performs comparably to DOR (within a modest band) ...
     assert saturation["BSOR-MILP"] >= 0.75 * saturation["XY"]
     if is_full_scale(config):
         # Same-MCL claim: BSOR cannot beat DOR here, it can only match it.
-        assert figure.route_mcl["BSOR-MILP"] == figure.route_mcl["XY"]
+        assert route_mcl["BSOR-MILP"] == route_mcl["XY"]
         # ... and the randomized algorithms do not exceed the best of DOR/BSOR
         # by any meaningful margin (they have strictly higher MCLs).
         best_static = max(saturation["XY"], saturation["YX"],

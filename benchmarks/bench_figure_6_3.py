@@ -7,25 +7,26 @@ edges out BSOR-MILP at high injection rates despite the equal MCL.
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_throughput_latency
+from repro.experiments import improvement_summary, render_figure, run_figure
 
 
 def test_figure_6_3_shuffle(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_throughput_latency, args=("shuffle", config),
-        kwargs=dict(figure_name="Figure 6-3"), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-3", config), rounds=1, iterations=1,
     )
-    emit("Figure 6-3 (shuffle)", figure.render())
-    emit("Saturation summary", figure.summary("BSOR-Dijkstra"))
+    emit("Figure 6-3 (shuffle)", render_figure("6-3", results))
 
-    saturation = figure.saturation_throughputs()
+    saturation = results.reduce("throughput", max, "display_name")
+    emit("Saturation summary",
+         improvement_summary(saturation, "BSOR-Dijkstra"))
+    route_mcl = results.reduce("max_channel_load", max, "display_name")
     if is_full_scale(config):
         # BSOR finds a lower-or-equal MCL than every baseline on shuffle.
-        baseline_mcl = min(figure.route_mcl[name]
+        baseline_mcl = min(route_mcl[name]
                            for name in ("XY", "YX", "ROMM", "Valiant"))
-        assert figure.route_mcl["BSOR-MILP"] <= baseline_mcl
-        assert figure.route_mcl["BSOR-Dijkstra"] <= baseline_mcl
+        assert route_mcl["BSOR-MILP"] <= baseline_mcl
+        assert route_mcl["BSOR-Dijkstra"] <= baseline_mcl
         assert saturation["BSOR-Dijkstra"] >= 0.95 * max(
             saturation[name] for name in ("XY", "YX", "ROMM", "Valiant")
         )

@@ -13,25 +13,25 @@ is smaller while the ordering (BSOR <= every baseline) is preserved.
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_throughput_latency
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_4_h264(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_throughput_latency, args=("h264", config),
-        kwargs=dict(figure_name="Figure 6-4"), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-4", config), rounds=1, iterations=1,
     )
-    emit("Figure 6-4 (H.264 decoder)", figure.render())
+    emit("Figure 6-4 (H.264 decoder)", render_figure("6-4", results))
 
-    saturation = figure.saturation_throughputs()
+    saturation = results.reduce("throughput", max, "display_name")
+    route_mcl = results.reduce("max_channel_load", max, "display_name")
     assert saturation["BSOR-MILP"] > 0
     if is_full_scale(config):
         # BSOR-MILP reaches the provable optimum: the MCL equals the single
         # heaviest flow of the decoder (120.4 MB/s reconstructed-frame
         # traffic).
-        assert figure.route_mcl["BSOR-MILP"] <= figure.route_mcl["XY"] + 1e-9
-        assert abs(figure.route_mcl["BSOR-MILP"] - 120.4) < 1.0
+        assert route_mcl["BSOR-MILP"] <= route_mcl["XY"] + 1e-9
+        assert abs(route_mcl["BSOR-MILP"] - 120.4) < 1.0
         assert saturation["BSOR-MILP"] >= 0.85 * max(
             saturation[name] for name in ("XY", "YX", "ROMM", "Valiant")
         )

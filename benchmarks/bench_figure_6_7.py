@@ -9,44 +9,50 @@ shows transpose and the H.264 decoder; other workloads behave the same.
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_vc_sweep
+from repro.experiments import render_figure, run_figure
+
+ROUTERS = ["dor", "bsor-dijkstra"]
 
 
 def test_figure_6_7_transpose_vc_sweep(benchmark):
     config = bench_config()
-    result = benchmark.pedantic(
-        figure_vc_sweep, args=("transpose", config),
-        kwargs=dict(vc_counts=(1, 2, 4, 8),
-                    algorithms=["XY", "BSOR-Dijkstra"]),
+    results = benchmark.pedantic(
+        run_figure, args=("6-7", config),
+        kwargs=dict(vcs=(1, 2, 4, 8), routers=ROUTERS),
         rounds=1, iterations=1,
     )
-    emit("Figure 6-7 (transpose, VC sweep)", result.render())
+    emit("Figure 6-7 (transpose, VC sweep)", render_figure("6-7", results))
+
+    # (algorithm, VC count) -> saturation throughput
+    saturation = results.reduce("throughput", max, "display_name", "vcs")
+
+    def improvement(algorithm, from_vcs, to_vcs):
+        base = saturation[algorithm, from_vcs]
+        return (saturation[algorithm, to_vcs] - base) / base
 
     for algorithm in ("XY", "BSOR-Dijkstra"):
-        by_vc = result.saturation[algorithm]
         # more VCs never hurt throughput (head-of-line blocking only shrinks)
-        assert by_vc[2] >= by_vc[1] * 0.95
-        assert by_vc[4] >= by_vc[2] * 0.95
+        assert saturation[algorithm, 2] >= saturation[algorithm, 1] * 0.95
+        assert saturation[algorithm, 4] >= saturation[algorithm, 2] * 0.95
     if is_full_scale(config):
         for algorithm in ("XY", "BSOR-Dijkstra"):
             # diminishing returns: the 4->8 gain is below the 2->4 gain
-            gain_2_to_4 = result.improvement(algorithm, 2, 4)
-            gain_4_to_8 = result.improvement(algorithm, 4, 8)
+            gain_2_to_4 = improvement(algorithm, 2, 4)
+            gain_4_to_8 = improvement(algorithm, 4, 8)
             assert gain_4_to_8 <= gain_2_to_4 + 0.10
         # BSOR stays ahead of XY at every VC count on transpose.
         for vcs in (1, 2, 4, 8):
-            assert result.saturation["BSOR-Dijkstra"][vcs] >= \
-                result.saturation["XY"][vcs]
+            assert saturation["BSOR-Dijkstra", vcs] >= saturation["XY", vcs]
 
 
 def test_figure_6_7_h264_vc_sweep(benchmark):
     config = bench_config()
-    result = benchmark.pedantic(
-        figure_vc_sweep, args=("h264", config),
-        kwargs=dict(vc_counts=(2, 4), algorithms=["XY", "BSOR-Dijkstra"]),
+    results = benchmark.pedantic(
+        run_figure, args=("6-7", config),
+        kwargs=dict(workload="h264", vcs=(2, 4), routers=ROUTERS),
         rounds=1, iterations=1,
     )
-    emit("Figure 6-7 (H.264, VC sweep)", result.render())
+    emit("Figure 6-7 (H.264, VC sweep)", render_figure("6-7", results))
+    saturation = results.reduce("throughput", max, "display_name", "vcs")
     for algorithm in ("XY", "BSOR-Dijkstra"):
-        assert result.saturation[algorithm][4] >= \
-            result.saturation[algorithm][2] * 0.95
+        assert saturation[algorithm, 4] >= saturation[algorithm, 2] * 0.95

@@ -8,23 +8,19 @@ only the run-time injection rates vary.
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_variation_sweep
-from repro.routing import BSORRouting, XYRouting, YXRouting
+from repro.experiments import render_figure, run_figure
 
-
-def _algorithms(config):
-    return [XYRouting(), YXRouting(),
-            BSORRouting(selector="dijkstra", hop_slack=config.hop_slack)]
+ROUTERS = ["dor", "yx", "bsor-dijkstra"]
 
 
 def test_figure_6_8_transpose_10pct(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_variation_sweep, args=("transpose", 0.10, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-8", config),
+        kwargs=dict(routers=ROUTERS), rounds=1, iterations=1,
     )
-    emit("Figure 6-8(a) transpose, 10% variation", figure.render())
-    saturation = figure.saturation_throughputs()
+    emit("Figure 6-8(a) transpose, 10% variation", render_figure("6-8", results))
+    saturation = results.reduce("throughput", max, "display_name")
     if is_full_scale(config):
         assert saturation["BSOR-Dijkstra"] >= saturation["XY"]
     else:
@@ -33,12 +29,13 @@ def test_figure_6_8_transpose_10pct(benchmark):
 
 def test_figure_6_8_h264_10pct(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_variation_sweep, args=("h264", 0.10, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-8", config),
+        kwargs=dict(workload="h264", routers=ROUTERS),
+        rounds=1, iterations=1,
     )
-    emit("Figure 6-8(b) H.264, 10% variation", figure.render())
-    saturation = figure.saturation_throughputs()
+    emit("Figure 6-8(b) H.264, 10% variation", render_figure("6-8", results))
+    saturation = results.reduce("throughput", max, "display_name")
     if is_full_scale(config):
         assert saturation["BSOR-Dijkstra"] >= 0.85 * max(saturation["XY"],
                                                          saturation["YX"])

@@ -7,23 +7,19 @@ presence of run-time bandwidth variations at low injection rates."
 
 from bench_utils import bench_config, emit, is_full_scale
 
-from repro.experiments import figure_throughput_latency, figure_variation_sweep
-from repro.routing import BSORRouting, XYRouting, YXRouting
-
-
-def _algorithms(config):
-    return [XYRouting(), YXRouting(),
-            BSORRouting(selector="dijkstra", hop_slack=config.hop_slack)]
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_9_transpose_25pct(benchmark):
     config = bench_config()
-    figure = benchmark.pedantic(
-        figure_variation_sweep, args=("transpose", 0.25, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+    results = benchmark.pedantic(
+        run_figure, args=("6-9", config),
+        kwargs=dict(routers=["dor", "yx", "bsor-dijkstra"]),
+        rounds=1, iterations=1,
     )
-    emit("Figure 6-9(a) transpose, 25% variation", figure.render())
-    saturation = figure.saturation_throughputs()
+    emit("Figure 6-9(a) transpose, 25% variation",
+         render_figure("6-9", results))
+    saturation = results.reduce("throughput", max, "display_name")
     if is_full_scale(config):
         assert saturation["BSOR-Dijkstra"] >= saturation["XY"]
     else:
@@ -36,21 +32,14 @@ def test_figure_6_9_degradation_is_bounded(benchmark):
     config = bench_config()
 
     def run():
-        algorithms = [BSORRouting(selector="dijkstra",
-                                  hop_slack=config.hop_slack)]
-        nominal = figure_throughput_latency("transpose", config,
-                                            algorithms=algorithms,
-                                            figure_name="nominal")
-        varied = figure_variation_sweep(
-            "transpose", 0.25, config,
-            algorithms=[BSORRouting(selector="dijkstra",
-                                    hop_slack=config.hop_slack)],
-        )
-        return nominal, varied
+        # Figure 6-1 is the same transpose sweep without variation
+        return [run_figure(number, config, routers=["bsor-dijkstra"])
+                for number in ("6-1", "6-9")]
 
     nominal, varied = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("Figure 6-9 BSOR nominal vs 25% variation",
-         nominal.render() + "\n\n" + varied.render())
-    base = nominal.saturation_throughputs()["BSOR-Dijkstra"]
-    under_variation = varied.saturation_throughputs()["BSOR-Dijkstra"]
+         render_figure("6-1", nominal) + "\n\n"
+         + render_figure("6-9", varied))
+    base = max(nominal.column("throughput"))
+    under_variation = max(varied.column("throughput"))
     assert under_variation >= 0.75 * base

@@ -64,8 +64,8 @@ Sweeping with the parallel runner directly::
     from repro import ExperimentRunner, SimulationConfig
 
     runner = ExperimentRunner(workers=4, cache=True)
-    result = runner.sweep_algorithm(
-        bsor, mesh, flows, SimulationConfig(), offered_rates=[0.5, 1.0, 2.0],
+    result = runner.sweep(
+        mesh, routes, SimulationConfig(), offered_rates=[0.5, 1.0, 2.0],
     )
     print(result.curve.throughputs)
 """

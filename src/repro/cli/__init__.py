@@ -50,6 +50,7 @@ from .common import (
     UsageError,
     apply_common_defaults,
     common_options,
+    experiment_config,
     quiet_broken_pipe,
 )
 from .compare_command import add_compare_options, run_compare
@@ -143,6 +144,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _dispatch_execution(args: argparse.Namespace, observer) -> int:
+    listing = _maybe_list(args)
+    if listing is not None:
+        print(listing)
+        return EXIT_OK
     if args.command == "compare":
         return run_compare(args)
     if args.command == "run":
@@ -156,10 +161,6 @@ def _dispatch_execution(args: argparse.Namespace, observer) -> int:
     if args.command == "submit":
         return run_submit_command(args)
 
-    listing = _maybe_list(args)
-    if listing is not None:
-        print(listing)
-        return EXIT_OK
     # the figure/table/cache positionals are optional so that a bare
     # `figure --list-workloads` works; without a list flag they are needed
     if args.command in ("figure", "table") and args.number is None:
@@ -171,21 +172,21 @@ def _dispatch_execution(args: argparse.Namespace, observer) -> int:
                              "(info, stats or clear)")
         print(run_cache(args))
         return EXIT_OK
+    config = experiment_config(args)
     if args.command == "profile":
-        print(run_profile(args))
+        print(run_profile(args, config))
         return EXIT_OK
 
     from ..runner.engine import runner_for
-    from .runner_commands import experiment_config
 
     started = time.time()
-    runner = runner_for(experiment_config(args), observer=observer)
+    runner = runner_for(config, observer=observer)
     if args.command == "figure":
-        output = run_figure(args, runner)
+        output = run_figure(args, config, runner)
     elif args.command == "table":
-        output = run_table(args, runner)
+        output = run_table(args, config, runner)
     else:
-        output = run_sweep(args, runner)
+        output = run_sweep(args, config, runner)
     elapsed = time.time() - started
     print(output)
     from ..experiments.report import runner_summary

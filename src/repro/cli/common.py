@@ -99,6 +99,43 @@ def apply_common_defaults(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def split_names(text: str) -> list:
+    """The non-empty, stripped items of a comma-separated option value."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def config_overrides(args: argparse.Namespace) -> dict:
+    """The shared options as :func:`repro.study.execute.resolve_config`
+    (and :meth:`Study.run`) keyword overrides.
+
+    Only options the user actually set override a study file's own
+    execution policy: ``--workers 0`` (the parser default) and an unset
+    ``--backend`` pass ``None`` through, and ``--profile`` only overrides
+    when it was given explicitly (see :func:`apply_common_defaults`).
+    """
+    overrides = {
+        "workers": args.workers or None,
+        "cache": False if args.no_cache else None,
+        "cache_dir": args.cache_dir,
+        "shared_cache_dir": args.shared_cache_dir,
+        "backend": args.backend,
+        "execution": args.execution,
+        "queue_dir": args.queue_dir,
+    }
+    if args.profile_explicit:
+        overrides["profile"] = args.profile
+    return overrides
+
+
+def experiment_config(args: argparse.Namespace):
+    """The :class:`ExperimentConfig` of a subcommand without a study file:
+    the shared options over the default execution policy."""
+    from ..study.execute import resolve_config
+    from ..study.spec import Study
+
+    return resolve_config(Study(args.command), **config_overrides(args))
+
+
 def quiet_broken_pipe() -> int:
     """Turn a BrokenPipeError on stdout into a quiet success exit.
 

@@ -11,11 +11,7 @@ import dataclasses
 import sys
 import time
 
-from ..experiments.config import ExperimentConfig
-
-
-def _split(text: str):
-    return [item.strip() for item in text.split(",") if item.strip()]
+from .common import experiment_config, split_names
 
 
 def add_compare_options(parser: argparse.ArgumentParser) -> None:
@@ -71,66 +67,34 @@ def add_compare_options(parser: argparse.ArgumentParser) -> None:
                         help="list accepted traffic patterns and exit")
 
 
-def _criteria(args: argparse.Namespace):
-    from ..compare.saturation import SaturationCriteria
-
-    overrides = {}
-    if args.min_rate is not None:
-        overrides["min_rate"] = args.min_rate
-    if args.max_rate is not None:
-        overrides["max_rate"] = args.max_rate
-    if args.resolution is not None:
-        overrides["resolution"] = args.resolution
-    return dataclasses.replace(SaturationCriteria(), **overrides) \
-        if overrides else SaturationCriteria()
-
-
 def run_compare(args: argparse.Namespace) -> int:
     """Execute the comparison described by parsed *args*."""
     from ..compare.matrix import CompareMatrix
     from ..compare.report import render_json, render_markdown
+    from ..compare.saturation import SaturationCriteria
     from ..runner.engine import runner_for
-    from .listing import render_listing
-
-    for flag, kind in (("list_routers", "routers"),
-                       ("list_workloads", "workloads"),
-                       ("list_backends", "backends"),
-                       ("list_patterns", "patterns")):
-        if getattr(args, flag, False):
-            print(render_listing(kind))
-            return 0
 
     # the pattern axis is the concatenation of --patterns and --workloads;
     # the default synthetic pair applies only when neither axis was given
-    patterns = _split(args.patterns) if args.patterns else []
-    patterns += _split(args.workloads) if args.workloads else []
+    patterns = split_names(args.patterns) if args.patterns else []
+    patterns += split_names(args.workloads) if args.workloads else []
     if not patterns:
         patterns = ["transpose", "bit_complement"]
 
-    overrides = {
-        "workers": args.workers,
-        "use_cache": not args.no_cache,
-        "cache_dir": args.cache_dir,
-    }
+    config = experiment_config(args)
     if args.mapping:
-        overrides["mapping_strategy"] = args.mapping
-    config = dataclasses.replace(
-        ExperimentConfig.from_profile(args.profile), **overrides
-    )
-    if args.backend:
-        # resolve eagerly so a typo fails with the registry's did-you-mean
-        # error even when every sweep point would be a warm-cache hit
-        from ..simulator.backends import backend_spec
-
-        config = config.with_backend(backend_spec(args.backend).name)
+        config = dataclasses.replace(config, mapping_strategy=args.mapping)
     started = time.time()
-    matrix = CompareMatrix(config=config, criteria=_criteria(args),
-                           runner=runner_for(config),
-                           observer=getattr(args, "progress_observer", None))
+    matrix = CompareMatrix(
+        config=config,
+        criteria=SaturationCriteria.bounded(args.min_rate, args.max_rate,
+                                            args.resolution),
+        runner=runner_for(config),
+        observer=getattr(args, "progress_observer", None))
     fault_sets = [entry.strip() for entry in args.faults.split(";")
                   if entry.strip()] if args.faults else None
     result = matrix.run(
-        _split(args.topologies), patterns, _split(args.routers),
+        split_names(args.topologies), patterns, split_names(args.routers),
         fault_sets=fault_sets,
     )
     output = render_json(result) if args.json else render_markdown(result)

@@ -1,19 +1,19 @@
 """The figure / table / sweep / cache / profile subcommands.
 
-Each command builds an :class:`~repro.experiments.config.ExperimentConfig`
-from the shared option set and drives the parallel
-:class:`~repro.runner.engine.ExperimentRunner`.
+Each command receives the :class:`~repro.experiments.config.ExperimentConfig`
+the shared option set resolves to (:func:`repro.cli.common.experiment_config`)
+and drives the parallel :class:`~repro.runner.engine.ExperimentRunner`;
+``figure`` and ``sweep`` are in-code scenarios of the study engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 
 from ..experiments.workloads import extended_workload_names
 from ..runner.cache import ResultCache, default_cache_dir
 from ..runner.engine import ExperimentRunner
-from .common import UsageError, common_options
+from .common import UsageError, split_names
 
 
 def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
@@ -22,10 +22,10 @@ def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
                                  parents=[common])
     figure.add_argument("number", nargs="?", default=None,
                         help="figure number, e.g. 6-1 or 6.7")
-    figure.add_argument("--workload", default="transpose",
+    figure.add_argument("--workload", default=None,
                         help="workload for figures 6-7..6-10: one of "
                              f"{', '.join(extended_workload_names())} "
-                             "(default: %(default)s)")
+                             "(default: transpose)")
     figure.add_argument("--list-workloads", action="store_true",
                         help="list accepted workloads and exit")
 
@@ -80,125 +80,73 @@ def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
                       help="list registered routing algorithms and exit")
 
 
-def experiment_config(args: argparse.Namespace):
-    """The :class:`ExperimentConfig` the shared options describe."""
-    from ..experiments import ExperimentConfig
-
-    config = dataclasses.replace(
-        ExperimentConfig.from_profile(args.profile),
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        shared_cache_dir=getattr(args, "shared_cache_dir", None),
-        execution=getattr(args, "execution", None),
-        queue_dir=getattr(args, "queue_dir", None),
+def run_figure(args: argparse.Namespace, config,
+               runner: ExperimentRunner) -> str:
+    from ..experiments.figures import (
+        FIGURES,
+        normalize_figure_key,
+        render_figure,
+        run_figure as simulate_figure,
     )
-    if args.backend:
-        # resolve eagerly so a typo fails with the registry's did-you-mean
-        # error even when every sweep point would be a warm-cache hit
-        from ..simulator.backends import backend_spec
 
-        config = config.with_backend(backend_spec(args.backend).name)
-    return config
-
-
-def run_figure(args: argparse.Namespace, runner: ExperimentRunner) -> str:
-    from ..experiments import (
-        figure_by_number,
-        figure_variation_sweep,
-        figure_vc_sweep,
-    )
-    from ..experiments.figures import normalize_figure_key
-    from ..traffic import PAPER_VARIATION_LEVELS
-
-    key = normalize_figure_key(args.number)
-    if key == "6-7":
-        result = figure_vc_sweep(args.workload, experiment_config(args),
-                                 runner=runner)
-        return result.render()
-    # Figures 6-8 / 6-9 / 6-10 are the paper's variation levels, in order.
-    variation = {f"6-{8 + index}": level
-                 for index, level in enumerate(PAPER_VARIATION_LEVELS)}.get(key)
-    if variation is not None:
-        figure = figure_variation_sweep(args.workload, variation,
-                                        experiment_config(args), runner=runner)
-        return figure.render()
-    figure = figure_by_number(key, experiment_config(args), runner=runner)
-    return figure.render()
+    figure = FIGURES.get(normalize_figure_key(args.number))
+    if figure is not None and figure.workload and args.workload:
+        raise UsageError(
+            f"figure {args.number} always plots {figure.workload!r}; "
+            f"--workload only applies to figures 6-7..6-10"
+        )
+    return render_figure(args.number, simulate_figure(
+        args.number, config, workload=args.workload, runner=runner))
 
 
-def run_table(args: argparse.Namespace, runner: ExperimentRunner) -> str:
+def run_table(args: argparse.Namespace, config,
+              runner: ExperimentRunner) -> str:
     from ..experiments import table_6_1, table_6_2, table_6_3
 
     harness = {"6-1": table_6_1, "6-2": table_6_2, "6-3": table_6_3}[args.number]
-    return harness(experiment_config(args), runner=runner).render_against_paper()
+    return harness(config, runner=runner).render_against_paper()
 
 
-def run_sweep(args: argparse.Namespace, runner: ExperimentRunner) -> str:
-    from typing import Sequence
+def run_sweep(args: argparse.Namespace, config,
+              runner: ExperimentRunner) -> str:
+    from ..experiments.figures import render_curves
+    from ..study.execute import run_scenario
+    from ..study.spec import Scenario
 
-    from ..experiments import build_mesh, workload_flow_set
-    from ..experiments.report import render_pivot
-    from ..planning import router_for
-    from ..study.resultset import ResultSet
-
-    config = experiment_config(args)
-    mesh = build_mesh(config)
-    flow_set = workload_flow_set(args.workload, mesh, config)
-    wanted = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    # Resolve through the routing registry: canonical slugs ("bsor-dijkstra"),
-    # aliases ("xy") and display names ("BSOR-Dijkstra") all work, and an
-    # unknown name fails with the full list of registered algorithms.
-    algorithms = [router_for(name, config, mesh) for name in wanted]
-    rates: "Sequence[float]" = config.offered_rates
+    rates = ()
     if args.rates:
         try:
-            rates = [float(rate) for rate in args.rates.split(",")]
+            rates = tuple(float(rate) for rate in args.rates.split(","))
         except ValueError:
             raise UsageError(
                 f"--rates must be comma-separated numbers, got {args.rates!r}"
             )
-    results = runner.compare_algorithms(
-        algorithms, mesh, flow_set, config.simulation, rates,
-        workload=args.workload,
-    )
-    rows = []
-    for name, result in results.items():
-        for index, rate in enumerate(rates):
-            rows.append({
-                "workload": args.workload,
-                "algorithm": name,
-                "offered_rate": rate,
-                "throughput": result.curve.throughputs[index],
-                "average_latency": result.curve.latencies[index],
-            })
-    result_set = ResultSet(rows)
-    return "\n\n".join([
-        render_pivot(result_set, "offered_rate", "algorithm", "throughput",
-                     x_label="offered rate",
-                     title=f"{args.workload} - throughput (packets/cycle)"),
-        render_pivot(result_set, "offered_rate", "algorithm",
-                     "average_latency",
-                     x_label="offered rate",
-                     title=f"{args.workload} - average latency (cycles)"),
-    ])
+    # router names resolve through the routing registry: canonical slugs
+    # ("bsor-dijkstra"), aliases ("xy") and display names ("BSOR-Dijkstra")
+    # all work, and an unknown name fails with the registered list
+    routers = tuple(split_names(args.algorithms))
+    if not routers:
+        raise UsageError("--algorithms needs at least one routing algorithm")
+    scenario = Scenario(name=args.workload, patterns=(args.workload,),
+                        routers=routers, rates=rates)
+    results, _ = run_scenario(scenario, config, runner)
+    return render_curves(results)
 
 
-def run_profile(args: argparse.Namespace) -> str:
+def run_profile(args: argparse.Namespace, config) -> str:
     """cProfile one uncached simulation point; returns the top-N table."""
     import cProfile
     import io
     import pstats
 
-    from ..experiments import build_mesh, workload_flow_set
-    from ..planning import plan_routes
+    from ..experiments import build_mesh
+    from ..planning import pattern_flow_set, plan_routes
     from ..simulator.backends import backend_spec
     from ..simulator.simulation import simulate_route_set
 
-    config = experiment_config(args)
     backend = backend_spec(args.backend or config.simulation.backend)
     mesh = build_mesh(config)
-    flow_set = workload_flow_set(args.workload, mesh, config)
+    flow_set = pattern_flow_set(args.workload, mesh, config)
     plan = plan_routes(args.algorithm, mesh, flow_set, config)
 
     profiler = cProfile.Profile()
@@ -261,8 +209,6 @@ def run_cache(args: argparse.Namespace) -> str:
 
 __all__ = [
     "add_runner_subcommands",
-    "common_options",
-    "experiment_config",
     "run_cache",
     "run_figure",
     "run_profile",

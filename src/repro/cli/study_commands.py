@@ -14,7 +14,7 @@ import sys
 import time
 
 from ..study.spec import Study
-from .common import UsageError
+from .common import UsageError, config_overrides, split_names
 
 
 def add_study_subcommands(commands, common: argparse.ArgumentParser) -> None:
@@ -71,10 +71,6 @@ def add_study_subcommands(commands, common: argparse.ArgumentParser) -> None:
                           help="study files to validate")
 
 
-def _split(text: str):
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def _render(result, fmt: str) -> str:
     if fmt == "json":
         return result.to_json()
@@ -99,29 +95,6 @@ def _close_progress(args: argparse.Namespace) -> None:
         observer.close()
 
 
-def _run_overrides(args: argparse.Namespace) -> dict:
-    """Map the shared CLI options onto :meth:`Study.run` overrides.
-
-    Only options the user actually set override the study's own execution
-    policy: ``--workers 0`` (the parser default) and an unset ``--backend``
-    pass ``None`` through, and ``--profile`` only overrides when it was
-    given explicitly (the parse leaves a marker attribute otherwise).
-    """
-    overrides = {
-        "workers": args.workers or None,
-        "cache": False if args.no_cache else None,
-        "cache_dir": args.cache_dir,
-        "shared_cache_dir": getattr(args, "shared_cache_dir", None),
-        "backend": args.backend,
-        "execution": getattr(args, "execution", None),
-        "queue_dir": getattr(args, "queue_dir", None),
-        "observer": getattr(args, "progress_observer", None),
-    }
-    if getattr(args, "profile_explicit", True):
-        overrides["profile"] = args.profile
-    return overrides
-
-
 def run_study_command(args: argparse.Namespace) -> int:
     study = Study.from_file(args.spec)
     if getattr(args, "faults", None):
@@ -133,7 +106,8 @@ def run_study_command(args: argparse.Namespace) -> int:
                            for scenario in study.scenarios]
         study.validate()
     started = time.time()
-    result = study.run(**_run_overrides(args))
+    result = study.run(**config_overrides(args),
+                       observer=getattr(args, "progress_observer", None))
     _emit(_render(result, args.format), args.output)
     elapsed = time.time() - started
     _close_progress(args)
@@ -142,28 +116,21 @@ def run_study_command(args: argparse.Namespace) -> int:
 
 
 def run_saturate_command(args: argparse.Namespace) -> int:
-    from .listing import render_listing
-
-    for flag, kind in (("list_routers", "routers"),
-                       ("list_workloads", "workloads"),
-                       ("list_backends", "backends")):
-        if getattr(args, flag, False):
-            print(render_listing(kind))
-            return 0
     study = Study(
         "saturate",
         description="Ad hoc saturation study built from CLI options.",
     ).grid(
-        topologies=_split(args.topologies),
-        routers=_split(args.routers),
-        patterns=_split(args.patterns),
+        topologies=split_names(args.topologies),
+        routers=split_names(args.routers),
+        patterns=split_names(args.patterns),
     ).saturate(
         min_rate=args.min_rate,
         max_rate=args.max_rate,
         resolution=args.resolution,
     ).with_policy(profile=args.profile)
     started = time.time()
-    result = study.run(**_run_overrides(args))
+    result = study.run(**config_overrides(args),
+                       observer=getattr(args, "progress_observer", None))
     _emit(_render(result, args.format), None)
     elapsed = time.time() - started
     _close_progress(args)

@@ -29,7 +29,7 @@ from .matrix import (
     parse_topology,
     pattern_flow_set,
 )
-from .report import cell_to_dict, render_json, render_markdown, result_to_dict
+from .report import render_json, render_markdown, result_to_dict
 from .saturation import (
     SaturationCriteria,
     SaturationObservation,
@@ -47,7 +47,6 @@ __all__ = [
     "SaturationObservation",
     "SaturationResult",
     "SaturationSearch",
-    "cell_to_dict",
     "compare_routers",
     "dense_saturation",
     "find_saturation",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from .matrix import CompareCell, CompareResult
+from .matrix import CompareResult
 
 #: Column layout of the markdown tables: (header, result row -> formatted).
 _COLUMNS = (
@@ -86,11 +86,6 @@ def _degradation_lines(rows) -> List[str]:
     return lines
 
 
-def _rate(cell: CompareCell) -> str:
-    """Saturation-rate column of one cell (">= x" when unsaturated)."""
-    return _format_rate(cell.to_row())
-
-
 def render_markdown(result: CompareResult) -> str:
     """The full comparison as a markdown document."""
     criteria = result.criteria
@@ -124,11 +119,6 @@ def render_markdown(result: CompareResult) -> str:
         "",
     ])
     return "\n".join(lines)
-
-
-def cell_to_dict(cell: CompareCell) -> Dict:
-    """Plain-JSON rendering of one comparison cell."""
-    return cell.to_row()
 
 
 def result_to_dict(result: CompareResult) -> Dict:

@@ -96,6 +96,18 @@ class SaturationCriteria:
                 f"delivery_floor must be in (0, 1]: {self.delivery_floor}"
             )
 
+    @classmethod
+    def bounded(cls, min_rate: Optional[float] = None,
+                max_rate: Optional[float] = None,
+                resolution: Optional[float] = None) -> "SaturationCriteria":
+        """The default criteria with the given search range; ``None`` keeps
+        a default (how ``--min-rate`` / ``--max-rate`` / ``--resolution``
+        and a saturate scenario's fields of the same names apply)."""
+        given = {"min_rate": min_rate, "max_rate": max_rate,
+                 "resolution": resolution}
+        return cls(**{name: value for name, value in given.items()
+                      if value is not None})
+
     def dense_rates(self) -> List[float]:
         """The dense grid the adaptive search replaces.
 

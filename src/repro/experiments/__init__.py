@@ -1,28 +1,23 @@
 """Experiment harness: regenerate every table and figure of the evaluation.
 
-The figure and table functions accept an optional ``runner`` argument (an
-:class:`repro.runner.ExperimentRunner`); without one they build a runner
-from the configuration's ``workers`` / ``use_cache`` / ``cache_dir`` fields,
-which default to the serial, uncached seed behaviour.
+Figures are sweep scenarios (:data:`FIGURES`, :func:`run_figure`) executed by
+the study engine; tables tabulate route MCLs.  Both accept an optional
+``runner`` argument (an :class:`repro.runner.ExperimentRunner`); without one
+they build a runner from the configuration's ``workers`` / ``use_cache`` /
+``cache_dir`` fields, which default to the serial, uncached seed behaviour.
 """
 
 from .config import SYNTHETIC_FLOW_DEMAND, ExperimentConfig
 from .figures import (
-    FIGURE_WORKLOADS,
-    PAPER_FIGURE_CLAIMS,
-    FigureResult,
-    VCSweepResult,
-    default_algorithms,
-    figure_by_number,
-    figure_throughput_latency,
-    figure_variation_sweep,
-    figure_vc_sweep,
+    FIGURES,
+    Figure,
+    render_curves,
+    render_figure,
+    run_figure,
 )
 from .report import (
     format_value,
     improvement_summary,
-    render_comparison,
-    render_series,
     render_table,
     runner_summary,
 )
@@ -51,9 +46,8 @@ __all__ = [
     "APPLICATION_WORKLOADS",
     "CDG_COLUMNS",
     "ExperimentConfig",
-    "FIGURE_WORKLOADS",
-    "FigureResult",
-    "PAPER_FIGURE_CLAIMS",
+    "FIGURES",
+    "Figure",
     "PAPER_TABLE_6_1",
     "PAPER_TABLE_6_2",
     "PAPER_TABLE_6_3",
@@ -61,21 +55,16 @@ __all__ = [
     "SYNTHETIC_WORKLOADS",
     "TABLE_6_3_COLUMNS",
     "TableResult",
-    "VCSweepResult",
     "WORKLOAD_NAMES",
     "extended_workload_names",
     "all_workloads",
     "build_mesh",
-    "default_algorithms",
-    "figure_by_number",
-    "figure_throughput_latency",
-    "figure_variation_sweep",
-    "figure_vc_sweep",
     "format_value",
     "improvement_summary",
-    "render_comparison",
-    "render_series",
+    "render_curves",
+    "render_figure",
     "render_table",
+    "run_figure",
     "runner_summary",
     "table_6_1",
     "table_6_2",

@@ -1,202 +1,99 @@
 """Reproduction of the paper's figures (Figures 6-1 through 6-10).
 
-Every figure in the evaluation chapter is one of three shapes:
+Every figure in the evaluation chapter is one sweep scenario — routers x
+workload x offered injection rate — optionally crossed with a VC count
+(Figure 6-7) or run under run-time bandwidth variation (Figures 6-8, 6-9,
+6-10).  :data:`FIGURES` is that table; :func:`run_figure` turns a row into a
+:class:`~repro.study.spec.Scenario` and executes it through
+:func:`repro.study.execute.run_scenario`, the same funnel study files run
+through (``examples/studies/figure_6_7.yaml`` is Figure 6-7's file form), so
+a figure is a tagged :class:`~repro.study.resultset.ResultSet` like every
+other result.  Saturation throughput and route MCL are read off the rows::
 
-* **throughput & latency versus offered injection rate** for the six routing
-  algorithms on one workload (Figures 6-1 to 6-6) —
-  :func:`figure_throughput_latency`;
-* the same sweep with **1, 2, 4 or 8 virtual channels** for the two BSOR
-  variants (Figure 6-7) — :func:`figure_vc_sweep`;
-* the same sweep under **run-time bandwidth variation** of 10 %, 25 % or
-  50 % (Figures 6-8, 6-9, 6-10) — :func:`figure_variation_sweep`.
+    results = run_figure("6-1", config)
+    results.reduce("throughput", max, "display_name")        # saturation
+    results.reduce("max_channel_load", max, "display_name")  # route MCL
 
-The harness returns structured :class:`FigureResult` objects whose
-``render()`` prints the series as text tables (offered rate, one column per
-algorithm), which is what the benchmark suite emits and EXPERIMENTS.md
-records.
+:func:`render_figure` prints the rows as the text tables the benchmark suite
+emits and EXPERIMENTS.md records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ExperimentError
-from ..planning import plan_on, router_for
-from ..routing.base import RoutingAlgorithm
-from ..runner.engine import ExperimentRunner, SweepSpec, runner_for
-from ..simulator.config import SimulationConfig
-from ..simulator.simulation import SweepResult
 from .config import ExperimentConfig
-from .report import improvement_summary, render_pivot
-from .workloads import build_mesh, workload_flow_set
+from .report import render_pivot, render_table
 
-#: Figure number -> workload, for Figures 6-1 .. 6-6.
-FIGURE_WORKLOADS: Dict[str, str] = {
-    "6-1": "transpose",
-    "6-2": "bit-complement",
-    "6-3": "shuffle",
-    "6-4": "h264",
-    "6-5": "perf-modeling",
-    "6-6": "transmitter",
+#: The six algorithms plotted in Figures 6-1 .. 6-6 and 6-8 .. 6-10.
+PAPER_ROUTERS: Tuple[str, ...] = (
+    "dor", "yx", "romm", "valiant", "bsor-milp", "bsor-dijkstra",
+)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure of the evaluation chapter, as the sweep it plots."""
+
+    #: The figure's fixed workload; ``None`` takes the caller's
+    #: (``--workload``, default transpose).
+    workload: Optional[str]
+    #: Qualitative claim of the paper, recorded so the benchmark output and
+    #: EXPERIMENTS.md can state what shape to expect.
+    claim: str
+    routers: Tuple[str, ...] = PAPER_ROUTERS
+    #: VC counts to cross the sweep with (empty = the profile's count).
+    vcs: Tuple[int, ...] = ()
+    #: Run-time bandwidth variation: routes are still computed from the
+    #: *nominal* demands (that is the whole point: the estimates are now
+    #: wrong at run time) while injection is modulated within ±fraction.
+    variation: Optional[float] = None
+
+
+FIGURES: Dict[str, Figure] = {
+    "6-1": Figure("transpose",
+                  "BSOR reaches ~70% higher saturation throughput than the "
+                  "other algorithms on transpose at comparable latency."),
+    "6-2": Figure("bit-complement",
+                  "XY, YX and BSOR-MILP coincide on bit-complement (same "
+                  "MCL); ROMM and Valiant saturate earlier and show "
+                  "instability."),
+    "6-3": Figure("shuffle",
+                  "BSOR-Dijkstra edges out BSOR-MILP at high injection rates "
+                  "on shuffle despite equal MCL (longer, better balanced "
+                  "routes)."),
+    "6-4": Figure("h264",
+                  "BSOR lowers latency and congestion for H.264 at moderate "
+                  "loads; DOR catches up at very high injection rates."),
+    "6-5": Figure("perf-modeling",
+                  "BSOR-MILP achieves ~33% higher throughput than the other "
+                  "algorithms on performance modeling."),
+    "6-6": Figure("transmitter",
+                  "Same trends as the other applications for the 802.11a/g "
+                  "transmitter; Valiant suffers from loss of locality."),
+    # only the DOR baseline and the BSOR variants: ROMM and Valiant need
+    # two VCs for deadlock freedom, so they cannot join the 1-VC column
+    "6-7": Figure(None,
+                  "Going from 2 to 4 VCs improves throughput by ~40%; going "
+                  "from 4 to 8 adds little.  BSOR stays ahead at every VC "
+                  "count.",
+                  routers=("dor", "bsor-milp", "bsor-dijkstra"),
+                  vcs=(1, 2, 4, 8)),
+    "6-8": Figure(None,
+                  "With 10% bandwidth variation the ranking is unchanged; "
+                  "BSOR's headroom absorbs the variation.",
+                  variation=0.10),
+    "6-9": Figure(None,
+                  "With 25% variation BSOR still degrades the least at low "
+                  "loads.",
+                  variation=0.25),
+    "6-10": Figure(None,
+                   "With 50% variation BSOR retains its advantage on "
+                   "transpose, but minimal algorithms overtake it on H.264.",
+                   variation=0.50),
 }
-
-#: Qualitative claims of the paper attached to each figure, recorded so the
-#: benchmark output and EXPERIMENTS.md can state what shape to expect.
-PAPER_FIGURE_CLAIMS: Dict[str, str] = {
-    "6-1": "BSOR reaches ~70% higher saturation throughput than the other "
-           "algorithms on transpose at comparable latency.",
-    "6-2": "XY, YX and BSOR-MILP coincide on bit-complement (same MCL); "
-           "ROMM and Valiant saturate earlier and show instability.",
-    "6-3": "BSOR-Dijkstra edges out BSOR-MILP at high injection rates on "
-           "shuffle despite equal MCL (longer, better balanced routes).",
-    "6-4": "BSOR lowers latency and congestion for H.264 at moderate loads; "
-           "DOR catches up at very high injection rates.",
-    "6-5": "BSOR-MILP achieves ~33% higher throughput than the other "
-           "algorithms on performance modeling.",
-    "6-6": "Same trends as the other applications for the 802.11a/g "
-           "transmitter; Valiant suffers from loss of locality.",
-    "6-7": "Going from 2 to 4 VCs improves throughput by ~40%; going from "
-           "4 to 8 adds little.  BSOR stays ahead at every VC count.",
-    "6-8": "With 10% bandwidth variation the ranking is unchanged; BSOR's "
-           "headroom absorbs the variation.",
-    "6-9": "With 25% variation BSOR still degrades the least at low loads.",
-    "6-10": "With 50% variation BSOR retains its advantage on transpose, but "
-            "minimal algorithms overtake it on H.264.",
-}
-
-
-@dataclass
-class FigureResult:
-    """Data behind one throughput/latency figure."""
-
-    name: str
-    workload: str
-    offered_rates: List[float]
-    throughput: Dict[str, List[float]]
-    latency: Dict[str, List[float]]
-    route_mcl: Dict[str, float]
-    claim: str = ""
-
-    def saturation_throughputs(self) -> Dict[str, float]:
-        return {algorithm: max(values) if values else 0.0
-                for algorithm, values in self.throughput.items()}
-
-    def best_algorithm(self) -> str:
-        saturation = self.saturation_throughputs()
-        return max(saturation, key=saturation.get)
-
-    def summary(self, subject: str = "BSOR-Dijkstra") -> str:
-        return improvement_summary(
-            self.saturation_throughputs(), subject, higher_is_better=True
-        )
-
-    def result_set(self):
-        """The figure's points as a tagged
-        :class:`~repro.study.resultset.ResultSet` (one row per simulated
-        point), the shape :func:`repro.experiments.report.render_pivot`
-        renders and the study engine aggregates."""
-        from ..study.resultset import ResultSet
-
-        rows = []
-        for algorithm in self.throughput:
-            throughputs = self.throughput.get(algorithm, [])
-            latencies = self.latency.get(algorithm, [])
-            for index, rate in enumerate(self.offered_rates):
-                rows.append({
-                    "figure": self.name,
-                    "workload": self.workload,
-                    "algorithm": algorithm,
-                    "offered_rate": rate,
-                    "throughput": throughputs[index]
-                    if index < len(throughputs) else None,
-                    "average_latency": latencies[index]
-                    if index < len(latencies) else None,
-                    "max_channel_load": self.route_mcl.get(algorithm),
-                })
-        return ResultSet(rows)
-
-    def render(self) -> str:
-        results = self.result_set()
-        parts = [
-            render_pivot(results, "offered_rate", "algorithm", "throughput",
-                         x_label="offered rate",
-                         title=f"{self.name} ({self.workload}) - throughput "
-                               f"(packets/cycle)"),
-            "",
-            render_pivot(results, "offered_rate", "algorithm",
-                         "average_latency",
-                         x_label="offered rate",
-                         title=f"{self.name} ({self.workload}) - average "
-                               f"latency (cycles)"),
-            "",
-            "route MCLs: " + ", ".join(
-                f"{algorithm}={mcl:g}" for algorithm, mcl in self.route_mcl.items()
-            ),
-        ]
-        if self.claim:
-            parts.append(f"paper claim: {self.claim}")
-        return "\n".join(parts)
-
-
-def default_algorithms(config: ExperimentConfig, mesh,
-                       include_milp: bool = True) -> List[RoutingAlgorithm]:
-    """The six algorithms plotted in Figures 6-1 .. 6-6, built through
-    :func:`repro.planning.router_for` like every other front end's."""
-    names = ["dor", "yx", "romm", "valiant"]
-    if include_milp:
-        names.append("bsor-milp")
-    names.append("bsor-dijkstra")
-    return [router_for(name, config, mesh) for name in names]
-
-
-def _run_sweeps(algorithms: Sequence[RoutingAlgorithm], mesh, flow_set,
-                simulation: SimulationConfig,
-                offered_rates: Sequence[float],
-                workload: str,
-                runner: ExperimentRunner,
-                ) -> Tuple[Dict[str, SweepResult], Dict[str, float]]:
-    """Sweep every algorithm through the runner as one flat point batch."""
-    sweeps = runner.compare_algorithms(
-        algorithms, mesh, flow_set, simulation, offered_rates,
-        workload=workload,
-    )
-    mcls = {name: result.route_set.max_channel_load()
-            for name, result in sweeps.items()}
-    return sweeps, mcls
-
-
-def figure_throughput_latency(workload: str,
-                              config: Optional[ExperimentConfig] = None,
-                              algorithms: Optional[Sequence[RoutingAlgorithm]] = None,
-                              figure_name: Optional[str] = None,
-                              runner: Optional[ExperimentRunner] = None,
-                              ) -> FigureResult:
-    """Figures 6-1 .. 6-6: throughput & latency versus offered rate."""
-    config = config or ExperimentConfig()
-    runner = runner or runner_for(config)
-    mesh = build_mesh(config)
-    flow_set = workload_flow_set(workload, mesh, config)
-    if algorithms is None:
-        algorithms = default_algorithms(config, mesh)
-    sweeps, mcls = _run_sweeps(
-        algorithms, mesh, flow_set, config.simulation,
-        config.offered_rates, workload, runner,
-    )
-    if figure_name is None:
-        matching = [fig for fig, wl in FIGURE_WORKLOADS.items() if wl == workload]
-        figure_name = f"Figure {matching[0]}" if matching else f"Sweep ({workload})"
-    claim_key = figure_name.replace("Figure ", "")
-    return FigureResult(
-        name=figure_name,
-        workload=workload,
-        offered_rates=list(config.offered_rates),
-        throughput={name: result.curve.throughputs
-                    for name, result in sweeps.items()},
-        latency={name: result.curve.latencies for name, result in sweeps.items()},
-        route_mcl=mcls,
-        claim=PAPER_FIGURE_CLAIMS.get(claim_key, ""),
-    )
 
 
 def normalize_figure_key(figure: str) -> str:
@@ -209,157 +106,89 @@ def normalize_figure_key(figure: str) -> str:
     return key if "-" in key else f"6-{key}"
 
 
-def figure_by_number(figure: str,
-                     config: Optional[ExperimentConfig] = None,
-                     runner: Optional[ExperimentRunner] = None) -> FigureResult:
-    """Regenerate one of Figures 6-1 .. 6-6 by its number."""
-    key = normalize_figure_key(figure)
-    if key not in FIGURE_WORKLOADS:
+def _lookup(number: str) -> Tuple[str, Figure]:
+    key = normalize_figure_key(number)
+    if key not in FIGURES:
         raise ExperimentError(
-            f"unknown figure {figure!r}; known: {sorted(FIGURE_WORKLOADS)}"
+            f"unknown figure {number!r}; known: {list(FIGURES)}"
         )
-    return figure_throughput_latency(
-        FIGURE_WORKLOADS[key], config, figure_name=f"Figure {key}",
-        runner=runner,
+    return key, FIGURES[key]
+
+
+def run_figure(number: str, config: Optional[ExperimentConfig] = None,
+               workload: Optional[str] = None, runner=None,
+               routers: Optional[Sequence[str]] = None,
+               vcs: Optional[Sequence[int]] = None):
+    """Simulate one figure; returns its sweep rows as a ``ResultSet``.
+
+    *workload* chooses the traffic of Figures 6-7 .. 6-10 (default
+    transpose) and is an error for the fixed-workload figures; *routers*
+    (registry names) and *vcs* narrow or replace the figure's own axes.
+    Without a *runner* one is built from the configuration's ``workers`` /
+    ``use_cache`` / ``cache_dir`` fields.
+    """
+    # the study engine imports this package's config module, so it loads late
+    from ..runner.engine import runner_for
+    from ..study.execute import run_scenario
+    from ..study.spec import Scenario
+
+    key, figure = _lookup(number)
+    if workload and figure.workload:
+        raise ExperimentError(
+            f"Figure {key} plots {figure.workload!r}; a workload can only "
+            f"be chosen for Figures 6-7 .. 6-10"
+        )
+    config = config or ExperimentConfig()
+    if figure.variation is not None:
+        config = config.with_variation(figure.variation)
+    pattern = figure.workload or workload or "transpose"
+    scenario = Scenario(
+        name=f"Figure {key} ({pattern})",
+        patterns=(pattern,),
+        routers=tuple(routers) if routers else figure.routers,
+        vcs=tuple(vcs) if vcs else figure.vcs,
+    )
+    results, _ = run_scenario(scenario, config, runner or runner_for(config))
+    return results
+
+
+def render_curves(results) -> str:
+    """Sweep rows as two text tables — throughput and average latency by
+    offered rate, one column per router — titled with the scenario name."""
+    [title] = results.distinct("scenario")
+    return "\n\n".join(
+        render_pivot(results, "offered_rate", "display_name", value,
+                     x_label="offered rate", title=f"{title} - {label}")
+        for value, label in (("throughput", "throughput (packets/cycle)"),
+                             ("average_latency", "average latency (cycles)"))
     )
 
 
-# ----------------------------------------------------------------------
-# Figure 6-7: virtual channel sweep
-# ----------------------------------------------------------------------
-@dataclass
-class VCSweepResult:
-    """Saturation throughput versus number of virtual channels."""
+def render_figure(number: str, results) -> str:
+    """The text form of :func:`run_figure`'s rows.
 
-    workload: str
-    vc_counts: List[int]
-    #: algorithm -> {vc count -> saturation throughput}
-    saturation: Dict[str, Dict[int, float]]
-    #: algorithm -> {vc count -> FigureResult-style curves}
-    curves: Dict[str, Dict[int, List[float]]]
-    offered_rates: List[float]
-
-    def improvement(self, algorithm: str, from_vcs: int, to_vcs: int) -> float:
-        """Relative throughput gain going from one VC count to another."""
-        base = self.saturation[algorithm].get(from_vcs, 0.0)
-        target = self.saturation[algorithm].get(to_vcs, 0.0)
-        if base == 0:
-            return 0.0
-        return (target - base) / base
-
-    def result_set(self):
-        """One row per (algorithm, VC count) as a tagged
-        :class:`~repro.study.resultset.ResultSet`."""
-        from ..study.resultset import ResultSet
-
-        rows = []
-        for algorithm, by_vc in self.saturation.items():
-            for vcs in self.vc_counts:
-                rows.append({
-                    "workload": self.workload,
-                    "algorithm": algorithm,
-                    "vcs": vcs,
-                    "vc_label": f"{vcs} VCs",
-                    "saturation_throughput": by_vc.get(vcs),
-                })
-        return ResultSet(rows)
-
-    def render(self) -> str:
-        from .report import render_pivot
-
-        return render_pivot(
-            self.result_set(), "algorithm", "vc_label",
-            "saturation_throughput",
-            title=f"Figure 6-7 ({self.workload}) - saturation throughput "
-                  f"(packets/cycle) by VC count",
+    A VC-crossed figure prints saturation throughput per router and VC
+    count; every other one prints its curves, the route MCLs and the
+    paper's claim.
+    """
+    _, figure = _lookup(number)
+    if figure.vcs:
+        [title] = results.distinct("scenario")
+        counts = results.distinct("vcs")
+        saturation = results.reduce("throughput", max, "display_name", "vcs")
+        return render_table(
+            ["algorithm"] + [f"{count} VCs" for count in counts],
+            [[name] + [saturation.get((name, count)) for count in counts]
+             for name in results.distinct("display_name")],
+            title=f"{title} - saturation throughput (packets/cycle) by VC "
+                  f"count",
             precision=3,
         )
-
-
-def figure_vc_sweep(workload: str,
-                    config: Optional[ExperimentConfig] = None,
-                    vc_counts: Sequence[int] = (1, 2, 4, 8),
-                    algorithms: Optional[Sequence[str]] = None,
-                    runner: Optional[ExperimentRunner] = None) -> VCSweepResult:
-    """Figure 6-7: the effect of the number of virtual channels.
-
-    Only the DOR baselines and the BSOR variants are simulated at one
-    virtual channel (ROMM and Valiant need two for deadlock freedom), which
-    mirrors the paper's methodology.  Every (VC count, algorithm, offered
-    rate) point is independent, so the whole figure is submitted to the
-    runner as one batch and fills the worker pool.
-    """
-    config = config or ExperimentConfig()
-    runner = runner or runner_for(config)
-    mesh = build_mesh(config)
-    flow_set = workload_flow_set(workload, mesh, config)
-    wanted = list(algorithms) if algorithms is not None else \
-        ["XY", "BSOR-MILP", "BSOR-Dijkstra"]
-
-    # Routes are oblivious and independent of the simulated VC count (the
-    # default algorithms allocate VCs dynamically), so each algorithm's
-    # route set is computed once and reused across every VC count.
-    candidates = default_algorithms(config, mesh,
-                                    include_milp="BSOR-MILP" in wanted)
-    route_sets = {}
-    for algorithm in candidates:
-        if algorithm.name not in wanted:
-            continue
-        plan = plan_on(algorithm, mesh, flow_set)
-        route_sets[algorithm.name] = (plan.route_set, plan.phase_boundaries)
-    specs: Dict[str, SweepSpec] = {}
-    for vcs in vc_counts:
-        simulation = config.simulation.with_vcs(vcs)
-        for name, (route_set, boundaries) in route_sets.items():
-            if vcs == 1 and name in ("ROMM", "Valiant"):
-                continue
-            specs[f"{name}@{vcs}"] = SweepSpec(
-                mesh, route_set, simulation, config.offered_rates,
-                workload=workload,
-                phase_boundaries=boundaries,
-            )
-    results = runner.sweep_many(specs)
-
-    saturation: Dict[str, Dict[int, float]] = {name: {} for name in wanted}
-    curves: Dict[str, Dict[int, List[float]]] = {name: {} for name in wanted}
-    for key, result in results.items():
-        name, _, vcs_text = key.rpartition("@")
-        vcs = int(vcs_text)
-        saturation[name][vcs] = result.curve.saturation_throughput()
-        curves[name][vcs] = result.curve.throughputs
-    return VCSweepResult(
-        workload=workload,
-        vc_counts=list(vc_counts),
-        saturation=saturation,
-        curves=curves,
-        offered_rates=list(config.offered_rates),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 6-8 / 6-9 / 6-10: bandwidth variation sweeps
-# ----------------------------------------------------------------------
-def figure_variation_sweep(workload: str, variation_fraction: float,
-                           config: Optional[ExperimentConfig] = None,
-                           algorithms: Optional[Sequence[RoutingAlgorithm]] = None,
-                           runner: Optional[ExperimentRunner] = None,
-                           ) -> FigureResult:
-    """Figures 6-8/6-9/6-10: sweeps with run-time bandwidth variation.
-
-    Routes are computed from the *nominal* demands (that is the whole point:
-    the estimates are now wrong at run time) while the injection processes
-    are modulated within ``±variation_fraction``.
-    """
-    config = config or ExperimentConfig()
-    varied = config.with_variation(variation_fraction)
-    figure = {0.10: "Figure 6-8", 0.25: "Figure 6-9", 0.50: "Figure 6-10"}.get(
-        round(variation_fraction, 2),
-        f"Variation sweep ({variation_fraction:.0%})",
-    )
-    result = figure_throughput_latency(
-        workload, varied, algorithms=algorithms, figure_name=figure,
-        runner=runner,
-    )
-    claim_key = figure.replace("Figure ", "")
-    result.claim = PAPER_FIGURE_CLAIMS.get(claim_key, result.claim)
-    return result
+    mcls = results.reduce("max_channel_load", max, "display_name")
+    return "\n".join([
+        render_curves(results),
+        "",
+        "route MCLs: " + ", ".join(f"{name}={mcl:g}"
+                                   for name, mcl in mcls.items()),
+        f"paper claim: {figure.claim}",
+    ])

@@ -53,36 +53,6 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines)
 
 
-def render_comparison(measured: Dict[str, float], reference: Dict[str, float],
-                      title: str, value_label: str = "value") -> str:
-    """Side-by-side measured-vs-paper comparison for EXPERIMENTS.md."""
-    headers = ["key", f"measured {value_label}", f"paper {value_label}", "ratio"]
-    rows = []
-    for key in measured:
-        ours = measured[key]
-        theirs = reference.get(key)
-        ratio = None
-        if theirs not in (None, 0) and ours is not None:
-            ratio = ours / theirs
-        rows.append([key, ours, theirs, ratio])
-    return render_table(headers, rows, title=title)
-
-
-def render_series(x_label: str, x_values: Sequence[float],
-                  series: Dict[str, Sequence[float]],
-                  title: Optional[str] = None, precision: int = 3) -> str:
-    """Render figure-style data: one x column plus one column per series."""
-    headers = [x_label] + list(series)
-    rows = []
-    for index, x in enumerate(x_values):
-        row = [x]
-        for name in series:
-            values = series[name]
-            row.append(values[index] if index < len(values) else None)
-        rows.append(row)
-    return render_table(headers, rows, title=title, precision=precision)
-
-
 def render_pivot(results, index: str, series: str, value: str,
                  x_label: Optional[str] = None,
                  title: Optional[str] = None, precision: int = 3) -> str:
@@ -90,8 +60,7 @@ def render_pivot(results, index: str, series: str, value: str,
 
     Pivots long result rows (one per simulated point) into the figure shape
     — one *index* column plus one column per *series* value — and renders
-    it with :func:`render_table`, so the figure harnesses and the study CLI
-    print tagged result sets instead of private dict shapes.
+    it with :func:`render_table`.
     """
     pivoted = results.pivot(index, series, value,
                             index_label=x_label or index)

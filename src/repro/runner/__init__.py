@@ -22,8 +22,8 @@ Typical use::
     from repro.runner import ExperimentRunner
 
     runner = ExperimentRunner(workers=4, cache=True)
-    result = runner.sweep_algorithm(
-        algorithm, mesh, flows, sim_config, offered_rates=[0.5, 1.0, 2.0],
+    result = runner.sweep(
+        mesh, route_set, sim_config, offered_rates=[0.5, 1.0, 2.0],
     )
     print(result.curve.throughputs, runner.last_report.describe())
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -36,10 +35,9 @@ from typing import (
 )
 
 from ..exceptions import SimulationError
-from ..faults import plan_on
 from ..metrics.statistics import SimulationStatistics, SweepCurve, SweepPoint
 from ..progress import ProgressObserver, emitter_for
-from ..routing.base import RouteSet, RoutingAlgorithm
+from ..routing.base import RouteSet
 from ..simulator.backends import backend_spec
 from ..simulator.config import SimulationConfig
 from ..simulator.simulation import (
@@ -48,7 +46,6 @@ from ..simulator.simulation import (
     simulate_route_set_batch,
 )
 from ..topology.base import Topology
-from ..traffic.flow import FlowSet
 from .backends import ExecutionTask, resolve_execution
 from .cache import ResultCache
 from .fingerprint import batch_group_key, simulation_cache_key
@@ -257,32 +254,6 @@ class ExperimentRunner:
                          workload=workload, phase_boundaries=phase_boundaries,
                          fault_schedule=fault_schedule)
         return self.sweep_many({"sweep": spec})["sweep"]
-
-    def sweep_algorithm(self, algorithm: RoutingAlgorithm, topology: Topology,
-                        flow_set: FlowSet, config: SimulationConfig,
-                        offered_rates: Sequence[float],
-                        workload: str = "") -> SweepResult:
-        """Compute routes with *algorithm*, then sweep in parallel."""
-        return self.compare_algorithms(
-            [algorithm], topology, flow_set, config, offered_rates,
-            workload=workload,
-        )[algorithm.name]
-
-    def compare_algorithms(self, algorithms: Iterable[RoutingAlgorithm],
-                           topology: Topology, flow_set: FlowSet,
-                           config: SimulationConfig,
-                           offered_rates: Sequence[float],
-                           workload: str = "") -> Dict[str, SweepResult]:
-        """Sweep several algorithms; all points share one worker pool."""
-        specs: Dict[str, SweepSpec] = {}
-        for algorithm in algorithms:
-            plan = plan_on(algorithm, topology, flow_set)
-            specs[algorithm.name] = SweepSpec(
-                topology, plan.route_set, config, offered_rates,
-                workload=workload,
-                phase_boundaries=plan.phase_boundaries,
-            )
-        return self.sweep_many(specs)
 
     def sweep_many(self, specs: Mapping[str, SweepSpec]
                    ) -> Dict[str, SweepResult]:

@@ -29,6 +29,7 @@ from .execute import (
     SWEEP_COLUMNS,
     StudyResult,
     resolve_config,
+    run_scenario,
     run_study,
     validate_pattern,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Study",
     "StudyResult",
     "resolve_config",
+    "run_scenario",
     "run_study",
     "validate_pattern",
 ]

@@ -1,23 +1,24 @@
 """Study execution: one path from a declarative spec to a :class:`ResultSet`.
 
-:func:`run_study` is the single execution funnel behind
-:meth:`repro.study.spec.Study.run` and the ``python -m repro run`` CLI.  It
-resolves the study's :class:`~repro.study.spec.ExecutionPolicy` into an
-:class:`~repro.experiments.config.ExperimentConfig`, builds one shared
-:class:`~repro.runner.engine.ExperimentRunner` (worker pool + result cache),
-and executes every scenario through the existing engines:
+:func:`run_scenario` is the one place a sweep description becomes simulation
+points and tagged rows.  Study files (:func:`run_study`, behind
+:meth:`repro.study.spec.Study.run` and ``python -m repro run``), the paper's
+figures (:func:`repro.experiments.figures.run_figure`) and the ``sweep``
+command all hand it a :class:`~repro.study.spec.Scenario`:
 
 * ``sweep`` scenarios fan (topology x pattern x router x VC count x rate)
-  points through :meth:`ExperimentRunner.sweep_many` — deliberately the same
-  construction as the figure harnesses (routes computed once per router and
-  reused across VC counts, ``SimulationConfig.with_vcs`` per count), so a
-  study that describes Figure 6-7 produces byte-identical cache keys to
-  ``python -m repro figure 6-7`` and the two paths share warm results;
+  points through :meth:`ExperimentRunner.sweep_many` — routes planned once
+  per router and reused across VC counts, ``SimulationConfig.with_vcs`` per
+  count — so ``examples/studies/figure_6_7.yaml`` and ``python -m repro
+  figure 6-7`` are the same points under the same cache keys;
 * ``saturate`` scenarios drive the :class:`~repro.compare.matrix.CompareMatrix`
   adaptive saturation search per cell.
 
 Both produce tagged rows in one :class:`~repro.study.resultset.ResultSet`,
 which is what the reports render and the CLI exports.
+:func:`resolve_config` is likewise the one place CLI options and a study's
+:class:`~repro.study.spec.ExecutionPolicy` become an
+:class:`~repro.experiments.config.ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,14 @@ def resolve_config(study: Study, *, workers: Optional[int] = None,
                    profile: Optional[str] = None,
                    execution: Optional[str] = None,
                    queue_dir: Optional[str] = None) -> ExperimentConfig:
-    """The :class:`ExperimentConfig` a study (plus overrides) asks for."""
+    """The :class:`ExperimentConfig` a study (plus overrides) asks for.
+
+    Every CLI subcommand resolves its shared options here (the ones without
+    a study file pass a default-policy study), so a misspelt backend fails
+    with the registry's did-you-mean error even when every point would be a
+    warm-cache hit, and ``--execution`` / ``--shared-cache-dir`` /
+    ``--queue-dir`` reach every command alike.
+    """
     policy = study.policy
     chosen_profile = profile if profile is not None else policy.profile
     try:
@@ -172,11 +180,9 @@ def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
                         ) -> Tuple[List[Dict], RunnerReport]:
     """Simulate every scenario point through one ``sweep_many`` batch.
 
-    Mirrors the figure harnesses point for point: one route set per
-    (topology, pattern, router) reused across VC counts, the profile's rate
-    schedule when the scenario does not pin one, and
-    ``SimulationConfig.with_vcs`` per VC count — which is what keeps the
-    cache keys identical to the legacy figure path.
+    One route set per (topology, pattern, router, fault set) reused across
+    VC counts, the profile's rate schedule when the scenario does not pin
+    one, and ``SimulationConfig.with_vcs`` per VC count.
     """
     rates = list(scenario.rates) if scenario.rates else \
         list(config.offered_rates)
@@ -224,15 +230,8 @@ def _run_saturate_scenario(scenario: Scenario, config: ExperimentConfig,
                            runner: ExperimentRunner
                            ) -> Tuple[List[Dict], RunnerReport]:
     """Adaptive saturation search per cell, through the comparison engine."""
-    overrides = {}
-    if scenario.min_rate is not None:
-        overrides["min_rate"] = scenario.min_rate
-    if scenario.max_rate is not None:
-        overrides["max_rate"] = scenario.max_rate
-    if scenario.resolution is not None:
-        overrides["resolution"] = scenario.resolution
-    criteria = dataclasses.replace(SaturationCriteria(), **overrides) \
-        if overrides else SaturationCriteria()
+    criteria = SaturationCriteria.bounded(
+        scenario.min_rate, scenario.max_rate, scenario.resolution)
     matrix = CompareMatrix(config=config, criteria=criteria, runner=runner)
     result = matrix.run(_scenario_topologies(scenario, config),
                         list(scenario.patterns), list(scenario.routers),
@@ -257,6 +256,21 @@ def _run_saturate_scenario(scenario: Scenario, config: ExperimentConfig,
             "sim_points": row["invocations"],
         })
     return rows, result.report
+
+
+def run_scenario(scenario: Scenario, config: ExperimentConfig,
+                 runner: ExperimentRunner) -> Tuple[ResultSet, RunnerReport]:
+    """Execute one scenario on *runner*: its tagged rows and what they cost.
+
+    *config* is the resolved execution configuration; the scenario's own
+    ``mapping`` / ``seed`` overrides are applied on top of it here.
+    """
+    config = _scenario_config(scenario, config)
+    if scenario.mode == "saturate":
+        rows, report = _run_saturate_scenario(scenario, config, runner)
+        return ResultSet(rows, columns=SATURATE_COLUMNS), report
+    rows, report = _run_sweep_scenario(scenario, config, runner)
+    return ResultSet(rows, columns=SWEEP_COLUMNS), report
 
 
 def run_study(study: Study, *, workers: Optional[int] = None,
@@ -289,26 +303,15 @@ def run_study(study: Study, *, workers: Optional[int] = None,
     if observer is not None:
         runner.observer = observer
     report = RunnerReport(workers=runner.workers)
-    rows: List[Dict] = []
-    columns: List[str] = []
+    results = ResultSet([])
     for scenario in study.scenarios:
-        scenario_config = _scenario_config(scenario, config)
-        if scenario.mode == "saturate":
-            scenario_rows, scenario_report = _run_saturate_scenario(
-                scenario, scenario_config, runner)
-            new_columns = SATURATE_COLUMNS
-        else:
-            scenario_rows, scenario_report = _run_sweep_scenario(
-                scenario, scenario_config, runner)
-            new_columns = SWEEP_COLUMNS
-        rows.extend(scenario_rows)
+        scenario_results, scenario_report = run_scenario(scenario, config,
+                                                         runner)
+        results = results.merged(scenario_results)
         report.merge(scenario_report)
-        for column in new_columns:
-            if column not in columns:
-                columns.append(column)
     return StudyResult(
         study=study,
-        results=ResultSet(rows, columns=columns),
+        results=results,
         report=report,
         config=config,
         profile=profile if profile is not None else study.policy.profile,

@@ -138,6 +138,18 @@ class ResultSet:
         return [(key, ResultSet(rows, columns=self._columns))
                 for key, rows in grouped.items()]
 
+    def reduce(self, value: str, function: Callable[[List], object],
+               *keys: str) -> Dict:
+        """``function`` over the *value* column of every :meth:`group`.
+
+        ``reduce("throughput", max, "display_name")`` is each router's
+        saturation throughput along its sweep.  The result maps the group's
+        key value (a tuple of them for several *keys*) to the reduction.
+        """
+        return {key[0] if len(keys) == 1 else key:
+                function(group.column(value))
+                for key, group in self.group(*keys)}
+
     def pivot(self, index: str, series: str, value: str,
               index_label: Optional[str] = None) -> "ResultSet":
         """Reshape to one row per *index* value, one column per *series*.

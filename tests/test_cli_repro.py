@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
+from repro.runner.cache import ResultCache
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXAMPLES = Path(__file__).parent.parent / "examples" / "studies"
@@ -77,6 +78,22 @@ class TestExitCodes:
         assert repro_main(["run", str(EXAMPLES / "missing.yaml")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_workload_carries_a_did_you_mean(self, capsys):
+        assert repro_main(["sweep", "--workload", "transposs",
+                           "--profile", "quick", "--no-cache"]) == 1
+        assert "did you mean 'transpose'" in capsys.readouterr().err
+
+    def test_fixed_workload_figure_rejects_workload(self, capsys):
+        # figures 6-1 .. 6-6 used to ignore --workload silently
+        assert repro_main(["figure", "6-1", "--workload", "h264",
+                           "--profile", "quick", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'transpose'" in err
+        assert repro_main(["figure", "6-8", "--workload", "h264",
+                           "--profile", "quick", "--workers", "1",
+                           "--no-cache"]) == 0
+        assert capsys.readouterr().out.startswith("Figure 6-8 (h264)")
+
     def test_unknown_backend_is_one_with_did_you_mean(self, capsys):
         code = repro_main(["sweep", "--backend", "fsat", "--no-cache",
                            "--profile", "quick", "--rates", "0.5"])
@@ -101,6 +118,15 @@ class TestListSubcommand:
         repro_main(["compare", "--list-routers"])
         via_flag = capsys.readouterr().out
         assert via_subcommand == via_flag
+
+    def test_one_handler_serves_the_list_flags_everywhere(self, capsys):
+        repro_main(["list", "backends"])
+        listing = capsys.readouterr().out
+        for argv in (["saturate", "--list-backends"],
+                     ["compare", "--list-backends"],
+                     ["run", "no-such-study.yaml", "--list-backends"]):
+            assert repro_main(argv) == 0
+            assert capsys.readouterr().out == listing
 
     def test_sweep_list_workloads_flag(self, capsys):
         assert repro_main(["sweep", "--list-workloads"]) == 0
@@ -328,6 +354,26 @@ class TestOptionsBeforeSubcommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "## mesh4x4 / transpose" in out
+
+    COMPARE = ["compare", "--profile", "quick", "--topology", "mesh4x4",
+               "--patterns", "transpose", "--routers", "dor",
+               "--workers", "1", "--max-rate", "1", "--resolution", "0.5"]
+
+    def test_compare_honours_the_execution_backend(self, capsys):
+        # compare's own options -> config block predated --execution and
+        # dropped it: a misspelt backend ran locally and exited 0
+        assert repro_main([*self.COMPARE, "--no-cache",
+                           "--execution", "bogus"]) == 1
+        assert "unknown execution backend 'bogus'" in capsys.readouterr().err
+
+    def test_compare_honours_the_shared_cache_dir(self, tmp_path, capsys):
+        local, shared = tmp_path / "local", tmp_path / "shared"
+        assert repro_main([*self.COMPARE, "--cache-dir", str(local),
+                           "--shared-cache-dir", str(shared)]) == 0
+        capsys.readouterr()
+        written = sorted(ResultCache(local).keys())
+        assert written
+        assert sorted(ResultCache(shared).keys()) == written
 
     def test_compare_failure_and_unknown_command_exit_codes(self, capsys):
         assert repro_main(["compare", "--routers", "nope",

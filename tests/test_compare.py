@@ -210,9 +210,9 @@ class TestReports:
         cell = quick_result.cells[0]
         saturation = replace(cell.saturation, saturated_within_range=False)
         unsaturated = replace(cell, saturation=saturation)
-        from repro.compare.report import _rate
+        from repro.compare.report import _format_rate
 
-        assert _rate(unsaturated).startswith(">=")
+        assert _format_rate(unsaturated.to_row()).startswith(">=")
 
 
 class TestCLI:

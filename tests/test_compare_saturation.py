@@ -48,6 +48,13 @@ class TestCriteria:
         with pytest.raises(ExperimentError):
             SaturationCriteria(**overrides)
 
+    def test_bounded_overrides_only_what_is_given(self):
+        assert SaturationCriteria.bounded() == SaturationCriteria()
+        assert SaturationCriteria.bounded(max_rate=4, resolution=0.5) == \
+            SaturationCriteria(max_rate=4, resolution=0.5)
+        with pytest.raises(ExperimentError):
+            SaturationCriteria.bounded(min_rate=32.0)
+
     def test_dense_rates_span_range(self):
         criteria = SaturationCriteria(min_rate=0.5, max_rate=4.0,
                                       resolution=0.5)

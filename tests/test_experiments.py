@@ -5,16 +5,14 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
-    FIGURE_WORKLOADS,
+    FIGURES,
     PAPER_TABLE_6_1,
     PAPER_TABLE_6_3,
     WORKLOAD_NAMES,
     all_workloads,
     build_mesh,
-    figure_by_number,
-    figure_throughput_latency,
-    figure_variation_sweep,
-    figure_vc_sweep,
+    render_figure,
+    run_figure,
     table_6_1,
     table_6_2,
     table_6_3,
@@ -23,8 +21,6 @@ from repro.experiments import (
 from repro.experiments.report import (
     format_value,
     improvement_summary,
-    render_comparison,
-    render_series,
     render_table,
 )
 
@@ -105,14 +101,6 @@ class TestReportRendering:
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
 
-    def test_render_series(self):
-        text = render_series("rate", [1.0, 2.0], {"XY": [0.5, 0.9]})
-        assert "rate" in text and "XY" in text
-
-    def test_render_comparison(self):
-        text = render_comparison({"x": 2.0}, {"x": 1.0}, title="cmp")
-        assert "cmp" in text and "2" in text
-
     def test_improvement_summary(self):
         text = improvement_summary({"BSOR": 2.0, "XY": 1.0}, "BSOR")
         assert "100%" in text
@@ -157,38 +145,56 @@ class TestTables:
 
 class TestFigures:
     def test_figure_workload_mapping(self):
-        assert FIGURE_WORKLOADS["6-1"] == "transpose"
-        assert FIGURE_WORKLOADS["6-6"] == "transmitter"
+        assert FIGURES["6-1"].workload == "transpose"
+        assert FIGURES["6-6"].workload == "transmitter"
+        # 6-7 .. 6-10 take the caller's workload
+        assert [FIGURES[f"6-{n}"].workload for n in (7, 8, 9, 10)] == [None] * 4
+        assert [FIGURES[f"6-{n}"].variation for n in (8, 9, 10)] == \
+            [0.10, 0.25, 0.50]
 
-    def test_figure_throughput_latency_quick(self):
-        from repro.routing import XYRouting, YXRouting
+    def test_figure_6_1_quick(self):
+        results = run_figure("6-1", QUICK, routers=["dor", "yx"])
+        assert results.distinct("display_name") == ["XY", "YX"]
+        assert results.distinct("offered_rate") == list(QUICK.offered_rates)
+        assert len(results) == 2 * len(QUICK.offered_rates)
+        assert results.distinct("pattern") == ["transpose"]
+        assert results.reduce("throughput", max, "display_name")["XY"] > 0
+        # the route MCL rides on every row of its router
+        assert results.reduce("max_channel_load", set, "display_name") == \
+            {"XY": {75.0}, "YX": {75.0}}
+        text = render_figure("6-1", results)
+        assert text.startswith("Figure 6-1 (transpose) - throughput")
+        assert "route MCLs: XY=75, YX=75" in text
+        assert f"paper claim: {FIGURES['6-1'].claim}" in text
 
-        figure = figure_throughput_latency(
-            "transpose", QUICK, algorithms=[XYRouting(), YXRouting()]
-        )
-        assert set(figure.throughput) == {"XY", "YX"}
-        assert len(figure.throughput["XY"]) == len(QUICK.offered_rates)
-        assert figure.saturation_throughputs()["XY"] > 0
-        assert "throughput" in figure.render()
-        assert figure.best_algorithm() in ("XY", "YX")
+    def test_unknown_figure_is_rejected(self):
+        with pytest.raises(ExperimentError, match="unknown figure '6-99'"):
+            run_figure("6-99", QUICK)
 
-    def test_figure_by_number_rejects_unknown(self):
-        with pytest.raises(ExperimentError):
-            figure_by_number("6-99", QUICK)
+    def test_fixed_workload_figure_rejects_a_workload(self):
+        with pytest.raises(ExperimentError, match="plots 'transpose'"):
+            run_figure("6-1", QUICK, workload="h264")
 
-    def test_vc_sweep_quick(self):
-        result = figure_vc_sweep("transpose", QUICK, vc_counts=(1, 2),
-                                 algorithms=["XY", "BSOR-Dijkstra"])
-        assert set(result.saturation) == {"XY", "BSOR-Dijkstra"}
-        assert 1 in result.saturation["XY"] and 2 in result.saturation["XY"]
-        assert "Figure 6-7" in result.render()
-        assert isinstance(result.improvement("XY", 1, 2), float)
+    def test_figure_6_7_quick(self):
+        results = run_figure("6.7", QUICK, vcs=(1, 2),
+                             routers=["dor", "bsor-dijkstra"])
+        assert results.distinct("vcs") == [1, 2]
+        saturation = results.reduce("throughput", max, "display_name", "vcs")
+        assert set(saturation) == {("XY", 1), ("XY", 2),
+                                   ("BSOR-Dijkstra", 1), ("BSOR-Dijkstra", 2)}
+        text = render_figure("6-7", results)
+        assert text.startswith("Figure 6-7 (transpose) - saturation "
+                               "throughput (packets/cycle) by VC count")
+        assert "1 VCs  2 VCs" in text
 
-    def test_variation_sweep_quick(self):
-        from repro.routing import XYRouting
-
-        figure = figure_variation_sweep("transpose", 0.25, QUICK,
-                                        algorithms=[XYRouting()])
-        assert figure.name == "Figure 6-9"
-        assert figure.claim
-        assert figure.throughput["XY"]
+    def test_figure_6_9_quick(self):
+        nominal = run_figure("6-1", QUICK, routers=["dor"])
+        varied = run_figure("6-9", QUICK, routers=["dor"])
+        assert varied.distinct("scenario") == ["Figure 6-9 (transpose)"]
+        # routes come from the nominal demands, only injection varies
+        assert varied.column("max_channel_load") == \
+            nominal.column("max_channel_load")
+        assert varied.column("throughput") != nominal.column("throughput")
+        assert FIGURES["6-9"].claim in render_figure("6-9", varied)
+        h264 = run_figure("6-9", QUICK, workload="h264", routers=["dor"])
+        assert h264.distinct("pattern") == ["h264"]

@@ -16,7 +16,9 @@ Four things are pinned here:
   no reachability walk, no deadlock analysis;
 * **one funnel** — an ``ast`` walk over ``src/repro`` keeps router
   construction policy and ``compute_routes`` calls from growing back
-  outside the funnel.
+  outside the funnel, ``SweepSpec`` construction inside the scenario
+  executor / comparison matrix / runner, ``ExperimentConfig.from_profile``
+  out of the CLI, and hand-built routers out of the figure benchmarks.
 """
 
 from __future__ import annotations
@@ -249,11 +251,9 @@ class TestEveryFrontEndPlansOnTheSameStrategySet:
             return real(topology, route_set, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "simulate_route_set", spy)
-        monkeypatch.setattr(runner_commands, "experiment_config",
-                            lambda args: FULL)
         runner_commands.run_profile(argparse.Namespace(
             workload="transpose", algorithm="bsor-dijkstra", rate=1.0,
-            top=5, backend=None, profile="paper"))
+            top=5, backend=None, profile="paper"), FULL)
         [route_set] = simulated
         assert route_set_fingerprint(route_set) == \
             route_set_fingerprint(expected)
@@ -347,3 +347,65 @@ def test_guard_sees_what_it_guards():
                     "from x import paper_strategies as p") == \
         {"paper_strategies"}
     assert offences("planning.py", source) == set()
+
+
+# ----------------------------------------------------------------------
+# structural guard: one sweep funnel, one options -> config mapping
+# ----------------------------------------------------------------------
+BENCHMARKS = SOURCE.parent.parent / "benchmarks"
+
+
+def _calls(tree: ast.Module, matches):
+    """(line, callee name) of every call whose callee name *matches*."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", "")
+            if matches(name):
+                yield node.lineno, name
+
+
+def _offences(paths, matches, allowed=lambda relative: False, root=SOURCE):
+    return [f"{path.relative_to(root)}:{line}: {name}("
+            for path in sorted(paths)
+            if not allowed(path.relative_to(root).as_posix())
+            for line, name in _calls(ast.parse(path.read_text()), matches)]
+
+
+def test_sweep_specs_are_built_only_by_the_scenario_executor():
+    offences = _offences(
+        SOURCE.rglob("*.py"), lambda name: name == "SweepSpec",
+        allowed=lambda relative: relative.startswith("runner/")
+        or relative in ("study/execute.py", "compare/matrix.py"))
+    assert not offences, (
+        "a sweep description becomes SweepSpecs only in "
+        "study.execute.run_scenario (and the saturation matrix); describe "
+        "the sweep as a Scenario instead:\n  " + "\n  ".join(offences))
+
+
+def test_the_cli_resolves_its_config_through_resolve_config():
+    offences = _offences((SOURCE / "cli").rglob("*.py"),
+                         lambda name: name == "from_profile")
+    assert not offences, (
+        "CLI options become an ExperimentConfig only in "
+        "repro.study.execute.resolve_config:\n  " + "\n  ".join(offences))
+
+
+def test_figure_benchmarks_name_routers_instead_of_building_them():
+    benches = sorted(BENCHMARKS.glob("bench_figure_6_*.py"))
+    assert len(benches) == 10
+    offences = _offences(benches, lambda name: name.endswith("Routing"),
+                         root=BENCHMARKS)
+    assert not offences, (
+        "figure benchmarks pass router *names* to run_figure (the option "
+        "bag is repro.planning.router_for's):\n  " + "\n  ".join(offences))
+
+
+def test_sweep_guards_see_what_they_guard():
+    source = "runner.sweep_many({'k': SweepSpec(t, r, c, rates)})\n" \
+             "config = ExperimentConfig.from_profile('quick')\n" \
+             "BSORRouting(selector='dijkstra'); routing.XYRouting()\n"
+    assert {name for _, name in _calls(ast.parse(source), bool)} == {
+        "sweep_many", "SweepSpec", "from_profile", "BSORRouting",
+        "XYRouting"}

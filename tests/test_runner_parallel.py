@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.faults import plan_on
 from repro.routing import ROMMRouting, XYRouting
 from repro.runner import ExperimentRunner, SweepSpec, resolve_workers
 from repro.runner.engine import _double_for_test  # noqa: F401  (see test_map)
@@ -59,20 +60,25 @@ class TestParallelSerialEquivalence:
 
     def test_two_phase_routes_cross_process(self, mesh4, transpose4, sim_config):
         """Phase-partitioned (ROMM) sweeps survive pickling to workers."""
-        algorithm = ROMMRouting(seed=1)
-        serial = ExperimentRunner(workers=1).sweep_algorithm(
-            algorithm, mesh4, transpose4, sim_config, [0.5, 2.0])
-        parallel = ExperimentRunner(workers=2).sweep_algorithm(
-            ROMMRouting(seed=1), mesh4, transpose4, sim_config, [0.5, 2.0])
-        assert curve_values(serial) == curve_values(parallel)
+        def sweep(workers):
+            plan = plan_on(ROMMRouting(seed=1), mesh4, transpose4)
+            return ExperimentRunner(workers=workers).sweep(
+                mesh4, plan.route_set, sim_config, [0.5, 2.0],
+                phase_boundaries=plan.phase_boundaries)
+
+        assert curve_values(sweep(1)) == curve_values(sweep(2))
 
     def test_compare_algorithms_matches_serial(self, mesh4, transpose4,
                                                sim_config):
         runner = ExperimentRunner(workers=2)
-        results = runner.compare_algorithms(
-            [XYRouting(), ROMMRouting(seed=1)], mesh4, transpose4,
-            sim_config, [0.5, 1.5], workload="transpose",
-        )
+        plans = {algorithm.name: plan_on(algorithm, mesh4, transpose4)
+                 for algorithm in (XYRouting(), ROMMRouting(seed=1))}
+        results = runner.sweep_many({
+            name: SweepSpec(mesh4, plan.route_set, sim_config, [0.5, 1.5],
+                            workload="transpose",
+                            phase_boundaries=plan.phase_boundaries)
+            for name, plan in plans.items()
+        })
         assert set(results) == {"XY", "ROMM"}
         for name, result in results.items():
             assert len(result.curve.points) == 2

@@ -74,6 +74,14 @@ class TestTransforms:
         assert [key for key, _ in groups] == [("XY",), ("BSOR",)]
         assert all(len(group) == 2 for _, group in groups)
 
+    def test_reduce_per_group(self):
+        results = sample()
+        assert results.reduce("throughput", max, "router") == \
+            {"XY": 0.9, "BSOR": 1.0}
+        assert results.reduce("p99_latency", list, "router", "offered_rate") \
+            == {("XY", 0.5): [20.5], ("XY", 1.0): [21.0],
+                ("BSOR", 0.5): [20.5], ("BSOR", 1.0): [21.0]}
+
     def test_pivot_wide_shape(self):
         wide = sample().pivot("offered_rate", "router", "throughput")
         assert wide.columns == ["offered_rate", "XY", "BSOR"]

@@ -12,7 +12,10 @@
 #                     quick profile through the parallel runner (~10 s)
 #   make smoke-cli  - exercise the unified CLI end to end: help, a registry
 #                     listing, schema validation of every bundled study
-#                     spec, and the smoke study on a tiny mesh
+#                     spec, the smoke study on a tiny mesh, and one small
+#                     BSOR study run twice into a temp cache: the second
+#                     run must solve no plan, simulate no point and print
+#                     byte-identical stdout (scripts/warm_smoke.py)
 #   make bench-smoke - time all three simulator backends on a small fixed
 #                     sweep (the batch kernel as one vectorized call),
 #                     write BENCH_simkernel.json (appending the record to
@@ -68,6 +71,7 @@ smoke-cli:
 	$(PYTHON) -m repro list routers
 	$(PYTHON) -m repro validate examples/studies/*.yaml
 	$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast --no-cache
+	$(PYTHON) scripts/warm_smoke.py
 
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py --check

@@ -169,16 +169,23 @@ def run_profile(args: argparse.Namespace, config) -> str:
 
 
 def _render_cache_stats(cache: ResultCache) -> str:
-    """The ``cache stats`` report: tier sizes plus the last-run counters."""
+    """The ``cache stats`` report: tier sizes plus the last-run counters.
+
+    ``entries`` are simulated points; route plans (``plans/`` inside each
+    tier) are listed beside them, never counted among them.
+    """
     stats = cache.stats()
     lines = [
         f"local   {stats['directory']}: {stats['entries']} entries, "
-        f"{stats['bytes']} bytes",
+        f"{stats['bytes']} bytes; {stats['plan_entries']} route plan(s), "
+        f"{stats['plan_bytes']} bytes",
     ]
     if "shared_dir" in stats:
         lines.append(
             f"shared  {stats['shared_dir']}: {stats['shared_entries']} "
-            f"entries, {stats['shared_bytes']} bytes"
+            f"entries, {stats['shared_bytes']} bytes; "
+            f"{stats['shared_plan_entries']} route plan(s), "
+            f"{stats['shared_plan_bytes']} bytes"
         )
     last_run = stats.get("last_run")
     if last_run:
@@ -186,7 +193,9 @@ def _render_cache_stats(cache: ResultCache) -> str:
             f"last run: {last_run.get('points_total', 0)} points, "
             f"{last_run.get('cache_hits', 0)} cache hit(s), "
             f"{last_run.get('points_simulated', 0)} simulated, "
-            f"{last_run.get('shared_hits', 0)} from the shared tier"
+            f"{last_run.get('shared_hits', 0)} from the shared tier; "
+            f"{last_run.get('plan_hits', 0)} plan(s) cached, "
+            f"{last_run.get('plan_misses', 0)} solved"
         )
     else:
         lines.append("last run: no run recorded in this cache directory yet")
@@ -197,8 +206,10 @@ def run_cache(args: argparse.Namespace) -> str:
     cache = ResultCache(args.cache_dir or default_cache_dir(),
                         shared_dir=getattr(args, "shared_dir", None))
     if args.action == "clear":
+        plans = cache.stats()["plan_entries"]
         removed = cache.clear()
-        return f"removed {removed} cached result(s) from {cache.directory}"
+        return (f"removed {removed} cached result(s) and {plans} route "
+                f"plan(s) from {cache.directory}")
     if args.action == "stats":
         return _render_cache_stats(cache)
     text = f"{cache.directory}: {len(cache)} cached result(s)"

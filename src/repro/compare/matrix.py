@@ -249,7 +249,8 @@ class CompareMatrix:
         return [
             _Cell(tags=tags, plan=plan, search=SaturationSearch(self.criteria))
             for _, _, tags, plan in plan_matrix(
-                topologies, patterns, routers, fault_sets, self.config)
+                topologies, patterns, routers, fault_sets, self.config,
+                cache=self.runner.cache, observer=self.runner.observer)
         ]
 
     def _finish_cell(self, cell: _Cell) -> CompareCell:

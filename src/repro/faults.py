@@ -38,7 +38,7 @@ baseline point of a fault axis.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -442,14 +442,26 @@ class RoutePlan:
         natively).
     report:
         The :class:`~repro.routing.deadlock.DeadlockReport` of the
-        mandatory re-verification under faults (always ``deadlock_free``);
-        ``None`` on the fault-free path, which verifies nothing.
+        mandatory re-verification under faults, or of the verification
+        every plan loaded from the route-plan cache passes (always
+        ``deadlock_free``); ``None`` for a fault-free plan solved here,
+        which verifies nothing.
     router:
         The :class:`~repro.routing.base.RoutingAlgorithm` instance that
-        computed the routes.
+        computed the routes; ``None`` when no router ran because the plan
+        came out of the cache.
     spec:
         The router's :class:`~repro.routing.registry.RouterSpec` when the
         plan was made by name.
+    solves:
+        Solver diagnostics of the plan, by sub-problem: one
+        :class:`~repro.routing.bsor.milp.MILPSolution` per CDG BSOR-MILP
+        explored, empty for routers that solve nothing.  They travel with
+        the plan through the cache.
+    cached / stored:
+        Whether :func:`repro.planning.plan_routes` answered from the
+        route-plan cache, and whether it stored what it solved (a plan
+        with a non-optimal solve is returned but never stored).
     """
 
     topology: Topology
@@ -460,6 +472,9 @@ class RoutePlan:
     report: Optional[DeadlockReport] = None
     router: Optional[RoutingAlgorithm] = None
     spec: Optional["RouterSpec"] = None
+    solves: Mapping[str, object] = field(default_factory=dict)
+    cached: bool = False
+    stored: bool = False
 
 
 def _bfs_path(topology: Topology, src: int, dst: int) -> List[int]:
@@ -593,6 +608,7 @@ def route_with_faults(router: RoutingAlgorithm, topology: Topology,
         rerouted_flows=rerouted,
         report=report,
         router=router,
+        solves=router.solver_diagnostics(),
     )
 
 
@@ -618,4 +634,5 @@ def plan_on(router: RoutingAlgorithm, topology: Topology, flow_set,
         phase_boundaries=phase_boundaries_for(router, route_set),
         schedule=FailureSchedule(),
         router=router,
+        solves=router.solver_diagnostics(),
     )

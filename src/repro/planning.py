@@ -16,22 +16,38 @@ occupancy heatmap) obtains them here, so the decisions below exist once:
   :func:`plan_routes`, returning a :class:`~repro.faults.RoutePlan`
   (fault-free: one ``compute_routes`` call plus phase boundaries; under
   faults: :func:`~repro.faults.route_with_faults`, deadlock re-verified);
+* that a plan is solved once — given the runner's
+  :class:`~repro.runner.cache.ResultCache`, :func:`plan_routes` answers
+  from its route-plan entries (content-addressed by
+  :func:`~repro.runner.fingerprint.route_plan_key`, re-verified on every
+  load) and stores what it solves, so a warm study performs zero solves;
 * how a (topology x pattern x router x fault set) cross-product is walked
   and tagged — :func:`plan_matrix`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
+import time
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .exceptions import ExperimentError, TrafficError
+from .exceptions import ExperimentError, ReproError, TrafficError
 from .faults import FaultSet, RoutePlan, plan_on
-from .routing.base import RoutingAlgorithm
+from .progress import emitter_for
+from .routing.base import RouteSet, RoutingAlgorithm
 from .routing.bsor.framework import CDGStrategy, full_strategy_set
+from .routing.bsor.milp import MILPSolution
+from .routing.deadlock import analyze_virtual_networks
 from .routing.registry import RouterSpec, router_spec
+from .runner.fingerprint import (
+    PLAN_SCHEMA_VERSION,
+    route_plan_key,
+    route_set_fingerprint,
+)
 from .topology.base import Topology
+from .topology.links import VirtualChannel
 from .topology.mesh import Mesh2D
 from .topology.ring import Ring
 from .topology.torus import Torus2D
@@ -141,19 +157,20 @@ def _full_mesh_strategies(width: int, height: int) -> Tuple[CDGStrategy, ...]:
     return tuple(full_strategy_set(Mesh2D(width, height)))
 
 
-def _create(spec: RouterSpec, config, topology: Topology) -> RoutingAlgorithm:
+def _router_options(config, topology: Topology) -> Dict[str, object]:
+    """The one option bag every router factory picks from."""
     # the full 12 + 3 CDG exploration when the config asks for it (mesh
     # only — the ad hoc and turn-model strategies are mesh constructions);
     # None leaves BSOR on the paper's five-column set
     strategies = None
     if config.explore_full_cdg_set and isinstance(topology, Mesh2D):
         strategies = _full_mesh_strategies(topology.width, topology.height)
-    return spec.create(
-        seed=config.seed,
-        strategies=strategies,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
+    return {
+        "seed": config.seed,
+        "strategies": strategies,
+        "hop_slack": config.hop_slack,
+        "milp_time_limit": config.milp_time_limit,
+    }
 
 
 def router_for(name: str, config, topology: Topology) -> RoutingAlgorithm:
@@ -165,26 +182,134 @@ def router_for(name: str, config, topology: Topology) -> RoutingAlgorithm:
     ``milp_time_limit`` (BSOR).  *topology* is the intact one the CDG
     strategies are chosen for.
     """
-    return _create(router_spec(name), config, topology)
+    return router_spec(name).create(**_router_options(config, topology))
+
+
+# ----------------------------------------------------------------------
+# the route-plan cache: what a stored plan is, and what a loaded one must pass
+# ----------------------------------------------------------------------
+def _plan_key(spec: RouterSpec, topology: Topology, flow_set: FlowSet,
+              options: Dict[str, object], fault_set: FaultSet) -> str:
+    # only what the factory receives can change the plan: dor's key ignores
+    # the seed, bsor-dijkstra's the MILP time limit
+    received = spec.received_options(**options)
+    if "strategies" in received:
+        received["strategies"] = [strategy.name
+                                  for strategy in received["strategies"]]
+    return route_plan_key(topology, flow_set, spec.name, received,
+                          fault_set.label())
+
+
+def _plan_document(plan: RoutePlan) -> Dict[str, object]:
+    """What a plan's consumers read, as JSON.  The degraded topology and
+    the failure schedule are left out: the fault set rebuilds them."""
+    return {
+        "schema": PLAN_SCHEMA_VERSION,
+        # algorithm + per-flow hops with static VCs, in route order
+        **route_set_fingerprint(plan.route_set),
+        "phase_boundaries": dict(plan.phase_boundaries),
+        "rerouted_flows": list(plan.rerouted_flows),
+        "solves": {name: dataclasses.asdict(solution)
+                   for name, solution in plan.solves.items()},
+    }
+
+
+def _restore_plan(document, spec: RouterSpec, topology: Topology,
+                  flow_set: FlowSet, fault_set: FaultSet
+                  ) -> Optional[RoutePlan]:
+    """The plan a stored *document* describes, or ``None`` to reject it.
+
+    Nothing loaded is trusted: every hop must be a channel of the
+    (degraded) topology, every flow must have exactly one well-formed
+    route, and the route set must pass the same
+    :func:`~repro.routing.deadlock.analyze_virtual_networks` check a
+    freshly rerouted one does.  A foreign layout surfaces as ``KeyError`` /
+    ``TypeError`` / ``ValueError``, which the cache also reads as a miss.
+    """
+    if document["schema"] != PLAN_SCHEMA_VERSION:
+        return None
+    try:
+        degraded = fault_set.degrade(topology)
+        route_set = RouteSet(degraded, flow_set,
+                             algorithm=str(document["algorithm"]))
+        # routes share most hops: check and build each distinct one once
+        resources: Dict[Tuple, object] = {}
+        for name, hops in document["routes"].items():
+            path = []
+            for hop in map(tuple, hops):
+                if hop not in resources:
+                    src, dst, vc = hop
+                    channel = degraded.channel(src, dst)
+                    resources[hop] = channel if vc < 0 \
+                        else VirtualChannel(channel, vc)
+                path.append(resources[hop])
+            route_set.add_path(flow_set.by_name(name), path)
+        if not route_set.is_complete():
+            return None
+        boundaries = {str(name): int(boundary) for name, boundary
+                      in document["phase_boundaries"].items()}
+        if any(not 0 <= boundary <= route_set.route_by_name(name).hop_count
+               for name, boundary in boundaries.items()):
+            return None  # a split outside its route (unknown flow: raises)
+        report = analyze_virtual_networks(route_set, boundaries)
+        if not report.deadlock_free:
+            return None
+        return RoutePlan(
+            topology=degraded,
+            route_set=route_set,
+            phase_boundaries=boundaries,
+            schedule=fault_set.schedule(degraded),
+            rerouted_flows=tuple(document["rerouted_flows"]),
+            report=report,
+            spec=spec,
+            solves={name: MILPSolution(**fields)
+                    for name, fields in document["solves"].items()},
+            cached=True,
+        )
+    except (ReproError, AttributeError):
+        # a hop off the topology, a broken chain, a list where a mapping
+        # belongs: a hostile entry is a miss like any other
+        return None
 
 
 def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
-                faults=None) -> RoutePlan:
+                faults=None, cache=None) -> RoutePlan:
     """Routes of router *name* for *flow_set*, ready to simulate.
 
     Builds a fresh router (randomized ones carry per-compute state) and
     plans through :func:`~repro.faults.plan_on`; *faults* is anything
     :meth:`~repro.faults.FaultSet.from_spec` accepts.
+
+    With a *cache* (a :class:`~repro.runner.cache.ResultCache`) the plan is
+    looked up first and stored after solving, so it is solved once per
+    (topology, flows, router, received options, fault set) for as long as
+    any tier keeps it.  A plan with a non-optimal MILP solve — the time
+    limit hit — is returned but not stored: what the solver reached in the
+    time it had depends on the host's load, and a shared tier must not
+    freeze that.  Without a cache every call solves.
     """
     spec = router_spec(name)
-    plan = plan_on(_create(spec, config, topology), topology, flow_set, faults)
+    fault_set = FaultSet.from_spec(faults)
+    options = _router_options(config, topology)
+    if cache is not None:
+        key = _plan_key(spec, topology, flow_set, options, fault_set)
+        plan = cache.get_plan(key, lambda document: _restore_plan(
+            document, spec, topology, flow_set, fault_set))
+        if plan is not None:
+            return plan
+    plan = plan_on(spec.create(**options), topology, flow_set, fault_set)
     plan.spec = spec
+    if cache is not None and all(solution.optimal
+                                 for solution in plan.solves.values()):
+        cache.put_plan(key, _plan_document(plan))
+        plan.stored = True
     return plan
 
 
 def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
                 routers: Sequence[str], fault_sets: Optional[Sequence],
-                config) -> Iterator[Tuple[str, str, Dict, RoutePlan]]:
+                config, cache=None, observer=None
+                ) -> Iterator[Tuple[str, str, Dict, RoutePlan]]:
     """Plan every (topology x pattern x router x fault set) cell, in order.
 
     Yields ``(topology name, pattern, tags, plan)`` with the names as
@@ -193,7 +318,12 @@ def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
     slug), ``display_name``, ``faults`` (canonical label), and the route
     set's ``max_channel_load`` and ``average_hops``.  An empty or ``None``
     *fault_sets* is the single fault-free point.
+
+    *cache* is handed to :func:`plan_routes`; *observer* receives one
+    :class:`~repro.progress.PlanCached` or
+    :class:`~repro.progress.PlanSolved` event per cell.
     """
+    emitter = emitter_for(observer)
     fault_axis = [FaultSet.from_spec(entry)
                   for entry in (fault_sets or (None,))]
     for topology_name in topologies:
@@ -204,9 +334,11 @@ def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
             pattern_tag = canonical_pattern(pattern)
             for router_name in routers:
                 for fault_set in fault_axis:
+                    started = time.perf_counter()
                     plan = plan_routes(router_name, topology, flow_set,
-                                       config, fault_set)
-                    yield topology_name, pattern, {
+                                       config, fault_set, cache=cache)
+                    seconds = time.perf_counter() - started
+                    tags = {
                         "topology": topology_tag,
                         "pattern": pattern_tag,
                         "router": plan.spec.name,
@@ -214,4 +346,13 @@ def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
                         "faults": fault_set.label(),
                         "max_channel_load": plan.route_set.max_channel_load(),
                         "average_hops": plan.route_set.average_hop_count(),
-                    }, plan
+                    }
+                    if emitter is not None:
+                        cell = {column: tags[column] for column in
+                                ("router", "topology", "pattern", "faults")}
+                        if plan.cached:
+                            emitter.plan_cached(**cell)
+                        else:
+                            emitter.plan_solved(seconds=seconds,
+                                                stored=plan.stored, **cell)
+                    yield topology_name, pattern, tags, plan

@@ -6,6 +6,9 @@ line.  This module is the observability seam that fixes that — a small,
 typed event stream every execution engine emits through one observer
 interface:
 
+* :class:`PlanCached` / :class:`PlanSolved` — one cell's route plan came
+  out of the route-plan cache, or was solved (seconds, and whether it was
+  stored); "a warm run performs zero solves" is an assertion over these;
 * :class:`SweepStarted` — a ``sweep_many`` batch begins (total point count,
   worker count);
 * :class:`CacheHit` — a point was served from the result cache without
@@ -73,6 +76,33 @@ class ProgressEvent:
         """One compact JSON line (the ``--progress jsonl`` wire format)."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
+
+
+@dataclass
+class PlanCached(ProgressEvent):
+    """One cell's route plan was answered by the route-plan cache."""
+
+    kind: ClassVar[str] = "plan_cached"
+
+    router: str = ""
+    topology: str = ""
+    pattern: str = ""
+    faults: str = "none"
+
+
+@dataclass
+class PlanSolved(ProgressEvent):
+    """One cell's route plan was solved (the router's ``compute_routes``)."""
+
+    kind: ClassVar[str] = "plan_solved"
+
+    router: str = ""
+    topology: str = ""
+    pattern: str = ""
+    faults: str = "none"
+    seconds: float = 0.0
+    #: False without a cache, and for a plan with a non-optimal MILP solve.
+    stored: bool = False
 
 
 @dataclass
@@ -154,8 +184,8 @@ class SweepFinished(ProgressEvent):
 #: Every event type, keyed by its ``kind`` tag (for deserialization).
 EVENT_TYPES: Dict[str, Type[ProgressEvent]] = {
     cls.kind: cls
-    for cls in (SweepStarted, PointStarted, CacheHit, BatchGroupDispatched,
-                PointFinished, SweepFinished)
+    for cls in (PlanCached, PlanSolved, SweepStarted, PointStarted, CacheHit,
+                BatchGroupDispatched, PointFinished, SweepFinished)
 }
 
 
@@ -321,7 +351,8 @@ def make_observer(mode: Optional[str],
 class ProgressEmitter:
     """Builds events for one execution batch and stamps the running model.
 
-    The engines call the ``sweep_started`` / ``cache_hit`` /
+    The planner calls ``plan_cached`` / ``plan_solved``; the engines call
+    the ``sweep_started`` / ``cache_hit`` /
     ``point_started`` / ``batch_group`` / ``point_finished`` /
     ``sweep_finished`` methods; the emitter maintains the completion
     counters and the ETA estimate and forwards fully-populated events to
@@ -368,6 +399,17 @@ class ProgressEmitter:
         }
 
     # ------------------------------------------------------------------
+    def plan_cached(self, router: str, topology: str, pattern: str,
+                    faults: str) -> None:
+        self._emit(PlanCached(router=router, topology=topology,
+                              pattern=pattern, faults=faults))
+
+    def plan_solved(self, router: str, topology: str, pattern: str,
+                    faults: str, seconds: float, stored: bool) -> None:
+        self._emit(PlanSolved(router=router, topology=topology,
+                              pattern=pattern, faults=faults,
+                              seconds=seconds, stored=stored))
+
     def sweep_started(self, total_points: int, workers: int,
                       label: str = "") -> None:
         self.total += total_points
@@ -424,6 +466,8 @@ __all__ = [
     "PROGRESS_MODES",
     "EVENT_TYPES",
     "ProgressEvent",
+    "PlanCached",
+    "PlanSolved",
     "SweepStarted",
     "PointStarted",
     "CacheHit",

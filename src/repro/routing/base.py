@@ -141,7 +141,7 @@ class RouteSet:
         name = route.flow.name
         if name in self._routes:
             raise RoutingError(f"flow {name!r} already has a route")
-        if route.flow not in self.flow_set.flows:
+        if route.flow not in self.flow_set:
             raise RoutingError(f"flow {name!r} is not part of this flow set")
         self._routes[name] = route
 
@@ -276,6 +276,13 @@ class RoutingAlgorithm(ABC):
     @abstractmethod
     def compute_routes(self, topology: Topology, flow_set: FlowSet) -> RouteSet:
         """Compute a route for every flow of *flow_set* on *topology*."""
+
+    def solver_diagnostics(self) -> Dict[str, object]:
+        """Solver diagnostics of the last :meth:`compute_routes`, by name of
+        the sub-problem solved (BSOR-MILP: one
+        :class:`~repro.routing.bsor.milp.MILPSolution` per CDG).  Empty for
+        algorithms that solve nothing."""
+        return {}
 
     def __call__(self, topology: Topology, flow_set: FlowSet) -> RouteSet:
         return self.compute_routes(topology, flow_set)

@@ -32,14 +32,19 @@ from ...cdg.turn_model import (
     turn_model_cdg,
 )
 from ...cdg.virtual import vc_escalation_cdg, virtual_network_cdg
-from ...exceptions import RoutingError, SolverError, UnroutableFlowError
+from ...exceptions import (
+    CyclicCDGError,
+    RoutingError,
+    SolverError,
+    UnroutableFlowError,
+)
 from ...flowgraph.flowgraph import ChannelCapacities, FlowGraph
 from ...topology.base import Topology
 from ...topology.directions import CLOCKWISE_TURNS, COUNTERCLOCKWISE_TURNS, Turn
 from ...traffic.flow import FlowSet
 from ..base import RouteSet, RoutingAlgorithm
 from .dijkstra import DijkstraSelector
-from .milp import MILPSelector
+from .milp import MILPSelector, MILPSolution
 from .weights import ResidualCapacityWeight
 
 
@@ -139,8 +144,8 @@ def all_two_turn_strategies(topology: Topology) -> List[CDGStrategy]:
             candidate = two_turn_strategy(clockwise, counterclockwise)
             try:
                 candidate.build(topology, 1)
-            except Exception:
-                continue
+            except CyclicCDGError:
+                continue  # a cyclic candidate is not a turn model
             strategies.append(candidate)
     return strategies
 
@@ -165,6 +170,9 @@ class ExplorationEntry:
     average_hops: Optional[float]
     route_set: Optional[RouteSet]
     error: Optional[str] = None
+    #: Solver diagnostics of the MILP selector on this CDG (``None`` under
+    #: the Dijkstra selector, or when the solver was never reached).
+    solution: Optional[MILPSolution] = None
 
     @property
     def succeeded(self) -> bool:
@@ -232,30 +240,28 @@ class BSORRouting(RoutingAlgorithm):
         self.exploration: List[ExplorationEntry] = []
 
     # ------------------------------------------------------------------
-    def _select_on_cdg(self, cdg: ChannelDependenceGraph,
-                       flow_set: FlowSet) -> RouteSet:
+    def _selector_on(self, cdg: ChannelDependenceGraph, flow_set: FlowSet):
+        """The configured route selector over the flow graph of *cdg*."""
         flow_graph = FlowGraph(cdg, capacities=self.capacities)
         flow_graph.add_flow_terminals(flow_set)
         if self.selector == "milp":
-            milp_selector = MILPSelector(
+            return MILPSelector(
                 flow_graph,
                 hop_slack=self.hop_slack,
                 objective=self.milp_objective,
                 time_limit=self.milp_time_limit,
             )
-            return milp_selector.select_routes(flow_set)
         weight = ResidualCapacityWeight(
             flow_set,
             m_constant=self.m_constant,
             vc_flow_penalty=self.vc_flow_penalty,
         )
-        dijkstra_selector = DijkstraSelector(
+        return DijkstraSelector(
             flow_graph,
             weight=weight,
             order=self.dijkstra_order,
             refine_passes=self.refine_passes,
         )
-        return dijkstra_selector.select_routes(flow_set)
 
     def explore(self, topology: Topology,
                 flow_set: FlowSet) -> List[ExplorationEntry]:
@@ -266,15 +272,18 @@ class BSORRouting(RoutingAlgorithm):
         """
         entries: List[ExplorationEntry] = []
         for strategy in self.strategies:
+            selector = None
             try:
                 cdg = strategy.build(topology, self.num_vcs)
-                route_set = self._select_on_cdg(cdg, flow_set)
+                selector = self._selector_on(cdg, flow_set)
+                route_set = selector.select_routes(flow_set)
                 route_set.algorithm = self.name
                 entries.append(ExplorationEntry(
                     strategy_name=strategy.name,
                     mcl=route_set.max_channel_load(),
                     average_hops=route_set.average_hop_count(),
                     route_set=route_set,
+                    solution=getattr(selector, "last_solution", None),
                 ))
             except (SolverError, UnroutableFlowError, RoutingError) as exc:
                 entries.append(ExplorationEntry(
@@ -283,9 +292,16 @@ class BSORRouting(RoutingAlgorithm):
                     average_hops=None,
                     route_set=None,
                     error=str(exc),
+                    solution=getattr(selector, "last_solution", None),
                 ))
         self.exploration = entries
         return entries
+
+    def solver_diagnostics(self) -> Dict[str, MILPSolution]:
+        """The MILP solve of each CDG the last exploration reached the
+        solver on, by strategy name (empty under the Dijkstra selector)."""
+        return {entry.strategy_name: entry.solution
+                for entry in self.exploration if entry.solution is not None}
 
     def compute_routes(self, topology: Topology, flow_set: FlowSet) -> RouteSet:
         """Explore every strategy and return the best route set found."""

@@ -30,6 +30,7 @@ a path respecting the flow's hop bound get a variable.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,9 +46,19 @@ from ...traffic.flow import Flow, FlowSet
 from ..base import Route, RouteSet
 
 
+#: HiGHS status "iteration or time limit reached"; no iteration limit is
+#: ever set here, so it means the ``time_limit`` option cut the solve short.
+_STATUS_LIMIT_REACHED = 1
+
+
 @dataclass
 class MILPSolution:
-    """Diagnostics of one MILP solve, kept alongside the returned routes."""
+    """Diagnostics of one MILP solve, kept alongside the returned routes.
+
+    A result in its own right: :class:`~repro.routing.bsor.framework.
+    ExplorationEntry` keeps it per CDG and :class:`~repro.faults.RoutePlan`
+    carries the set (``solves``), into and out of the route-plan cache.
+    """
 
     status: int
     message: str
@@ -56,10 +67,18 @@ class MILPSolution:
     num_variables: int
     num_constraints: int
     mip_gap: Optional[float] = None
+    #: Wall-clock seconds inside the solver call.
+    wall_seconds: float = 0.0
 
     @property
     def optimal(self) -> bool:
         return self.status == 0
+
+    @property
+    def time_limit_hit(self) -> bool:
+        """True when the solver stopped at ``time_limit``: whatever routes
+        it returned depend on how fast this host happened to be."""
+        return self.status == _STATUS_LIMIT_REACHED
 
 
 class MILPSelector:
@@ -297,6 +316,7 @@ class MILPSelector:
         if self.time_limit is not None:
             options["time_limit"] = float(self.time_limit)
 
+        started = time.perf_counter()
         result = milp(
             c=objective,
             constraints=constraints,
@@ -304,7 +324,9 @@ class MILPSelector:
             bounds=bounds,
             options=options,
         )
-        return result, var_index, admissible, flows, row, num_vars
+        wall_seconds = time.perf_counter() - started
+        return (result, var_index, admissible, flows, row, num_vars,
+                wall_seconds)
 
     # ------------------------------------------------------------------
     # solution extraction
@@ -339,8 +361,8 @@ class MILPSelector:
 
     def select_routes(self, flow_set: FlowSet) -> RouteSet:
         """Solve the MILP and return the route of every flow."""
-        result, var_index, admissible, flows, num_constraints, num_vars = \
-            self._build_and_solve(flow_set)
+        (result, var_index, admissible, flows, num_constraints, num_vars,
+         wall_seconds) = self._build_and_solve(flow_set)
 
         if result.x is None:
             self.last_solution = MILPSolution(
@@ -350,6 +372,7 @@ class MILPSelector:
                 mcl=None,
                 num_variables=num_vars,
                 num_constraints=num_constraints,
+                wall_seconds=wall_seconds,
             )
             raise SolverError(
                 f"MILP produced no solution: {result.message} "
@@ -373,6 +396,7 @@ class MILPSelector:
             num_variables=num_vars,
             num_constraints=num_constraints,
             mip_gap=getattr(result, "mip_gap", None),
+            wall_seconds=wall_seconds,
         )
         return route_set
 

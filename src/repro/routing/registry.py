@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import RoutingError
 from ..registry import Registry, normalize_name
@@ -93,12 +93,16 @@ class RouterSpec:
                                   parameter.POSITIONAL_OR_KEYWORD)
         )
 
+    def received_options(self, **options) -> Dict[str, object]:
+        """The subset of *options* the factory actually receives: the
+        keywords it declares, minus ``None`` ("use the factory default")."""
+        accepted = set(self.accepted_options())
+        return {name: value for name, value in options.items()
+                if name in accepted and value is not None}
+
     def create(self, **options) -> RoutingAlgorithm:
         """Instantiate the algorithm, keeping only understood options."""
-        accepted = set(self.accepted_options())
-        kwargs = {name: value for name, value in options.items()
-                  if name in accepted and value is not None}
-        return self.factory(**kwargs)
+        return self.factory(**self.received_options(**options))
 
 
 #: The registry instance, on the shared :class:`repro.registry.Registry`

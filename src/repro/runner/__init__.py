@@ -66,9 +66,11 @@ from .worker import run_worker_loop
 from .workqueue import WorkQueue
 from .fingerprint import (
     CACHE_SCHEMA_VERSION,
+    PLAN_SCHEMA_VERSION,
     batch_group_key,
     config_fingerprint,
     flow_set_fingerprint,
+    route_plan_key,
     route_set_fingerprint,
     simulation_cache_key,
     topology_fingerprint,
@@ -82,6 +84,7 @@ __all__ = [
     "ExecutionTask",
     "ExperimentRunner",
     "LocalExecutionBackend",
+    "PLAN_SCHEMA_VERSION",
     "QUEUE_DIR_ENV",
     "QueueExecutionBackend",
     "ResultCache",
@@ -101,6 +104,7 @@ __all__ = [
     "register_execution_backend",
     "resolve_execution",
     "resolve_workers",
+    "route_plan_key",
     "route_set_fingerprint",
     "run_task",
     "run_worker_loop",

@@ -1,11 +1,19 @@
-"""Content-addressed on-disk cache of simulation statistics.
+"""Content-addressed on-disk cache of simulation statistics and route plans.
 
-One cache entry is one simulated sweep point: the key is the
+One statistics entry is one simulated sweep point: the key is the
 :func:`~repro.runner.fingerprint.simulation_cache_key` of the inputs, the
 value is the JSON-serialised :class:`~repro.metrics.statistics.SimulationStatistics`.
 Entries are immutable — a key fully determines its statistics because the
 simulator is deterministic in its seed — so the cache never needs
 invalidation logic beyond the key itself.
+
+Route plans (:mod:`repro.planning`) are the second kind of entry, keyed by
+:func:`~repro.runner.fingerprint.route_plan_key`.  They live under the
+:data:`PLAN_SUBDIR` subdirectory of each tier — every top-level ``*.json``
+is a statistics entry to :meth:`ResultCache.keys`, ``clear``, ``stats`` and
+outside readers — and go through the same publish and tier walk; what a
+plan *is* (its JSON layout, and the verification a loaded one must pass)
+stays with the planner, which hands :meth:`ResultCache.get_plan` a decoder.
 
 Writes are atomic (a ``.tmp-<pid>-<random>`` temp file in the destination
 directory, published with ``os.replace``), which makes the cache safe to
@@ -41,7 +49,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 from ..metrics.statistics import SimulationStatistics
 
@@ -56,6 +64,11 @@ SHARED_CACHE_DIR_ENV = "REPRO_SHARED_CACHE_DIR"
 #: Directory used when neither an explicit path nor the environment variable
 #: names one.
 DEFAULT_CACHE_DIR = "~/.cache/repro-bsor"
+
+#: Subdirectory of a tier holding its route-plan entries.
+PLAN_SUBDIR = "plans"
+
+T = TypeVar("T")
 
 #: Name of the last-run counter snapshot a runner records in its cache
 #: directory (``python -m repro cache stats`` reads it back).  The leading
@@ -132,30 +145,69 @@ class ResultCache:
         self.misses = 0
         #: Subset of :attr:`hits` served by the shared tier (local misses).
         self.shared_hits = 0
+        #: Route-plan lookups answered / not answered by a verified entry.
+        self.plan_hits = 0
+        self.plan_misses = 0
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    # the one tier walk and the one publish, for every kind of entry
+    # ------------------------------------------------------------------
+    def _path(self, key: str, subdir: str = "") -> Path:
+        return self.directory / subdir / f"{key}.json"
 
-    def _shared_path(self, key: str) -> Optional[Path]:
+    def _shared_path(self, key: str, subdir: str = "") -> Optional[Path]:
         if self.shared_dir is None:
             return None
-        return self.shared_dir / f"{key}.json"
+        return self.shared_dir / subdir / f"{key}.json"
 
     @staticmethod
-    def _load(path: Path) -> Optional[SimulationStatistics]:
-        """Statistics stored at *path*, or None when absent/unreadable."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            return statistics_from_dict(payload["statistics"])
-        except (KeyError, TypeError):
-            # unreadable / stale schema: treat as a miss, entry will be
-            # overwritten by the fresh result
-            return None
+    def _load(path: Path, decode: Callable[[object], Optional[T]]
+              ) -> Tuple[Optional[str], Optional[T]]:
+        """(stored text, decoded value) at *path*.
 
+        ``(None, None)`` when the entry is absent, unreadable, not JSON or
+        rejected by *decode* (which returns ``None`` or raises ``KeyError``
+        / ``TypeError`` / ``ValueError`` for a stale or foreign layout):
+        all of them are a miss, and the fresh value overwrites the entry.
+        """
+        try:
+            text = path.read_text()
+            value = decode(json.loads(text))
+        except (OSError, KeyError, TypeError, ValueError):
+            return None, None
+        return (text, value) if value is not None else (None, None)
+
+    def _lookup(self, key: str, subdir: str,
+                decode: Callable[[object], Optional[T]]
+                ) -> Tuple[Optional[T], bool]:
+        """(value, served by the shared tier?) — read-through, write-back."""
+        _, value = self._load(self._path(key, subdir), decode)
+        if value is not None:
+            return value, False
+        shared_path = self._shared_path(key, subdir)
+        if shared_path is not None:
+            text, value = self._load(shared_path, decode)
+            if value is not None:
+                assert text is not None
+                local = self._path(key, subdir)
+                try:
+                    _atomic_write_text(local.parent, local, text)
+                except OSError:
+                    pass  # a read must not fail because write-back did
+                return value, True
+        return None, False
+
+    def _publish(self, key: str, subdir: str, payload: Dict) -> None:
+        """Write *payload* through to every tier (atomic, last writer wins)."""
+        text = json.dumps(payload)
+        for target in (self._path(key, subdir),
+                       self._shared_path(key, subdir)):
+            if target is not None:
+                _atomic_write_text(target.parent, target, text)
+
+    # ------------------------------------------------------------------
+    # statistics entries
+    # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimulationStatistics]:
         """The cached statistics for *key*, or ``None`` on a miss.
 
@@ -163,28 +215,13 @@ class ResultCache:
         shared directory; a shared hit is copied back into the local tier
         so the next read of the same key never leaves this host.
         """
-        stats = self._load(self._path(key))
-        if stats is not None:
-            self.hits += 1
-            return stats
-        shared_path = self._shared_path(key)
-        if shared_path is not None:
-            stats = self._load(shared_path)
-            if stats is not None:
-                self.hits += 1
-                self.shared_hits += 1
-                try:
-                    self._publish(self.directory, self._path(key), key, stats)
-                except OSError:
-                    pass  # a read must not fail because write-back did
-                return stats
-        self.misses += 1
-        return None
-
-    def _publish(self, directory: Path, target: Path, key: str,
-                 statistics: SimulationStatistics) -> None:
-        payload = {"key": key, "statistics": statistics_to_dict(statistics)}
-        _atomic_write_text(directory, target, json.dumps(payload))
+        stats, from_shared = self._lookup(key, "", _statistics_entry)
+        if stats is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.shared_hits += from_shared
+        return stats
 
     def put(self, key: str, statistics: SimulationStatistics) -> None:
         """Store *statistics* under *key* (atomic, last writer wins).
@@ -196,11 +233,31 @@ class ResultCache:
         key.  With a shared tier configured the entry is written through to
         both directories.
         """
-        self._publish(self.directory, self._path(key), key, statistics)
-        shared_path = self._shared_path(key)
-        if shared_path is not None:
-            assert self.shared_dir is not None
-            self._publish(self.shared_dir, shared_path, key, statistics)
+        self._publish(key, "", {"key": key,
+                                "statistics": statistics_to_dict(statistics)})
+
+    # ------------------------------------------------------------------
+    # route-plan entries
+    # ------------------------------------------------------------------
+    def get_plan(self, key: str,
+                 decode: Callable[[object], Optional[T]]) -> Optional[T]:
+        """The plan stored under *key* as *decode* rebuilds it, or ``None``.
+
+        *decode* receives the stored ``plan`` document and returns the
+        verified plan, or ``None`` to reject it; a rejected local entry
+        still reads through to the shared tier, exactly like a missing one.
+        """
+        plan, _ = self._lookup(key, PLAN_SUBDIR,
+                               lambda payload: decode(payload["plan"]))
+        if plan is None:
+            self.plan_misses += 1
+        else:
+            self.plan_hits += 1
+        return plan
+
+    def put_plan(self, key: str, plan: Dict) -> None:
+        """Store the JSON-able *plan* document under *key*, in every tier."""
+        self._publish(key, PLAN_SUBDIR, {"key": key, "plan": plan})
 
     def __contains__(self, key: str) -> bool:
         if self._path(key).exists():
@@ -226,16 +283,21 @@ class ResultCache:
         return self._directory_keys(self.directory)
 
     def clear(self) -> int:
-        """Delete every local entry; returns the number removed.
+        """Delete every local entry; returns the number of results removed.
 
-        The shared tier is deliberately left untouched — it belongs to the
-        deployment, not to this host (clear it by pointing a cache directly
-        at the shared directory).
+        Route-plan entries go too (they are not counted).  The shared tier
+        is deliberately left untouched — it belongs to the deployment, not
+        to this host (clear it by pointing a cache directly at the shared
+        directory).
         """
+        self._remove_entries(PLAN_SUBDIR)
+        return self._remove_entries("")
+
+    def _remove_entries(self, subdir: str) -> int:
         removed = 0
-        for key in list(self.keys()):
+        for key in list(self._directory_keys(self.directory / subdir)):
             try:
-                self._path(key).unlink()
+                self._path(key, subdir).unlink()
                 removed += 1
             except OSError:
                 pass
@@ -261,20 +323,29 @@ class ResultCache:
         """One flat mapping of sizes and counters, for the ``cache stats``
         CLI and the service's introspection endpoints.
 
-        ``hits`` / ``misses`` / ``shared_hits`` are this process's counters;
-        ``last_run`` is the snapshot the most recent runner recorded in the
-        directory (:meth:`record_run`), or ``None``.
+        ``entries`` / ``bytes`` count statistics entries only; route plans
+        are ``plan_entries`` / ``plan_bytes``.  ``hits`` / ``misses`` /
+        ``shared_hits`` / ``plan_hits`` / ``plan_misses`` are this process's
+        counters; ``last_run`` is the snapshot the most recent runner
+        recorded in the directory (:meth:`record_run`), or ``None``.
         """
         payload: Dict[str, object] = {"directory": str(self.directory)}
-        payload.update(self._directory_stats(self.directory))
+        tiers = [("", self.directory)]
         if self.shared_dir is not None:
-            shared = self._directory_stats(self.shared_dir)
             payload["shared_dir"] = str(self.shared_dir)
-            payload["shared_entries"] = shared["entries"]
-            payload["shared_bytes"] = shared["bytes"]
+            tiers.append(("shared_", self.shared_dir))
+        for prefix, directory in tiers:
+            results = self._directory_stats(directory)
+            plans = self._directory_stats(directory / PLAN_SUBDIR)
+            payload[f"{prefix}entries"] = results["entries"]
+            payload[f"{prefix}bytes"] = results["bytes"]
+            payload[f"{prefix}plan_entries"] = plans["entries"]
+            payload[f"{prefix}plan_bytes"] = plans["bytes"]
         payload["hits"] = self.hits
         payload["misses"] = self.misses
         payload["shared_hits"] = self.shared_hits
+        payload["plan_hits"] = self.plan_hits
+        payload["plan_misses"] = self.plan_misses
         payload["last_run"] = self.last_run()
         return payload
 
@@ -292,6 +363,8 @@ class ResultCache:
             "cache_hits": getattr(report, "cache_hits", 0),
             "points_simulated": getattr(report, "points_simulated", 0),
             "shared_hits": self.shared_hits,
+            "plan_hits": self.plan_hits,
+            "plan_misses": self.plan_misses,
         }
         try:
             _atomic_write_text(self.directory,
@@ -321,6 +394,11 @@ class ResultCache:
 def statistics_to_dict(statistics: SimulationStatistics) -> dict:
     """Plain-JSON rendering of one simulation's statistics."""
     return dataclasses.asdict(statistics)
+
+
+def _statistics_entry(payload) -> SimulationStatistics:
+    """The statistics a stored ``{"key": ..., "statistics": ...}`` holds."""
+    return statistics_from_dict(payload["statistics"])
 
 
 def statistics_from_dict(payload: dict) -> SimulationStatistics:

@@ -25,17 +25,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..routing.base import RouteSet
 from ..simulator.batchsim import LANE_VARIABLE_FIELDS
 from ..simulator.config import SimulationConfig
 from ..topology.base import Topology
 from ..topology.links import physical, virtual_index
+from ..traffic.flow import FlowSet
 
 #: Bump when the simulator's semantics change in a way that invalidates
 #: previously cached statistics.
 CACHE_SCHEMA_VERSION = 1
+
+#: Bump when a router's route selection changes for unchanged inputs (a new
+#: default CDG set, a different MILP model) or the stored plan layout does:
+#: it is part of every route-plan key and of every stored plan.
+PLAN_SCHEMA_VERSION = 1
 
 
 def _digest(payload: object) -> str:
@@ -57,16 +63,17 @@ def topology_fingerprint(topology: Topology) -> Dict[str, object]:
     }
 
 
-def flow_set_fingerprint(route_set: RouteSet) -> list:
-    """Canonical description of the flows a route set carries.
+def flow_set_fingerprint(flow_set: FlowSet) -> list:
+    """Canonical description of a flow set: name, endpoints, demand.
 
     Flow order is preserved — flows draw from one shared injection RNG
-    stream in flow-set order, so reordered flow sets are different
-    simulations.
+    stream in flow-set order (and BSOR's selectors route them in an order
+    derived from it), so reordered flow sets are different simulations
+    and different plans.
     """
     return [
         (flow.name, flow.source, flow.destination, float(flow.demand))
-        for flow in route_set.flow_set
+        for flow in flow_set
     ]
 
 
@@ -123,7 +130,7 @@ def simulation_cache_key(topology: Topology, route_set: RouteSet,
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "topology": topology_fingerprint(topology),
-        "flows": flow_set_fingerprint(route_set),
+        "flows": flow_set_fingerprint(route_set.flow_set),
         "routes": route_set_fingerprint(route_set),
         "config": config_fingerprint(config),
         "offered_rate": float(offered_rate),
@@ -163,7 +170,7 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "topology": topology_fingerprint(topology),
-        "flows": flow_set_fingerprint(route_set),
+        "flows": flow_set_fingerprint(route_set.flow_set),
         "routes": route_set_fingerprint(route_set),
         "config": config_payload,
         "phase_boundaries": sorted((phase_boundaries or {}).items()),
@@ -171,3 +178,25 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     if fault_schedule:
         payload["faults"] = fault_schedule.to_payload()
     return _digest(payload)
+
+
+def route_plan_key(topology: Topology, flow_set: FlowSet, router: str,
+                   options: Mapping[str, object], faults: str) -> str:
+    """The content-addressed key of one route plan.
+
+    A plan is a pure function of the *intact* topology, the flow set (in
+    order), the router's registry slug, the options its factory actually
+    receives (``options``, JSON-able: CDG strategies by name) and the fault
+    set's canonical label — so that is the key.  Nothing about how the plan
+    will be simulated (workers, backend, execution, cache directories,
+    the simulation configuration) takes part, and neither do numpy / scipy
+    versions: a cached optimal plan stays optimal under any solver build.
+    """
+    return _digest({
+        "schema": PLAN_SCHEMA_VERSION,
+        "topology": topology_fingerprint(topology),
+        "flows": flow_set_fingerprint(flow_set),
+        "router": router,
+        "options": options,
+        "faults": faults,
+    })

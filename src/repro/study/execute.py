@@ -8,9 +8,10 @@ command all hand it a :class:`~repro.study.spec.Scenario`:
 
 * ``sweep`` scenarios fan (topology x pattern x router x VC count x rate)
   points through :meth:`ExperimentRunner.sweep_many` — routes planned once
-  per router and reused across VC counts, ``SimulationConfig.with_vcs`` per
-  count — so ``examples/studies/figure_6_7.yaml`` and ``python -m repro
-  figure 6-7`` are the same points under the same cache keys;
+  per router (and, through the runner's cache, once across runs) and
+  reused across VC counts, ``SimulationConfig.with_vcs`` per count — so
+  ``examples/studies/figure_6_7.yaml`` and ``python -m repro figure 6-7``
+  are the same points under the same cache keys;
 * ``saturate`` scenarios drive the :class:`~repro.compare.matrix.CompareMatrix`
   adaptive saturation search per cell.
 
@@ -192,7 +193,8 @@ def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
     meta: Dict[str, Dict] = {}
     for topology_name, pattern, tags, plan in plan_matrix(
             _scenario_topologies(scenario, config), scenario.patterns,
-            scenario.routers, scenario.faults, config):
+            scenario.routers, scenario.faults, config,
+            cache=runner.cache, observer=runner.observer):
         for vcs in vc_counts:
             simulation = config.simulation if vcs is None \
                 else config.simulation.with_vcs(vcs)

@@ -28,19 +28,25 @@ class Channel:
         Node index of the downstream (receiving) router.
 
     The channel is hashable and totally ordered so that it can be used as a
-    dictionary key, a graph vertex and a stable sort key.
+    dictionary key, a graph vertex and a stable sort key.  Every graph in
+    the library is keyed by channels, so the hash (the value the generated
+    dataclass hash would compute) is taken once, at construction.
     """
 
     src: int
     dst: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.src, self.dst)))
         if self.src == self.dst:
             raise TopologyError(f"channel cannot be a self loop: {self.src}")
         if self.src < 0 or self.dst < 0:
             raise TopologyError(
                 f"channel endpoints must be non-negative: ({self.src}, {self.dst})"
             )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def reverse(self) -> "Channel":

@@ -83,6 +83,9 @@ class FlowSet:
     def __init__(self, flows: Iterable[Flow] = (), name: str = "") -> None:
         self.name = name
         self._flows: List[Flow] = []
+        #: name -> flow; names are unique, so membership and lookup by name
+        #: need no scan of the list
+        self._by_name: Dict[str, Flow] = {}
         for flow in flows:
             self.add(flow)
 
@@ -95,9 +98,10 @@ class FlowSet:
             raise TrafficError(f"not a Flow: {flow!r}")
         if not flow.name:
             flow = replace(flow, name=f"f{len(self._flows) + 1}")
-        if any(existing.name == flow.name for existing in self._flows):
+        if flow.name in self._by_name:
             raise TrafficError(f"duplicate flow name: {flow.name}")
         self._flows.append(flow)
+        self._by_name[flow.name] = flow
         return flow
 
     def add_flow(self, source: int, destination: int, demand: float,
@@ -127,7 +131,8 @@ class FlowSet:
         return self._flows[index]
 
     def __contains__(self, flow: Flow) -> bool:
-        return flow in self._flows
+        return isinstance(flow, Flow) and \
+            self._by_name.get(flow.name) == flow
 
     @property
     def flows(self) -> Sequence[Flow]:
@@ -137,10 +142,11 @@ class FlowSet:
     # queries
     # ------------------------------------------------------------------
     def by_name(self, name: str) -> Flow:
-        for flow in self._flows:
-            if flow.name == name:
-                return flow
-        raise TrafficError(f"no flow named {name!r} in flow set {self.name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise TrafficError(
+                f"no flow named {name!r} in flow set {self.name!r}") from None
 
     def total_demand(self) -> float:
         """Sum of the bandwidth demands of all flows."""

@@ -54,6 +54,33 @@ class TestStrategies:
         These are the 12 turn-model CDGs the paper explores."""
         assert len(all_two_turn_strategies(mesh3)) == 12
 
+    @pytest.mark.parametrize("size", [3, 4, 8])
+    def test_exactly_twelve_on_any_mesh_and_which_four_are_not(self, size):
+        strategies = all_two_turn_strategies(Mesh2D(size))
+        assert len(strategies) == 12
+        # the four rejected prohibitions leave both cycle orientations
+        # intact: an acyclic-looking name that is missing is a bug
+        names = {strategy.name for strategy in strategies}
+        candidates = {
+            two_turn_strategy(clockwise, counterclockwise).name
+            for clockwise in CLOCKWISE_TURNS
+            for counterclockwise in COUNTERCLOCKWISE_TURNS}
+        assert len(candidates) == 16 and names < candidates
+
+    def test_a_raising_builder_propagates_out_of_the_probe(self, mesh3,
+                                                           monkeypatch):
+        """Only a cyclic candidate is "not a turn model".  The probe used
+        to swallow every exception, so a genuine bug in a builder silently
+        shrank the paper's 12-model exploration."""
+        from repro.cdg import turn_model
+
+        def broken(cdg, turns):
+            raise ZeroDivisionError("a bug in the builder")
+
+        monkeypatch.setattr(turn_model, "prohibited_edges", broken)
+        with pytest.raises(ZeroDivisionError, match="a bug in the builder"):
+            all_two_turn_strategies(mesh3)
+
     def test_full_strategy_set(self, mesh3):
         strategies = full_strategy_set(mesh3)
         assert len(strategies) == 15
@@ -76,6 +103,40 @@ class TestFrameworkExploration:
         assert len(bsor.exploration) == 5
         assert set(bsor.exploration_table()) == \
             {strategy.name for strategy in paper_strategies()}
+
+    def test_milp_exploration_keeps_every_solve(self, mesh4, transpose4):
+        """Solver diagnostics are results: one MILPSolution per CDG, on the
+        entry and through ``solver_diagnostics``."""
+        bsor = BSORRouting(selector="milp", milp_time_limit=30)
+        bsor.compute_routes(mesh4, transpose4)
+        assert all(entry.solution is not None and entry.solution.optimal
+                   for entry in bsor.exploration)
+        diagnostics = bsor.solver_diagnostics()
+        assert list(diagnostics) == [strategy.name
+                                     for strategy in bsor.strategies]
+        for entry in bsor.exploration:
+            solution = diagnostics[entry.strategy_name]
+            assert solution is entry.solution
+            assert solution.mcl == entry.mcl
+            assert solution.wall_seconds > 0 and not solution.time_limit_hit
+
+    def test_other_routers_report_no_solves(self, mesh4, transpose4):
+        bsor = BSORRouting(selector="dijkstra")
+        bsor.compute_routes(mesh4, transpose4)
+        assert bsor.solver_diagnostics() == {}
+        assert all(entry.solution is None for entry in bsor.exploration)
+        assert XYRouting().solver_diagnostics() == {}
+
+    def test_a_solve_cut_short_is_kept_on_the_failed_entry(self, mesh4,
+                                                           transpose4):
+        bsor = BSORRouting(selector="milp", milp_time_limit=1e-9)
+        with pytest.raises(RoutingError, match="no feasible routes"):
+            bsor.compute_routes(mesh4, transpose4)
+        assert len(bsor.exploration) == 5
+        for entry in bsor.exploration:
+            assert not entry.succeeded and "Time limit" in entry.error
+            assert entry.solution.time_limit_hit
+            assert not entry.solution.optimal
 
     def test_best_entry_has_lowest_mcl(self, mesh4, transpose4):
         bsor = BSORRouting(selector="dijkstra")

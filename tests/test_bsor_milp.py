@@ -35,6 +35,20 @@ class TestBasicSolving:
         assert solution.optimal
         assert solution.mcl == routes.max_channel_load()
         assert solution.num_variables > 0
+        assert solution.num_constraints > 0
+        assert solution.wall_seconds > 0
+        assert not solution.time_limit_hit
+
+    def test_time_limit_is_a_diagnostic_not_a_log_line(self, mesh4,
+                                                       transpose4):
+        graph = make_flow_graph(mesh4, transpose4)
+        selector = MILPSelector(graph, time_limit=1e-9)
+        with pytest.raises(SolverError, match="Time limit"):
+            selector.select_routes(transpose4)
+        solution = selector.last_solution
+        assert solution.time_limit_hit and not solution.optimal
+        assert solution.status == 1 and solution.mcl is None
+        assert solution.wall_seconds > 0
 
     def test_routes_conform_and_are_deadlock_free(self, mesh4, transpose4):
         graph = make_flow_graph(mesh4, transpose4)

@@ -117,6 +117,38 @@ class TestMutationAndCycles:
         with pytest.raises(CyclicCDGError):
             cdg.require_acyclic()
 
+    def test_cyclic_error_text_is_the_networkx_witness(self, mesh3,
+                                                       unidirectional_ring):
+        """``find_cycle`` answers "acyclic" with a linear check and only
+        searches for a witness on a cyclic graph — the witness, and with it
+        the error text, is the one ``nx.find_cycle`` always produced
+        (recorded before the linear check existed)."""
+        from repro.cdg import TurnModel, turn_model_cdg
+        from repro.topology import Torus2D
+
+        for model in (TurnModel.WEST_FIRST, TurnModel.NORTH_LAST,
+                      TurnModel.NEGATIVE_FIRST):
+            with pytest.raises(CyclicCDGError) as raised:
+                # a plain turn model cannot break a torus' wrap-around rings
+                turn_model_cdg(Torus2D(4), model)
+            assert str(raised.value) == (
+                "CDG 'torus2d' has a cycle: 0->1 -> 1->2 -> 2->3 -> 3->0")
+        with pytest.raises(CyclicCDGError) as raised:
+            ChannelDependenceGraph.from_topology(mesh3).require_acyclic()
+        assert str(raised.value) == (
+            "CDG 'cdg' has a cycle: 4->1 -> 1->0 -> 0->3 -> 3->4")
+        with pytest.raises(CyclicCDGError) as raised:
+            ChannelDependenceGraph.from_topology(
+                unidirectional_ring, name="ring").require_acyclic()
+        assert str(raised.value) == (
+            "CDG 'ring' has a cycle: 0->1 -> 1->2 -> 2->3 -> 3->0")
+
+    def test_find_cycle_is_none_exactly_on_acyclic_graphs(self, mesh3,
+                                                          west_first_cdg):
+        assert west_first_cdg.find_cycle() is None
+        cycle = ChannelDependenceGraph.from_topology(mesh3).find_cycle()
+        assert cycle is not None and cycle[0][0] == cycle[-1][1]
+
     def test_topological_order_of_acyclic_graph(self, west_first_cdg):
         order = west_first_cdg.topological_order()
         position = {resource: index for index, resource in enumerate(order)}

@@ -107,7 +107,11 @@ class TestStdoutPurity:
         events = [event_from_dict(json.loads(line)) for line in err_lines
                   if line.startswith("{")]
         kinds = [event.kind for event in events]
-        assert kinds[0] == "sweep_started"
+        # planning comes first and is uncached here (--no-cache)
+        plans = [kind for kind in kinds if kind.startswith("plan_")]
+        assert plans and set(plans) == {"plan_solved"}
+        assert kinds[:len(plans)] == plans
+        assert kinds[len(plans)] == "sweep_started"
         assert kinds[-1] == "sweep_finished"
         assert "point_finished" in kinds
 

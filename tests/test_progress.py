@@ -23,6 +23,8 @@ from repro.progress import (
     CollectingObserver,
     JsonlObserver,
     NullObserver,
+    PlanCached,
+    PlanSolved,
     PointFinished,
     PointStarted,
     ProgressEmitter,
@@ -45,6 +47,11 @@ class TestEvents:
 
     def test_json_roundtrip_every_kind(self):
         events = [
+            PlanCached(router="bsor-milp", topology="mesh8x8",
+                       pattern="transpose", faults="link:5-6"),
+            PlanSolved(router="dor", topology="mesh4x4",
+                       pattern="bit-complement", faults="none",
+                       seconds=0.25, stored=True),
             SweepStarted(total_points=4, workers=2, label="fig"),
             PointStarted(key="k", offered_rate=0.5),
             CacheHit(key="k", offered_rate=0.5, done=1, total=4,
@@ -116,6 +123,9 @@ class TestObservers:
         observer = TtyObserver(stream)
         observer.emit(PointStarted(key="k"))
         observer.emit(BatchGroupDispatched(group_key="g", size=2))
+        observer.emit(PlanCached(router="dor", topology="mesh4x4"))
+        observer.emit(PlanSolved(router="dor", topology="mesh4x4",
+                                 seconds=1.0))
         assert stream.getvalue() == ""
 
     def test_make_observer_modes(self):
@@ -177,6 +187,21 @@ class TestEmitterModel:
         emitter.cache_hit("a", 0.5)
         assert emitter.observer.events[-1].eta_seconds is None
         assert emitter.eta_seconds() is None
+
+    def test_plan_events_are_stamped_and_leave_the_point_model_alone(self):
+        observer = CollectingObserver()
+        emitter = ProgressEmitter(observer=observer, clock=lambda: 7.0)
+        emitter.plan_cached("dor", "mesh4x4", "transpose", "none")
+        emitter.plan_solved("bsor-milp", "mesh4x4", "transpose", "link:5-6",
+                            seconds=0.5, stored=False)
+        assert observer.events == [
+            PlanCached(timestamp=7.0, router="dor", topology="mesh4x4",
+                       pattern="transpose", faults="none"),
+            PlanSolved(timestamp=7.0, router="bsor-milp",
+                       topology="mesh4x4", pattern="transpose",
+                       faults="link:5-6", seconds=0.5, stored=False),
+        ]
+        assert (emitter.done, emitter.total, emitter.cache_hits) == (0, 0, 0)
 
     def test_emitter_for_skips_null_and_none(self):
         assert emitter_for(None) is None

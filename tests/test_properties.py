@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cdg import TurnModel, ad_hoc_cdg, turn_model_cdg
+from repro.cdg import (
+    ChannelDependenceGraph,
+    TurnModel,
+    ad_hoc_cdg,
+    turn_model_cdg,
+)
 from repro.flowgraph import FlowGraph
 from repro.metrics import maximum_channel_load
 from repro.routing import (
@@ -105,6 +111,74 @@ class TestCDGProperties:
                 if src != dst:
                     assert flow_graph.minimal_hop_count(src, dst) == \
                         mesh.manhattan_distance(src, dst)
+
+
+def networkx_cycle(graph: nx.DiGraph):
+    """What ``find_cycle`` was before it learnt the linear accept path."""
+    try:
+        return list(nx.find_cycle(graph, orientation=None))
+    except nx.NetworkXNoCycle:
+        return None
+
+
+def assert_same_answer_as_networkx(cdg: ChannelDependenceGraph) -> None:
+    expected = networkx_cycle(cdg.graph)
+    cycle = cdg.find_cycle()
+    assert cycle == expected
+    assert cdg.is_acyclic() == (cycle is None)
+    if cycle is not None:
+        # a closed walk over edges the graph has
+        assert all(cdg.has_edge(upstream, downstream)
+                   for upstream, downstream in cycle)
+        assert all(edge[1] == following[0]
+                   for edge, following in zip(cycle, cycle[1:]))
+        assert cycle[-1][1] == cycle[0][0]
+
+
+class TestFindCycleMatchesNetworkx:
+    """``ChannelDependenceGraph.find_cycle`` returns ``None`` exactly when
+    ``nx.find_cycle`` raises ``NetworkXNoCycle`` and otherwise the very
+    list networkx returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=40),
+           isolated=st.lists(st.integers(0, 15), max_size=4))
+    def test_on_random_digraphs(self, edges, isolated):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(isolated)
+        graph.add_edges_from(edges)  # self loops included
+        assert_same_answer_as_networkx(
+            ChannelDependenceGraph(Mesh2D(2), graph=graph))
+
+    @common_settings
+    @given(size=st.integers(3, 6), data=st.data())
+    def test_on_a_strategy_cdg_with_an_edge_put_back(self, size, data):
+        from repro.routing.bsor import full_strategy_set, paper_strategies
+
+        mesh = Mesh2D(size)
+        strategies = {strategy.name: strategy for strategy in
+                      paper_strategies() + full_strategy_set(mesh)}
+        strategy = strategies[data.draw(st.sampled_from(sorted(strategies)))]
+        cdg = strategy.builder(mesh, 1)
+        # putting one removed dependence back usually closes a cycle
+        upstream, downstream = data.draw(
+            st.sampled_from(list(cdg.removed_edges)))
+        cdg.graph.add_edge(upstream, downstream)
+        assert_same_answer_as_networkx(cdg)
+
+    def test_on_every_strategy_cdg_of_every_mesh_size(self):
+        from repro.routing.bsor import full_strategy_set, paper_strategies
+
+        for size in range(3, 7):
+            mesh = Mesh2D(size)
+            full = ChannelDependenceGraph.from_topology(mesh)
+            assert_same_answer_as_networkx(full)
+            assert full.find_cycle() is not None
+            for strategy in paper_strategies() + full_strategy_set(mesh):
+                cdg = strategy.builder(mesh, 1)
+                assert_same_answer_as_networkx(cdg)
+                assert cdg.find_cycle() is None
 
 
 class TestRoutingProperties:

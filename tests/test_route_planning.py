@@ -1,6 +1,6 @@
 """The route-planning funnel (:mod:`repro.planning`).
 
-Four things are pinned here:
+Five things are pinned here:
 
 * **cache keys** — every front end now obtains routes through
   :func:`repro.planning.plan_routes`, so the ``simulation_cache_key`` of a
@@ -14,6 +14,11 @@ Four things are pinned here:
   deadlock re-verification included;
 * **no added work** — the fault-free path is one ``compute_routes`` call:
   no reachability walk, no deadlock analysis;
+* **solved once** — with the runner's cache, a plan is looked up before
+  it is solved and stored after: the cached plan equals the solved one in
+  every input of ``simulation_cache_key``, a warm study or comparison
+  performs zero solves and is byte-identical to the cold one, hostile
+  entries are misses, and a plan with a non-optimal solve is never stored;
 * **one funnel** — an ``ast`` walk over ``src/repro`` keeps router
   construction policy and ``compute_routes`` calls from growing back
   outside the funnel, ``SweepSpec`` construction inside the scenario
@@ -33,6 +38,8 @@ from pathlib import Path
 import pytest
 
 import repro.faults
+from repro.compare.matrix import CompareMatrix
+from repro.compare.saturation import SaturationCriteria
 from repro.exceptions import DeadlockError, ReproError, UnroutableFlowError
 from repro.experiments.config import ExperimentConfig
 from repro.planning import (
@@ -43,10 +50,22 @@ from repro.planning import (
     plan_routes,
     router_for,
 )
+from repro.progress import CollectingObserver
 from repro.routing.base import RoutingAlgorithm
+from repro.routing.bsor.dijkstra import DijkstraSelector
+from repro.routing.bsor.framework import CDGStrategy
+from repro.routing.bsor.milp import MILPSelector
 from repro.routing.deadlock import DeadlockReport
 from repro.routing.registry import available_routers
-from repro.runner.fingerprint import route_set_fingerprint, simulation_cache_key
+from repro.runner.cache import ResultCache
+from repro.runner.engine import ExperimentRunner
+from repro.runner.fingerprint import (
+    route_set_fingerprint,
+    simulation_cache_key,
+    topology_fingerprint,
+)
+from repro.study.spec import Study
+from repro.traffic import FlowSet
 
 GOLDEN = Path(__file__).parent / "golden" / "route_plan_cache_keys.json"
 SOURCE = Path(__file__).parent.parent / "src" / "repro"
@@ -72,12 +91,13 @@ def _label(cell) -> str:
     return f"{topology}|{pattern}|{router}|{faults}{suffix}"
 
 
-def _planned_key(cell) -> str:
+def _planned_key(cell, cache=None) -> str:
     topology_name, pattern, router, faults, config, _ = cell
     topology = parse_topology(topology_name)
     flow_set = pattern_flow_set(pattern, topology, config)
     try:
-        plan = plan_routes(router, topology, flow_set, config, faults)
+        plan = plan_routes(router, topology, flow_set, config, faults,
+                           cache=cache)
     except ReproError as error:
         return f"raises {type(error).__name__}"
     return simulation_cache_key(
@@ -111,6 +131,17 @@ class TestCacheKeysMatchThePreFunnelConstruction:
             f"hand-written construction did — warm caches would miss; "
             f"regenerate only deliberately with REPRO_UPDATE_GOLDEN=1"
         )
+
+    @pytest.mark.parametrize("cell", CELLS, ids=_label)
+    def test_a_cached_plan_keeps_it_too(self, cell, tmp_path):
+        recorded = json.loads(GOLDEN.read_text())[_label(cell)]
+        cache = ResultCache(tmp_path)
+        assert _planned_key(cell, cache) == recorded  # solved and stored
+        assert _planned_key(cell, cache) == recorded  # out of the cache
+        if recorded.startswith("raises"):
+            assert (cache.plan_hits, cache.plan_misses) == (0, 2)
+        else:
+            assert (cache.plan_hits, cache.plan_misses) == (1, 1)
 
     def test_full_cdg_set_changes_the_plan(self):
         # the two bsor-dijkstra cells must differ, or the strategy-set
@@ -209,6 +240,536 @@ class TestFaultFreePathAddsNoWork:
             "max_channel_load": plan.route_set.max_channel_load(),
             "average_hops": plan.route_set.average_hop_count(),
         }
+
+
+# ----------------------------------------------------------------------
+# (d) solved once: the route-plan cache
+# ----------------------------------------------------------------------
+CACHE_FAULTS = ("none", "link:5-6", "link:5-6,link:9>10", "link:5-6@200",
+                "link:1-2,link:5-6@200")
+CACHE_CELLS = [(topology, router, faults)
+               for topology in ("mesh4x4", "torus4x4", "ring8")
+               for router in available_routers()
+               for faults in CACHE_FAULTS]
+
+
+def _simulation_inputs(plan, config=QUICK):
+    """Everything of a plan that reaches ``simulation_cache_key``."""
+    return {
+        "topology": topology_fingerprint(plan.topology),
+        "routes": route_set_fingerprint(plan.route_set),
+        "route order": [route.flow.name for route in plan.route_set],
+        "phase_boundaries": sorted(plan.phase_boundaries.items()),
+        "schedule": plan.schedule.to_payload(),
+        "key": simulation_cache_key(
+            plan.topology, plan.route_set, config.simulation, 1.0,
+            plan.phase_boundaries or None,
+            fault_schedule=plan.schedule or None),
+    }
+
+
+def _forbid_solving(monkeypatch):
+    """Any route selection or CDG construction from here on is a failure."""
+    def forbid(cls, name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{cls.__name__}.{name} ran on a warm pass")
+        monkeypatch.setattr(cls, name, fail)
+
+    forbid(MILPSelector, "select_routes")
+    forbid(DijkstraSelector, "select_routes")
+    forbid(CDGStrategy, "build")
+
+
+class TestCachedPlanEqualsSolvedPlan:
+    @pytest.mark.parametrize(
+        "cell", CACHE_CELLS, ids=lambda cell: "|".join(cell))
+    def test_in_every_simulation_input(self, cell, tmp_path):
+        topology_name, router, faults = cell
+        topology = parse_topology(topology_name)
+        # transpose needs an even number of address bits; ring8 has three
+        pattern = "bit-complement" if topology_name == "ring8" \
+            else "transpose"
+        flow_set = pattern_flow_set(pattern, topology, QUICK)
+        cache = ResultCache(tmp_path)
+        try:
+            solved = plan_routes(router, topology, flow_set, QUICK, faults,
+                                 cache=cache)
+        except ReproError as error:
+            # not routable here (no registered router routes a torus or a
+            # ring): nothing is stored and the second call says the same
+            assert cache.stats()["plan_entries"] == 0
+            with pytest.raises(type(error)):
+                plan_routes(router, topology, flow_set, QUICK, faults,
+                            cache=cache)
+            return
+        assert not solved.cached and solved.stored
+        assert solved.router is not None
+        cached = plan_routes(router, topology, flow_set, QUICK, faults,
+                             cache=cache)
+        assert cached.cached and not cached.stored and cached.router is None
+        assert _simulation_inputs(cached) == _simulation_inputs(solved)
+        assert _simulation_inputs(cached) == _simulation_inputs(
+            plan_routes(router, topology, flow_set, QUICK, faults))
+        assert cached.spec is solved.spec
+        assert cached.rerouted_flows == solved.rerouted_flows
+        assert cached.solves == solved.solves
+        assert cached.route_set.flow_set is flow_set
+        assert cached.report is not None and cached.report.deadlock_free
+        # the degraded topology and the schedule are rebuilt, not stored
+        assert (cached.topology is topology) == (solved.topology is topology)
+
+    def test_something_was_routable_on_every_fault_set(self, tmp_path):
+        # the parametrised test above must not be vacuous
+        topology, flow_set = _mesh4_transpose()
+        for router in available_routers():
+            for faults in CACHE_FAULTS:
+                assert plan_routes(router, topology, flow_set, QUICK,
+                                   faults).route_set.is_complete()
+
+    def test_solver_diagnostics_travel_through_the_cache(self, tmp_path):
+        topology, flow_set = _mesh4_transpose()
+        cache = ResultCache(tmp_path)
+        solved = plan_routes("bsor-milp", topology, flow_set, QUICK,
+                             cache=cache)
+        assert list(solved.solves) == ["north-last", "west-first",
+                                       "negative-first", "ad-hoc-1",
+                                       "ad-hoc-2"]
+        cached = plan_routes("bsor-milp", topology, flow_set, QUICK,
+                             cache=cache)
+        for name, solution in cached.solves.items():
+            assert solution == solved.solves[name]
+            assert solution.optimal and not solution.time_limit_hit
+            assert solution.num_variables > 0 and solution.wall_seconds > 0
+        assert plan_routes("dor", topology, flow_set, QUICK,
+                           cache=cache).solves == {}
+
+
+class TestPlanKey:
+    def _cached_under(self, tmp_path, config, router="bsor-milp",
+                      flow_set=None, faults=None):
+        """Plan under QUICK, then ask: is *config*'s plan the same entry?"""
+        topology, default_flows = _mesh4_transpose()
+        cache = ResultCache(tmp_path)
+        plan_routes(router, topology, default_flows, QUICK, cache=cache)
+        return plan_routes(router, topology, flow_set or default_flows,
+                           config, faults, cache=cache).cached
+
+    @pytest.mark.parametrize("change", [
+        {"workers": 4}, {"use_cache": True}, {"cache_dir": "/elsewhere"},
+        {"shared_cache_dir": "/shared"}, {"execution": "queue"},
+        {"queue_dir": "/queue"}, {"offered_rates": (9.0,)},
+        {"mesh_size": 8}, {"num_vcs": 4},
+        {"seed": 7},  # bsor-milp's factory takes no seed
+    ], ids=lambda change: next(iter(change)))
+    def test_how_a_plan_is_simulated_is_not_in_the_key(self, tmp_path,
+                                                       change):
+        assert self._cached_under(tmp_path,
+                                  dataclasses.replace(QUICK, **change))
+        assert self._cached_under(tmp_path / "backend",
+                                  QUICK.with_backend("reference"))
+
+    @pytest.mark.parametrize("change", [
+        {"hop_slack": 0}, {"milp_time_limit": 20.0},
+        {"explore_full_cdg_set": True},
+    ], ids=lambda change: next(iter(change)))
+    def test_every_option_the_factory_receives_is(self, tmp_path, change):
+        assert not self._cached_under(tmp_path,
+                                      dataclasses.replace(QUICK, **change))
+
+    def test_the_seed_is_for_the_routers_that_take_one(self, tmp_path):
+        reseeded = dataclasses.replace(QUICK, seed=7)
+        for router, keyed in (("romm", True), ("valiant", True),
+                              ("o1turn", True), ("dor", False),
+                              ("bsor-dijkstra", False)):
+            assert self._cached_under(tmp_path / router, reseeded,
+                                      router=router) != keyed
+
+    def test_the_milp_time_limit_is_for_the_router_that_takes_it(
+            self, tmp_path):
+        longer = dataclasses.replace(QUICK, milp_time_limit=20.0)
+        assert self._cached_under(tmp_path, longer, router="bsor-dijkstra")
+
+    def test_router_faults_demand_and_flow_order_are(self, tmp_path):
+        topology, flow_set = _mesh4_transpose()
+        flows = list(flow_set)
+        heavier = FlowSet([flows[0].with_demand(flows[0].demand * 2),
+                           *flows[1:]], name=flow_set.name)
+        reordered = FlowSet([flows[1], flows[0], *flows[2:]],
+                            name=flow_set.name)
+        renamed = FlowSet(flows, name="another name")
+        assert not self._cached_under(tmp_path / "a", QUICK,
+                                      flow_set=heavier)
+        assert not self._cached_under(tmp_path / "b", QUICK,
+                                      flow_set=reordered)
+        assert self._cached_under(tmp_path / "c", QUICK, flow_set=renamed)
+        assert not self._cached_under(tmp_path / "d", QUICK,
+                                      faults="link:5-6")
+        assert not self._cached_under(tmp_path / "e", QUICK,
+                                      faults="link:5-6@200")
+        cache = ResultCache(tmp_path / "f")
+        plan_routes("bsor-milp", topology, flow_set, QUICK, "link:5-6",
+                    cache=cache)
+        for same in ("link:6-5", "link:5-6,link:5-6", ["link:5-6"]):
+            assert plan_routes("bsor-milp", topology, flow_set, QUICK, same,
+                               cache=cache).cached
+        assert not plan_routes("bsor-dijkstra", topology, flow_set, QUICK,
+                               "link:5-6", cache=cache).cached
+        # the same sixteen nodes and flows on another channel inventory
+        assert not plan_routes("bsor-milp", parse_topology("mesh8x2"),
+                               flow_set, QUICK, "link:5-6",
+                               cache=cache).cached
+
+
+class TestNonOptimalPlansAreNotStored:
+    def test_under_a_tiny_time_limit(self, tmp_path):
+        """Whatever a rung of the ladder does on this host — every CDG cut
+        short (raises), some (returned, not stored), none (stored) — a plan
+        is stored exactly when every solve was optimal, and one that was
+        not is solved again on the next call."""
+        topology, flow_set = _mesh4_transpose()
+        for rung, limit in enumerate((1e-9, 3e-4, 1e-3, 3e-3, 1e-2)):
+            config = dataclasses.replace(QUICK, milp_time_limit=limit)
+            cache = ResultCache(tmp_path / str(rung))
+            try:
+                plan = plan_routes("bsor-milp", topology, flow_set, config,
+                                   cache=cache)
+            except ReproError:
+                assert cache.stats()["plan_entries"] == 0
+                continue
+            optimal = all(solution.optimal
+                          for solution in plan.solves.values())
+            assert plan.stored == optimal
+            assert cache.stats()["plan_entries"] == int(optimal)
+            again = plan_routes("bsor-milp", topology, flow_set, config,
+                                cache=cache)
+            assert again.cached == optimal
+
+    def test_a_plan_with_one_solve_cut_short_is_returned_not_stored(
+            self, tmp_path, monkeypatch):
+        import repro.routing.bsor.milp as milp_module
+
+        real = milp_module.milp
+        calls = []
+
+        def limit_hits_the_second_solve(**kwargs):
+            result = real(**kwargs)
+            calls.append(result)
+            if len(calls) % 5 == 2:
+                # HiGHS at its time limit with an incumbent in hand
+                result.status = 1
+                result.message = "Time limit reached. (HiGHS Status 13)"
+            return result
+
+        monkeypatch.setattr(milp_module, "milp", limit_hits_the_second_solve)
+        topology, flow_set = _mesh4_transpose()
+        cache = ResultCache(tmp_path, shared_dir=tmp_path / "shared")
+        observer = CollectingObserver()
+        for _ in range(2):
+            [(_, _, _, plan)] = plan_matrix(
+                ["mesh4x4"], ["transpose"], ["bsor-milp"], None, QUICK,
+                cache=cache, observer=observer)
+            assert plan.route_set.is_complete()
+            assert not plan.cached and not plan.stored
+            assert [solution.time_limit_hit
+                    for solution in plan.solves.values()] == \
+                [False, True, False, False, False]
+        assert len(calls) == 10  # solved again on the second run
+        assert not list(tmp_path.rglob("*.json"))
+        assert [(event.kind, event.stored) for event in observer.events] == \
+            [("plan_solved", False)] * 2
+
+
+def _stored_plan(directory):
+    """(path, payload) of the single plan entry under a cache directory."""
+    [path] = (directory / "plans").glob("*.json")
+    return path, json.loads(path.read_text())
+
+
+class TestALoadedPlanIsNeverTrusted:
+    def _replan(self, tmp_path, damage, router="dor", faults=None,
+                flow_set=None):
+        """Store a plan, *damage* its entry, plan again: must be a miss
+        that solves, equals the first plan and repairs the entry."""
+        topology, default_flows = _mesh4_transpose()
+        flow_set = flow_set or default_flows
+        cache = ResultCache(tmp_path)
+        first = plan_routes(router, topology, flow_set, QUICK, faults,
+                            cache=cache)
+        path, payload = _stored_plan(tmp_path)
+        damaged = damage(payload)
+        path.write_text(damaged if isinstance(damaged, str)
+                        else json.dumps(damaged))
+        second = plan_routes(router, topology, flow_set, QUICK, faults,
+                             cache=cache)
+        assert not second.cached and second.stored
+        assert _simulation_inputs(second) == _simulation_inputs(first)
+        assert (cache.plan_hits, cache.plan_misses) == (0, 2)
+        assert _stored_plan(tmp_path)[1] == payload  # overwritten
+        assert plan_routes(router, topology, flow_set, QUICK, faults,
+                           cache=cache).cached
+
+    @pytest.mark.parametrize("text", ["", "{", "no json", '{"key": 1, "pla'],
+                             ids=["zero-byte", "open", "non-json",
+                                  "truncated"])
+    def test_unreadable_entry(self, tmp_path, text):
+        self._replan(tmp_path, lambda payload: text)
+
+    def test_leftover_temp_file(self, tmp_path):
+        topology, flow_set = _mesh4_transpose()
+        (tmp_path / "plans").mkdir()
+        (tmp_path / "plans" / ".tmp-77-abc.part").write_text('{"plan": {')
+        cache = ResultCache(tmp_path)
+        assert not plan_routes("dor", topology, flow_set, QUICK,
+                               cache=cache).cached
+        assert plan_routes("dor", topology, flow_set, QUICK,
+                           cache=cache).cached
+        assert cache.stats()["plan_entries"] == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("schema", 0), ("schema", None), ("routes", []), ("routes", None),
+        ("phase_boundaries", []), ("phase_boundaries", {"f1": "two"}),
+        ("phase_boundaries", {"f1": 99}), ("phase_boundaries", {"f1": -1}),
+        ("phase_boundaries", {"not-a-flow": 1}),
+        ("solves", {"north-last": {"bogus": 1}}), ("solves", 3),
+        ("rerouted_flows", 5), ("algorithm", None),
+    ], ids=lambda value: json.dumps(value))
+    def test_foreign_layout(self, tmp_path, field, value):
+        def damage(payload):
+            plan = dict(payload["plan"])
+            if value is None:
+                del plan[field]
+            else:
+                plan[field] = value
+            return {**payload, "plan": plan}
+
+        self._replan(tmp_path, damage)
+
+    def test_missing_flow_extra_flow_and_malformed_hops(self, tmp_path):
+        def without_a_flow(payload):
+            routes = dict(payload["plan"]["routes"])
+            routes.pop(sorted(routes)[0])
+            return {**payload, "plan": {**payload["plan"], "routes": routes}}
+
+        def with_an_unknown_flow(payload):
+            routes = dict(payload["plan"]["routes"])
+            routes["not-a-flow"] = [[0, 1, -1]]
+            return {**payload, "plan": {**payload["plan"], "routes": routes}}
+
+        def rewrite_first_route(hops):
+            def damage(payload):
+                routes = dict(payload["plan"]["routes"])
+                routes[next(iter(routes))] = hops
+                return {**payload,
+                        "plan": {**payload["plan"], "routes": routes}}
+            return damage
+
+        for index, damage in enumerate([
+                without_a_flow, with_an_unknown_flow,
+                rewrite_first_route([]),              # an empty route
+                rewrite_first_route([[0, 1]]),        # a hop without its VC
+                rewrite_first_route([[0, "1", -1]]),  # not node indices
+                rewrite_first_route([[0, 5, -1]]),    # 0 -> 5 is no channel
+                rewrite_first_route([[0, 1, -1], [2, 3, -1]]),  # no chain
+                rewrite_first_route([[0, 1, -1], [1, 2, 0]]),   # mixed VCs
+                rewrite_first_route([[14, 15, -1]]),  # another flow's hop
+                rewrite_first_route(7)]):
+            self._replan(tmp_path / str(index), damage)
+
+    def test_hop_on_a_failed_link(self, tmp_path):
+        """An entry written for the intact mesh, copied under the key of a
+        faulted plan: its routes cross the dead link."""
+        topology, flow_set = _mesh4_transpose()
+        intact = plan_routes("dor", topology, flow_set, QUICK)
+        route = next(route for route in intact.route_set
+                     if route.hop_count > 1)
+        dead = route.channels[0]
+        faults = f"link:{dead.src}>{dead.dst}"
+        healthy = ResultCache(tmp_path / "intact")
+        plan_routes("dor", topology, flow_set, QUICK, cache=healthy)
+        _, fault_free_payload = _stored_plan(tmp_path / "intact")
+
+        def damage(payload):
+            assert payload["plan"]["routes"] != \
+                fault_free_payload["plan"]["routes"]
+            return {**payload, "plan": fault_free_payload["plan"]}
+
+        self._replan(tmp_path / "faulted", damage, faults=faults)
+
+    def test_route_set_with_a_dependence_cycle(self, tmp_path):
+        """Four well-formed routes chasing each other round one square of
+        the mesh: every hop is a channel, every route a chain from its
+        source to its destination — and the set deadlocks."""
+        ring = [(0, 1, 5), (1, 5, 4), (5, 4, 0), (4, 0, 1)]
+        flow_set = FlowSet.from_tuples(
+            [(source, destination, 1.0) for source, _, destination in ring],
+            name="square")
+        cyclic = {flow.name: [[a, b, -1], [b, c, -1]]
+                  for flow, (a, b, c) in zip(flow_set, ring)}
+
+        def damage(payload):
+            assert sorted(payload["plan"]["routes"]) == sorted(cyclic)
+            return {**payload, "plan": {**payload["plan"],
+                                        "routes": cyclic}}
+
+        self._replan(tmp_path, damage, flow_set=flow_set)
+        # the same document is a hit as soon as the cycle is gone
+        acyclic = dict(cyclic, f4=[[4, 5, -1], [5, 1, -1]])
+        topology = parse_topology("mesh4x4")
+        cache = ResultCache(tmp_path)
+        path, payload = _stored_plan(tmp_path)
+        path.write_text(json.dumps(
+            {**payload, "plan": {**payload["plan"], "routes": acyclic}}))
+        plan = plan_routes("dor", topology, flow_set, QUICK, cache=cache)
+        assert plan.cached
+        assert route_set_fingerprint(plan.route_set)["routes"] == acyclic
+
+    def test_phase_boundaries_are_part_of_the_verification(self, tmp_path):
+        """ROMM is deadlock free only under its two-network split: an entry
+        that lost its boundaries must not be accepted on the routes alone
+        when they cycle in a single network."""
+        topology, flow_set = _mesh4_transpose()
+        for seed in range(20):
+            config = dataclasses.replace(QUICK, seed=seed)
+            plan = plan_routes("valiant", topology, flow_set, config)
+            if not repro.faults.analyze_virtual_networks(
+                    plan.route_set, {}).deadlock_free:
+                break
+        else:
+            pytest.skip("no seed made Valiant cyclic in one network")
+
+        def damage(payload):
+            return {**payload, "plan": {**payload["plan"],
+                                        "phase_boundaries": {}}}
+
+        cache = ResultCache(tmp_path)
+        plan_routes("valiant", topology, flow_set, config, cache=cache)
+        path, payload = _stored_plan(tmp_path)
+        path.write_text(json.dumps(damage(payload)))
+        assert not plan_routes("valiant", topology, flow_set, config,
+                               cache=cache).cached
+
+
+class TestPlanTiers:
+    def test_shared_tier_read_through_with_local_write_back(self, tmp_path):
+        topology, flow_set = _mesh4_transpose()
+        host_a = ResultCache(tmp_path / "a", shared_dir=tmp_path / "shared")
+        solved = plan_routes("bsor-dijkstra", topology, flow_set, QUICK,
+                             "link:5-6", cache=host_a)
+        host_b = ResultCache(tmp_path / "b", shared_dir=tmp_path / "shared")
+        assert not list((tmp_path / "b").rglob("*.json"))
+        cached = plan_routes("bsor-dijkstra", topology, flow_set, QUICK,
+                             "link:5-6", cache=host_b)
+        assert cached.cached
+        assert _simulation_inputs(cached) == _simulation_inputs(solved)
+        [written_back] = (tmp_path / "b" / "plans").glob("*.json")
+        assert written_back.read_bytes() == \
+            (tmp_path / "shared" / "plans" / written_back.name).read_bytes()
+        # the next read never leaves the host
+        alone = ResultCache(tmp_path / "b")
+        assert plan_routes("bsor-dijkstra", topology, flow_set, QUICK,
+                           "link:5-6", cache=alone).cached
+
+    def test_a_cold_pass_leaves_only_results_at_the_top_level(self,
+                                                              tmp_path):
+        study = Study.from_dict(WARM_STUDY)
+        study.run(profile="quick", cache_dir=str(tmp_path))
+        top_level = [path for path in tmp_path.glob("*.json")
+                     if not path.name.startswith(".")]
+        assert top_level and all(
+            "statistics" in json.loads(path.read_text())
+            for path in top_level)
+        cache = ResultCache(tmp_path)
+        assert len(cache) == len(top_level) == cache.stats()["entries"]
+        assert cache.stats()["plan_entries"] == \
+            len(list((tmp_path / "plans").glob("*.json"))) == 12
+
+
+WARM_STUDY = {
+    "name": "warm",
+    "scenarios": [
+        {"name": "sweep", "topologies": ["mesh4x4"],
+         "patterns": ["transpose"],
+         "routers": ["dor", "romm", "bsor-dijkstra", "bsor-milp"],
+         "faults": ["none", "link:5-6", "link:5-6@200"], "vcs": [2],
+         "rates": [0.5]},
+    ],
+}
+
+
+class TestWarmMeansZeroSolves:
+    def test_warm_run_study_is_byte_identical_and_plans_nothing(
+            self, tmp_path, monkeypatch):
+        cold_events, warm_events = CollectingObserver(), CollectingObserver()
+        cold = Study.from_dict(WARM_STUDY).run(
+            profile="quick", cache_dir=str(tmp_path), observer=cold_events)
+        assert cold.report.points_simulated == 12
+        assert [event.kind for event in cold_events.events
+                if event.kind.startswith("plan_")] == ["plan_solved"] * 12
+        assert all(event.stored for event in cold_events.events
+                   if event.kind == "plan_solved")
+
+        _forbid_solving(monkeypatch)
+        warm = Study.from_dict(WARM_STUDY).run(
+            profile="quick", cache_dir=str(tmp_path), observer=warm_events)
+        assert warm.to_json() == cold.to_json()
+        assert warm.render_markdown() == cold.render_markdown()
+        assert warm.report.points_simulated == 0
+        kinds = [event.kind for event in warm_events.events]
+        assert kinds.count("plan_cached") == 12
+        assert "plan_solved" not in kinds and "point_finished" not in kinds
+        first = warm_events.events[0]
+        assert (first.router, first.topology, first.pattern, first.faults) \
+            == ("dor", "mesh4x4", "transpose", "none")
+
+    def test_warm_compare_matrix_is_byte_identical_and_plans_nothing(
+            self, tmp_path, monkeypatch):
+        def run(observer):
+            config = dataclasses.replace(QUICK, use_cache=True,
+                                         cache_dir=str(tmp_path))
+            matrix = CompareMatrix(
+                config=config, observer=observer,
+                criteria=SaturationCriteria.bounded(0.5, 2.5, 1.0))
+            result = matrix.run(["mesh4x4"], ["transpose"],
+                                ["dor", "bsor-dijkstra", "bsor-milp"],
+                                fault_sets=["none", "link:5-6,link:9-10@200"])
+            return json.dumps(result.result_set().rows, sort_keys=True), \
+                result.report
+
+        cold_events, warm_events = CollectingObserver(), CollectingObserver()
+        cold, cold_report = run(cold_events)
+        assert cold_report.points_simulated > 0
+        assert cold_events.kinds()[:6] == ["plan_solved"] * 6
+        _forbid_solving(monkeypatch)
+        warm, warm_report = run(warm_events)
+        assert warm == cold
+        assert warm_report.points_simulated == 0
+        assert warm_events.kinds()[:6] == ["plan_cached"] * 6
+        assert "plan_solved" not in warm_events.kinds()
+
+    def test_without_a_cache_every_run_solves_every_cell(self, monkeypatch):
+        calls = []
+        for cls in _routing_classes():
+            original = cls.__dict__["compute_routes"]
+
+            def counted(self, topology, flow_set, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self, topology, flow_set)
+
+            monkeypatch.setattr(cls, "compute_routes", counted)
+        study = {"name": "uncached", "scenarios": [
+            {"name": "sweep", "topologies": ["mesh4x4"],
+             "patterns": ["transpose"],
+             "routers": ["dor", "bsor-dijkstra"], "rates": [0.5]}]}
+        for _ in range(2):
+            del calls[:]
+            observer = CollectingObserver()
+            result = Study.from_dict(study).run(profile="quick", cache=False,
+                                                observer=observer)
+            assert result.report.points_simulated == 2
+            assert len(calls) == 2  # one compute_routes per cell, as ever
+            assert [(event.kind, event.stored) for event in observer.events
+                    if event.kind.startswith("plan_")] == \
+                [("plan_solved", False)] * 2
 
 
 def _routing_classes():

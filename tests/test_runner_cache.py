@@ -8,6 +8,7 @@ and invalidation when any field of the simulation inputs changes.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -287,6 +288,136 @@ class TestLayeredCache:
         assert host_b.last_report.cache_hits == 2
         assert host_b.cache.shared_hits == 2
         assert second.curve.throughputs == first.curve.throughputs
+
+
+def _decode(document):
+    """A planner stand-in: accept a mapping with a ``routes`` field."""
+    return document["routes"] or None
+
+
+class TestPlanEntries:
+    """Route plans are a second kind of entry in the same tiers: under
+    ``plans/``, through the same publish and tier walk, never counted
+    among the results."""
+
+    def test_round_trip_lives_under_plans(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.get_plan("a" * 64, _decode) is None
+        cache.put_plan("a" * 64, {"routes": {"f1": [[0, 1, -1]]}})
+        assert cache.get_plan("a" * 64, _decode) == {"f1": [[0, 1, -1]]}
+        assert (cache.plan_hits, cache.plan_misses) == (1, 1)
+        assert [path.relative_to(tmp_path).as_posix()
+                for path in tmp_path.rglob("*.json")] == \
+            ["plans/" + "a" * 64 + ".json"]
+
+    def test_results_never_count_plans(self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        cache.put_plan("a" * 64, {"routes": {"f1": []}})
+        assert list(cache.keys()) == [] and len(cache) == 0
+        assert "a" * 64 not in cache
+        assert cache.get("a" * 64) is None
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"]) == (0, 0)
+        assert (stats["shared_entries"], stats["shared_bytes"]) == (0, 0)
+        assert stats["plan_entries"] == stats["shared_plan_entries"] == 1
+        assert stats["plan_bytes"] == stats["shared_plan_bytes"] > 0
+        # and a result under the same key is its own entry
+        cache.put("a" * 64, _stats())
+        assert list(cache.keys()) == ["a" * 64]
+        assert cache.stats()["plan_entries"] == 1
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_clear_removes_local_plans_and_counts_results_only(self,
+                                                               tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        cache.put("a" * 64, _stats())
+        cache.put_plan("b" * 64, {"routes": {"f1": []}})
+        assert cache.clear() == 1
+        assert cache.stats()["plan_entries"] == 0
+        assert cache.stats()["shared_plan_entries"] == 1
+
+    def test_shared_hit_reads_through_and_writes_back(self, tmp_path):
+        ResultCache(tmp_path / "shared").put_plan("c" * 64,
+                                                  {"routes": {"f1": [1]}})
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        assert cache.get_plan("c" * 64, _decode) == {"f1": [1]}
+        local = tmp_path / "local" / "plans" / ("c" * 64 + ".json")
+        shared = tmp_path / "shared" / "plans" / ("c" * 64 + ".json")
+        assert local.read_bytes() == shared.read_bytes()
+        # plan reads never move the result counters
+        assert (cache.hits, cache.shared_hits, cache.plan_hits) == (0, 0, 1)
+
+    def test_rejected_local_entry_reads_through_to_the_shared_tier(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        cache.put_plan("d" * 64, {"routes": {"f1": [2]}})
+        local = tmp_path / "local" / "plans" / ("d" * 64 + ".json")
+        local.write_text(json.dumps({"key": "d" * 64,
+                                     "plan": {"routes": {}}}))
+        assert cache.get_plan("d" * 64, _decode) == {"f1": [2]}
+        # ... and the write-back repaired the local copy
+        assert ResultCache(tmp_path / "local").get_plan(
+            "d" * 64, _decode) == {"f1": [2]}
+
+    @pytest.mark.parametrize("content", [
+        "", "{", '{"key": "x", "pl', "not json at all", "[1, 2, 3]", "null",
+        '"text"', '{"key": "x"}', '{"plan": 7}', '{"plan": {"routes": {}}}',
+        '{"statistics": {}}',
+    ], ids=["zero-byte", "open-brace", "truncated", "non-json", "a-list",
+            "null", "a-string", "no-plan-field", "plan-not-a-mapping",
+            "rejected-by-the-decoder", "a-statistics-entry"])
+    def test_hostile_entry_is_a_miss_and_is_overwritten(self, tmp_path,
+                                                        content):
+        cache = ResultCache(tmp_path)
+        path = tmp_path / "plans" / ("e" * 64 + ".json")
+        path.parent.mkdir()
+        path.write_text(content)
+        (path.parent / ".tmp-123-leftover.part").write_text('{"plan": {')
+        assert cache.get_plan("e" * 64, _decode) is None
+        assert cache.plan_misses == 1
+        cache.put_plan("e" * 64, {"routes": {"f1": [3]}})
+        assert cache.get_plan("e" * 64, _decode) == {"f1": [3]}
+        assert cache.stats()["plan_entries"] == 1  # the leftover is no entry
+
+    def test_decoder_errors_outside_the_contract_propagate(self, tmp_path):
+        """Only a stale-layout error is a miss; a bug in a decoder is not
+        silently turned into "solve again forever"."""
+        cache = ResultCache(tmp_path)
+        cache.put_plan("f" * 64, {"routes": {"f1": [4]}})
+        with pytest.raises(ZeroDivisionError):
+            cache.get_plan("f" * 64, lambda document: 1 / 0)
+
+    def test_last_run_snapshot_and_stats_report_carry_the_plan_counters(
+            self, tmp_path, mesh4, xy_routes, sim_config):
+        from repro.cli.runner_commands import _render_cache_stats
+
+        shared = tmp_path / "shared"
+        cache = ResultCache(tmp_path / "local", shared_dir=shared)
+        cache.put_plan("a" * 64, {"routes": {"f1": [5]}})
+        cache.get_plan("a" * 64, _decode)
+        cache.get_plan("b" * 64, _decode)
+        ExperimentRunner(workers=1, cache=cache).sweep(
+            mesh4, xy_routes, sim_config, [0.3])
+        last = ResultCache(tmp_path / "local").last_run()
+        assert (last["plan_hits"], last["plan_misses"]) == (1, 1)
+        local_line, shared_line, last_line = _render_cache_stats(
+            ResultCache(tmp_path / "local", shared_dir=shared)).splitlines()
+        assert local_line.startswith("local ") and \
+            "1 entries" in local_line and "1 route plan(s)" in local_line
+        assert "1 entries" in shared_line and \
+            "1 route plan(s)" in shared_line
+        assert "1 plan(s) cached, 1 solved" in last_line
+
+    def test_cache_clear_command_reports_both_kinds(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path)
+        cache.put("a" * 64, _stats())
+        cache.put_plan("b" * 64, {"routes": {"f1": [6]}})
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"removed 1 cached result(s) and 1 route plan(s) from {tmp_path}")
+        assert not list(tmp_path.rglob("*.json"))
 
 
 class TestCacheObservability:

@@ -184,7 +184,10 @@ class TestServedStudy:
         served.client.wait(job_id, timeout=300)
         events = list(served.client.events(job_id))
         kinds = [event.kind for event in events]
-        assert kinds[0] == "sweep_started"
+        # one plan event per planned cell, then the sweep
+        assert kinds[0] in ("plan_cached", "plan_solved")
+        assert [kind for kind in kinds
+                if not kind.startswith("plan_")][0] == "sweep_started"
         assert kinds[-1] == "sweep_finished"
         assert all(isinstance(event, ProgressEvent) for event in events)
         # the typed rebuild preserves the buffered stream one-for-one

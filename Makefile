@@ -8,14 +8,16 @@
 #                     suite
 #   make coverage   - full suite under coverage with the CI coverage floor
 #                     (needs pytest-cov: pip install pytest-cov)
-#   make smoke      - every figure benchmark (Figures 6-1 .. 6-10) at the
-#                     quick profile through the parallel runner (~10 s)
+#   make smoke      - every figure and table benchmark (Figures 6-1 .. 6-10,
+#                     Tables 6.1 .. 6.3) at the quick profile through the
+#                     parallel runner (~12 s)
 #   make smoke-cli  - exercise the unified CLI end to end: help, a registry
 #                     listing, schema validation of every bundled study
-#                     spec, the smoke study on a tiny mesh, and one small
-#                     BSOR study run twice into a temp cache: the second
-#                     run must solve no plan, simulate no point and print
-#                     byte-identical stdout (scripts/warm_smoke.py)
+#                     spec, the smoke study on a tiny mesh, and three
+#                     commands (a small BSOR study, a faulted `compare`,
+#                     `table 6-1`) each run twice into a temp cache: the
+#                     second run must solve no plan, simulate no point and
+#                     print byte-identical stdout (scripts/warm_smoke.py)
 #   make bench-smoke - time all three simulator backends on a small fixed
 #                     sweep (the batch kernel as one vectorized call),
 #                     write BENCH_simkernel.json (appending the record to
@@ -25,7 +27,10 @@
 #                     recorded value fails the job (scripts/bench_trend.py)
 #   make report-smoke - run the smoke study to JSON and render it as the
 #                     single-file HTML report (pivots + channel-occupancy
-#                     heatmap) to prove the report path end to end
+#                     heatmap), then do the same with a faulted
+#                     `compare --format json` document (saturation summary
+#                     + degradation table), to prove the report path end
+#                     to end
 #   make serve-smoke - start a real `python -m repro serve` subprocess on
 #                     an ephemeral port, submit the smoke study cold,
 #                     resubmit it warm (must complete entirely from the
@@ -64,7 +69,7 @@ coverage:
 
 smoke:
 	REPRO_BENCH_PROFILE=quick $(PYTHON) -m pytest benchmarks/bench_figure_6_*.py \
-		--benchmark-only -x -q -p no:cacheprovider
+		benchmarks/bench_table_6_*.py --benchmark-only -x -q -p no:cacheprovider
 
 smoke-cli:
 	$(PYTHON) -m repro --help > /dev/null
@@ -88,6 +93,13 @@ report-smoke:
 		--cycles 128 --buckets 16 \
 		--output /tmp/repro-report-smoke.html
 	@grep -q "channel occupancy" /tmp/repro-report-smoke.html
+	$(PYTHON) -m repro compare --profile quick --topology mesh4x4 \
+		--patterns transpose --routers dor,bsor-dijkstra \
+		--faults "none;link:5-6" --no-cache --progress quiet \
+		--format json --output /tmp/repro-report-smoke-compare.json
+	$(PYTHON) -m repro report /tmp/repro-report-smoke-compare.json \
+		--no-heatmap --output /tmp/repro-report-smoke-compare.html
+	@grep -q "Degradation under faults" /tmp/repro-report-smoke-compare.html
 	@echo "report-smoke: ok"
 
 serve-smoke:

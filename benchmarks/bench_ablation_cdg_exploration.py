@@ -10,8 +10,10 @@ solution — a single arbitrarily chosen turn model stays stuck at 175 MB/s.
 
 from bench_utils import bench_config, emit
 
-from repro.experiments import build_mesh, render_table, workload_flow_set
-from repro.routing.bsor import BSORRouting, full_strategy_set, paper_strategies
+from repro.experiments import build_mesh, workload_flow_set
+from repro.planning import plan_routes
+from repro.routing.bsor import full_strategy_set, paper_strategies
+from repro.study import ResultSet
 
 
 def cdg_exploration_ablation(config):
@@ -26,12 +28,12 @@ def cdg_exploration_ablation(config):
     }
     rows = []
     for label, strategies in subsets.items():
-        router = BSORRouting(selector="dijkstra", strategies=strategies,
-                             hop_slack=config.hop_slack)
-        routes = router.compute_routes(mesh, flows)
-        rows.append([label, len(strategies), routes.max_channel_load(),
-                     routes.average_hop_count()])
-    return rows
+        routes = plan_routes("bsor-dijkstra", mesh, flows, config,
+                             strategies=strategies).route_set
+        rows.append({"exploration": label, "CDGs": len(strategies),
+                     "best MCL": routes.max_channel_load(),
+                     "avg hops": routes.average_hop_count()})
+    return ResultSet(rows)
 
 
 def test_ablation_cdg_exploration(benchmark):
@@ -39,8 +41,8 @@ def test_ablation_cdg_exploration(benchmark):
     rows = benchmark.pedantic(cdg_exploration_ablation, args=(config,),
                               rounds=1, iterations=1)
     emit("Ablation: CDG exploration breadth (transpose, BSOR-Dijkstra)",
-         render_table(["exploration", "CDGs", "best MCL", "avg hops"], rows))
-    mcls = [row[2] for row in rows]
+         rows.to_text())
+    mcls = rows.column("best MCL")
     # Exploring more CDGs never hurts, and the full exploration is at least
     # as good as any single CDG.
     assert mcls == sorted(mcls, reverse=True) or min(mcls) == mcls[-1]

@@ -14,10 +14,11 @@ single-pass heuristic.
 from bench_utils import bench_config, emit
 
 from repro.cdg import TurnModel, turn_model_cdg
-from repro.experiments import build_mesh, render_table, workload_flow_set
+from repro.experiments import build_mesh, workload_flow_set
 from repro.flowgraph import FlowGraph
 from repro.routing import DijkstraSelector, MILPSelector, ResidualCapacityWeight
 from repro.routing.bsor import ad_hoc_strategy
+from repro.study import ResultSet
 
 
 def hop_slack_ablation(config):
@@ -33,9 +34,10 @@ def hop_slack_ablation(config):
             selector = MILPSelector(flow_graph, hop_slack=slack,
                                     time_limit=config.milp_time_limit)
             routes = selector.select_routes(flows)
-            rows.append([workload, slack, routes.max_channel_load(),
-                         routes.average_hop_count()])
-    return rows
+            rows.append({"workload": workload, "hop slack": slack,
+                         "MCL": routes.max_channel_load(),
+                         "avg hops": routes.average_hop_count()})
+    return ResultSet(rows)
 
 
 def refinement_ablation(config):
@@ -51,9 +53,10 @@ def refinement_ablation(config):
             order="demand-descending", refine_passes=passes,
         )
         routes = selector.select_routes(flows)
-        rows.append([passes, routes.max_channel_load(),
-                     routes.average_hop_count()])
-    return rows
+        rows.append({"refine passes": passes,
+                     "MCL": routes.max_channel_load(),
+                     "avg hops": routes.average_hop_count()})
+    return ResultSet(rows)
 
 
 def test_ablation_hop_slack(benchmark):
@@ -61,11 +64,10 @@ def test_ablation_hop_slack(benchmark):
     rows = benchmark.pedantic(hop_slack_ablation, args=(config,),
                               rounds=1, iterations=1)
     emit("Ablation: MILP hop slack (minimal vs non-minimal routing)",
-         render_table(["workload", "hop slack", "MCL", "avg hops"], rows))
-    by_workload = {}
-    for workload, slack, mcl, hops in rows:
-        by_workload.setdefault(workload, {})[slack] = (mcl, hops)
-    for workload, results in by_workload.items():
+         rows.to_text())
+    for _, group in rows.group("workload"):
+        results = {row["hop slack"]: (row["MCL"], row["avg hops"])
+                   for row in group}
         # Larger slack can only lower (or keep) the optimal MCL ...
         assert results[4][0] <= results[2][0] + 1e-9 <= results[0][0] + 2e-9
         # ... at the cost of equal-or-longer average paths.
@@ -77,8 +79,8 @@ def test_ablation_dijkstra_refinement(benchmark):
     rows = benchmark.pedantic(refinement_ablation, args=(config,),
                               rounds=1, iterations=1)
     emit("Ablation: Dijkstra rip-up-and-reroute refinement passes (transpose)",
-         render_table(["refine passes", "MCL", "avg hops"], rows))
-    mcls = [row[1] for row in rows]
+         rows.to_text())
+    mcls = rows.column("MCL")
     # Refinement never makes the MCL worse.
     assert mcls[1] <= mcls[0] + 1e-9
     assert mcls[2] <= mcls[0] + 1e-9

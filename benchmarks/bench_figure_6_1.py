@@ -5,9 +5,9 @@ routes that achieve a network throughput of approximately 70% greater than
 other routing algorithms, at a comparable average packet latency."
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, emit, improvement_summary, is_full_scale
 
-from repro.experiments import improvement_summary, render_figure, run_figure
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_1_transpose(benchmark):

@@ -5,9 +5,9 @@ ROMM, 175 for Valiant) and the highest saturation throughput; BSOR-Dijkstra
 edges out BSOR-MILP at high injection rates despite the equal MCL.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, emit, improvement_summary, is_full_scale
 
-from repro.experiments import improvement_summary, render_figure, run_figure
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_3_shuffle(benchmark):

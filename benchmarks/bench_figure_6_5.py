@@ -6,9 +6,9 @@ average packet latency."  The corresponding MCLs (Table 6.3) are 62.73 for
 BSOR-MILP versus 95.04-146.38 for the baselines.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, emit, improvement_summary, is_full_scale
 
-from repro.experiments import improvement_summary, render_figure, run_figure
+from repro.experiments import render_figure, run_figure
 
 
 def test_figure_6_5_performance_modeling(benchmark):

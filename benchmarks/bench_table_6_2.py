@@ -17,17 +17,16 @@ baselines for the workloads where load balancing matters.
 
 from bench_utils import bench_config, emit
 
-from repro.experiments import table_6_1, table_6_2
+from repro.experiments import render_table, run_table
 
 
 def test_table_6_2(benchmark):
     config = bench_config()
-    result = benchmark.pedantic(table_6_2, args=(config,), rounds=1, iterations=1)
-    emit("Table 6.2 (BSOR-Dijkstra, measured)", result.render())
-    emit("Table 6.2 measured vs paper", result.render_against_paper())
-    for workload, row in result.values.items():
-        finite = [value for value in row.values() if value is not None]
-        assert finite, f"no CDG produced routes for {workload}"
+    rows = benchmark.pedantic(run_table, args=("6-2", config), rounds=1, iterations=1)
+    emit("Table 6.2 measured vs paper", render_table("6-2", rows))
+    routed = rows.filter(lambda row: row["max_channel_load"] is not None)
+    assert routed.distinct("pattern") == rows.distinct("pattern"), \
+        "no CDG produced routes for some workload"
 
 
 def test_milp_dominates_dijkstra_per_cdg(benchmark):
@@ -37,9 +36,9 @@ def test_milp_dominates_dijkstra_per_cdg(benchmark):
     config = bench_config()
 
     def run():
-        milp = table_6_1(config, workloads=("transpose",)).row("transpose")
-        dijkstra = table_6_2(config, workloads=("transpose",)).row("transpose")
-        return milp, dijkstra
+        return [run_table(number, config, workloads=("transpose",))
+                .reduce("max_channel_load", min, "cdg")
+                for number in ("6-1", "6-2")]
 
     milp, dijkstra = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("Transpose per-CDG MCL (MILP vs Dijkstra)",

@@ -17,15 +17,15 @@ locality on the application workloads.
 
 from bench_utils import bench_config, emit
 
-from repro.experiments import table_6_3
+from repro.experiments import render_table, run_table
 
 
 def test_table_6_3(benchmark):
     config = bench_config()
-    result = benchmark.pedantic(table_6_3, args=(config,), rounds=1, iterations=1)
-    emit("Table 6.3 (measured)", result.render())
-    emit("Table 6.3 measured vs paper", result.render_against_paper())
-    for workload, row in result.values.items():
+    rows = benchmark.pedantic(run_table, args=("6-3", config), rounds=1, iterations=1)
+    emit("Table 6.3 measured vs paper", render_table("6-3", rows))
+    for (workload,), group in rows.group("pattern"):
+        row = group.reduce("max_channel_load", min, "display_name")
         baselines = [row[name] for name in ("XY", "YX", "ROMM", "Valiant")]
         assert row["BSOR-MILP"] <= min(baselines) + 1e-9, \
             f"BSOR-MILP lost to a baseline on {workload}"

@@ -24,6 +24,7 @@ forces fresh simulation; ``REPRO_CACHE_DIR`` relocates the store.
 from __future__ import annotations
 
 import os
+from typing import Dict
 
 from repro.experiments import ExperimentConfig
 
@@ -79,6 +80,29 @@ def bench_config() -> ExperimentConfig:
     if backend:
         config = config.with_backend(backend)
     return config
+
+
+def improvement_summary(values: Dict[str, float], subject: str,
+                        higher_is_better: bool = True) -> str:
+    """One-line summary: how the subject compares to the best of the rest."""
+    if subject not in values:
+        return f"{subject}: no data"
+    others = {name: value for name, value in values.items() if name != subject}
+    if not others:
+        return f"{subject}: {values[subject]:.3f} (no baselines)"
+    subject_value = values[subject]
+    if higher_is_better:
+        best_other = max(others.values())
+        gain = (subject_value - best_other) / best_other if best_other else 0.0
+        direction = "higher" if gain >= 0 else "lower"
+    else:
+        best_other = min(others.values())
+        gain = (best_other - subject_value) / best_other if best_other else 0.0
+        direction = "lower" if gain >= 0 else "higher"
+    return (
+        f"{subject} = {subject_value:.3f}, best baseline = {best_other:.3f} "
+        f"({abs(gain) * 100:.0f}% {direction})"
+    )
 
 
 def emit(title: str, text: str) -> None:

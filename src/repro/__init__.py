@@ -25,17 +25,18 @@ pipeline of layers, each importable on its own:
   (:class:`ExperimentRunner`, :class:`ResultCache`);
 * :mod:`repro.compare` — the unified routing comparison: adaptive
   saturation-throughput search over a (topology x pattern x router)
-  matrix, driven by the routing registry and the runner
-  (``python -m repro compare``);
-* :mod:`repro.experiments` / :mod:`repro.metrics` — the harness that
-  regenerates every table and figure of the evaluation chapter, and the
-  statistics containers it reports;
+  matrix, driven by the routing registry and the runner (the engine of
+  ``saturate`` scenarios and ``python -m repro compare``);
+* :mod:`repro.experiments` / :mod:`repro.metrics` — the figure and table
+  of tables that regenerate the evaluation chapter (figures are sweep
+  scenarios, tables are route plans), and the statistics containers;
 * :mod:`repro.study` — the declarative front door: serializable
   :class:`Study` specs (YAML/JSON or fluent Python) executed through one
-  path into a tagged, queryable :class:`ResultSet`;
+  path into a tagged, queryable :class:`ResultSet` — the one result
+  container and the one set of table writers;
 * :mod:`repro.cli` — the unified command line, ``python -m repro``
   (``run`` / ``compare`` / ``figure`` / ``table`` / ``sweep`` /
-  ``saturate`` / ``cache`` / ``profile`` / ``list`` / ``validate``).
+  ``cache`` / ``profile`` / ``list`` / ``validate``).
 
 Quick start::
 
@@ -103,10 +104,8 @@ from .faults import (
 )
 from .compare import (
     CompareMatrix,
-    CompareResult,
     SaturationCriteria,
     SaturationSearch,
-    compare_routers,
     find_saturation,
 )
 from .flowgraph import ChannelCapacities, FlowGraph
@@ -192,7 +191,6 @@ __all__ = [
     "BSORRouting",
     "BurstyInjection",
     "CompareMatrix",
-    "CompareResult",
     "CDGError",
     "Channel",
     "ChannelCapacities",
@@ -265,7 +263,6 @@ __all__ = [
     "bsor_milp",
     "capture_simulation",
     "check_deadlock_freedom",
-    "compare_routers",
     "create_router",
     "create_simulator",
     "create_workload",

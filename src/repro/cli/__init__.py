@@ -17,10 +17,11 @@ Every way of running the reproduction goes through this CLI::
     python -m repro list routers
     python -m repro validate examples/studies/*.yaml
 
-``run`` executes a declarative :class:`~repro.study.spec.Study` file;
-``figure`` / ``table`` / ``sweep`` / ``cache`` / ``profile`` are the
-paper-reproduction commands, and ``compare`` is the matrix engine
-(:mod:`repro.compare`).  ``serve`` / ``submit`` / ``worker`` are the
+``run`` executes a declarative :class:`~repro.study.spec.Study` file and
+``compare`` (alias ``saturate``) the one-scenario saturation study its
+options describe (the matrix engine, :mod:`repro.compare`); ``figure`` /
+``table`` / ``sweep`` / ``cache`` / ``profile`` are the paper-reproduction
+commands.  ``serve`` / ``submit`` / ``worker`` are the
 serving plane (:mod:`repro.serve`): a study-serving HTTP front door, its
 client, and the work-queue drainer behind ``--execution queue``.  ``list``
 enumerates every registered vocabulary (routers, workloads, backends,
@@ -53,11 +54,11 @@ from .common import (
     experiment_config,
     quiet_broken_pipe,
 )
-from .compare_command import add_compare_options, run_compare
 from .listing import LIST_KINDS, render_listing
 from .report_command import add_report_options, run_report_command
 from .runner_commands import (
     add_runner_subcommands,
+    describe_plans,
     run_cache,
     run_figure,
     run_profile,
@@ -72,7 +73,7 @@ from .serve_commands import (
 )
 from .study_commands import (
     add_study_subcommands,
-    run_saturate_command,
+    run_compare_command,
     run_study_command,
     run_validate_command,
 )
@@ -92,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_subcommands(commands, common)
     add_runner_subcommands(commands, common)
     add_serve_subcommands(commands, common)
-
-    compare = commands.add_parser(
-        "compare", parents=[common],
-        help="compare routers across a (topology x pattern x router) matrix")
-    add_compare_options(compare)
 
     report = commands.add_parser(
         "report",
@@ -148,12 +144,10 @@ def _dispatch_execution(args: argparse.Namespace, observer) -> int:
     if listing is not None:
         print(listing)
         return EXIT_OK
-    if args.command == "compare":
-        return run_compare(args)
     if args.command == "run":
         return run_study_command(args)
-    if args.command == "saturate":
-        return run_saturate_command(args)
+    if args.command in ("compare", "saturate"):
+        return run_compare_command(args)
     if args.command == "serve":
         return run_serve_command(args)
     if args.command == "worker":
@@ -189,10 +183,11 @@ def _dispatch_execution(args: argparse.Namespace, observer) -> int:
         output = run_sweep(args, config, runner)
     elapsed = time.time() - started
     print(output)
-    from ..experiments.report import runner_summary
-
     observer.close()
-    print(f"[{runner_summary(runner)}; {elapsed:.1f}s]", file=sys.stderr)
+    # a table is route plans only: it simulates no point
+    summary = describe_plans(runner.cache) if args.command == "table" \
+        else runner.total_report.describe()
+    print(f"[{summary}; {elapsed:.1f}s]", file=sys.stderr)
     return EXIT_OK
 
 

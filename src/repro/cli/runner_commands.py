@@ -101,10 +101,18 @@ def run_figure(args: argparse.Namespace, config,
 
 def run_table(args: argparse.Namespace, config,
               runner: ExperimentRunner) -> str:
-    from ..experiments import table_6_1, table_6_2, table_6_3
+    from ..experiments.tables import render_table, run_table as plan_table
 
-    harness = {"6-1": table_6_1, "6-2": table_6_2, "6-3": table_6_3}[args.number]
-    return harness(config, runner=runner).render_against_paper()
+    return render_table(args.number, plan_table(
+        args.number, config, cache=runner.cache, observer=runner.observer))
+
+
+def describe_plans(cache) -> str:
+    """What a planning-only command did, for its stderr summary."""
+    if cache is None:
+        return "every plan solved, cache disabled"
+    return (f"{cache.plan_hits} plan(s) cached, {cache.plan_misses} solved, "
+            f"cache at {cache.directory}")
 
 
 def run_sweep(args: argparse.Namespace, config,
@@ -220,6 +228,7 @@ def run_cache(args: argparse.Namespace) -> str:
 
 __all__ = [
     "add_runner_subcommands",
+    "describe_plans",
     "run_cache",
     "run_figure",
     "run_profile",

@@ -16,8 +16,12 @@ topologies and traffic patterns.  For every cell of the cross-product it
    search stays adaptive *and* parallel — and every simulated point lands
    in the result cache, making warm re-runs near-free.
 
-The output is a list of :class:`CompareCell` rows that
-:mod:`repro.compare.report` renders as markdown or JSON.
+The output is one row per cell — the cell's tags, its saturation point,
+latency columns, offline route metrics and the search's observations — as a
+:class:`~repro.study.resultset.ResultSet`, the shape every other result in
+the package has.  :func:`repro.study.execute.run_scenario` tags and projects
+those rows for ``saturate`` scenarios, which is how ``python -m repro
+compare`` and study files reach this engine.
 """
 
 from __future__ import annotations
@@ -27,127 +31,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ExperimentError
 from ..experiments.config import ExperimentConfig
-from ..faults import FaultSet, RoutePlan
+from ..faults import RoutePlan
 from ..metrics.statistics import SimulationStatistics
 from ..planning import (  # parse_topology / pattern_flow_set: re-exported
-    canonical_pattern,
     parse_topology,
     pattern_flow_set,
     plan_matrix,
 )
-from ..routing.registry import router_spec
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
-from .saturation import SaturationCriteria, SaturationResult, SaturationSearch
-
-
-@dataclass
-class CompareCell:
-    """One row of the comparison matrix: one router on one workload.
-
-    ``faults`` is the canonical label of the fault set the cell ran under
-    (``"none"`` for the fault-free baseline) — the degradation report
-    compares each faulty cell against its fault-free twin.
-    """
-
-    topology: str
-    pattern: str
-    router: str
-    display_name: str
-    max_channel_load: float
-    average_hops: float
-    saturation: SaturationResult
-    low_load_latency: float
-    p99_latency: float
-    faults: str = "none"
-
-    @property
-    def saturation_rate(self) -> float:
-        return self.saturation.saturation_rate
-
-    @property
-    def saturation_throughput(self) -> float:
-        return self.saturation.throughput
-
-    def to_row(self) -> Dict:
-        """This cell as one flat, JSON-able result row.
-
-        The row shape is shared by :meth:`CompareResult.result_set`, the
-        JSON report and the study engine's saturate scenarios.
-        """
-        return {
-            "topology": self.topology,
-            "pattern": self.pattern,
-            "router": self.router,
-            "display_name": self.display_name,
-            "faults": self.faults,
-            "saturation_rate": self.saturation_rate,
-            "saturated_within_range": self.saturation.saturated_within_range,
-            "last_stable_rate": self.saturation.last_stable_rate,
-            "saturation_throughput": self.saturation_throughput,
-            "max_throughput": self.saturation.max_throughput,
-            "low_load_latency": self.low_load_latency,
-            "p99_latency": self.p99_latency,
-            "max_channel_load": self.max_channel_load,
-            "average_hops": self.average_hops,
-            "invocations": self.saturation.invocations,
-            "observations": [
-                {
-                    "offered_rate": observation.offered_rate,
-                    "throughput": observation.throughput,
-                    "average_latency": observation.average_latency,
-                    "delivery_ratio": observation.delivery_ratio,
-                    "saturated": observation.saturated,
-                }
-                for observation in self.saturation.observations
-            ],
-        }
-
-
-@dataclass
-class CompareResult:
-    """All cells of one :meth:`CompareMatrix.run`, plus run bookkeeping."""
-
-    cells: List[CompareCell]
-    criteria: SaturationCriteria
-    report: RunnerReport
-
-    def cell(self, topology: str, pattern: str, router: str,
-             faults: Optional[str] = None) -> CompareCell:
-        router = router_spec(router).name
-        pattern = canonical_pattern(pattern)
-        topology = topology.strip().lower()
-        label = None if faults is None else FaultSet.from_spec(faults).label()
-        for candidate in self.cells:
-            if (candidate.topology, candidate.pattern, candidate.router) != \
-                    (topology, pattern, router):
-                continue
-            if label is None or candidate.faults == label:
-                return candidate
-        raise ExperimentError(
-            f"no comparison cell ({topology}, {pattern}, {router}"
-            + (f", faults={label}" if label is not None else "") + ")"
-        )
-
-    def groups(self) -> List[Tuple[Tuple[str, str], List[CompareCell]]]:
-        """Cells grouped by (topology, pattern), preserving run order."""
-        grouped: Dict[Tuple[str, str], List[CompareCell]] = {}
-        for cell in self.cells:
-            grouped.setdefault((cell.topology, cell.pattern), []).append(cell)
-        return list(grouped.items())
-
-    def total_invocations(self) -> int:
-        return sum(cell.saturation.invocations for cell in self.cells)
-
-    def result_set(self):
-        """The cells as a tagged :class:`~repro.study.resultset.ResultSet`.
-
-        One row per cell (see :meth:`CompareCell.to_row`); this is the shape
-        :mod:`repro.compare.report` renders and the study engine tags into
-        its combined result set.
-        """
-        from ..study.resultset import ResultSet
-
-        return ResultSet([cell.to_row() for cell in self.cells])
+from ..study.resultset import ResultSet
+from .saturation import SaturationCriteria, SaturationSearch
 
 
 @dataclass
@@ -194,8 +87,20 @@ class CompareMatrix:
     # ------------------------------------------------------------------
     def run(self, topologies: Sequence[str], patterns: Sequence[str],
             routers: Sequence[str],
-            fault_sets: Optional[Sequence] = None) -> CompareResult:
+            fault_sets: Optional[Sequence] = None
+            ) -> Tuple[ResultSet, RunnerReport]:
         """Run the full (topology x pattern x router x fault set) comparison.
+
+        Returns ``(rows, report)``: one :class:`~repro.study.resultset.
+        ResultSet` row per cell, in matrix order — the
+        :func:`~repro.planning.plan_matrix` tags (``topology``, ``pattern``,
+        ``router``, ``display_name``, ``faults``, ``max_channel_load``,
+        ``average_hops``) plus ``saturation_rate``,
+        ``saturated_within_range``, ``last_stable_rate``,
+        ``saturation_throughput``, ``max_throughput``, ``low_load_latency``,
+        ``p99_latency``, ``sim_points`` and the search's ``observations`` —
+        and the :class:`~repro.runner.engine.RunnerReport` merged over every
+        round.
 
         *fault_sets* is an optional fourth axis of fault specifications
         (anything :meth:`~repro.faults.FaultSet.from_spec` accepts); each
@@ -232,11 +137,7 @@ class CompareMatrix:
                 cell.search.observe(rate, stats.throughput,
                                     stats.average_latency,
                                     stats.delivery_ratio)
-        return CompareResult(
-            cells=[self._finish_cell(cell) for cell in cells],
-            criteria=self.criteria,
-            report=report,
-        )
+        return ResultSet([self._row(cell) for cell in cells]), report
 
     # ------------------------------------------------------------------
     def _build_cells(self, topologies: Sequence[str], patterns: Sequence[str],
@@ -253,27 +154,23 @@ class CompareMatrix:
                 cache=self.runner.cache, observer=self.runner.observer)
         ]
 
-    def _finish_cell(self, cell: _Cell) -> CompareCell:
+    def _row(self, cell: _Cell) -> Dict:
         result = cell.search.result()
-        low_rate = self.criteria.min_rate
-        low_stats = cell.statistics.get(low_rate)
+        low_stats = cell.statistics.get(self.criteria.min_rate)
         stable_stats = cell.statistics.get(result.last_stable_rate, low_stats)
-        return CompareCell(
+        return {
             **cell.tags,
-            saturation=result,
-            low_load_latency=(low_stats.average_latency if low_stats else 0.0),
-            p99_latency=(stable_stats.latency_percentile(0.99)
-                         if stable_stats else 0.0),
-        )
-
-
-def compare_routers(topologies: Sequence[str], patterns: Sequence[str],
-                    routers: Sequence[str],
-                    config: Optional[ExperimentConfig] = None,
-                    criteria: Optional[SaturationCriteria] = None,
-                    runner: Optional[ExperimentRunner] = None,
-                    fault_sets: Optional[Sequence] = None,
-                    ) -> CompareResult:
-    """One-call convenience wrapper around :class:`CompareMatrix`."""
-    matrix = CompareMatrix(config=config, criteria=criteria, runner=runner)
-    return matrix.run(topologies, patterns, routers, fault_sets=fault_sets)
+            "saturation_rate": result.saturation_rate,
+            "saturated_within_range": result.saturated_within_range,
+            "last_stable_rate": result.last_stable_rate,
+            "saturation_throughput": result.throughput,
+            "max_throughput": result.max_throughput,
+            "low_load_latency": (low_stats.average_latency
+                                 if low_stats else 0.0),
+            "p99_latency": (stable_stats.latency_percentile(0.99)
+                            if stable_stats else 0.0),
+            "sim_points": result.invocations,
+            # plain scalar dataclasses: vars() is asdict() without its deepcopy
+            "observations": [dict(vars(observation))
+                             for observation in result.observations],
+        }

@@ -1,10 +1,14 @@
 """Experiment harness: regenerate every table and figure of the evaluation.
 
 Figures are sweep scenarios (:data:`FIGURES`, :func:`run_figure`) executed by
-the study engine; tables tabulate route MCLs.  Both accept an optional
-``runner`` argument (an :class:`repro.runner.ExperimentRunner`); without one
-they build a runner from the configuration's ``workers`` / ``use_cache`` /
-``cache_dir`` fields, which default to the serial, uncached seed behaviour.
+the study engine; tables are route plans (:data:`TABLES`, :func:`run_table`)
+walked by :mod:`repro.planning`.  Both return tagged
+:class:`~repro.study.resultset.ResultSet` rows and have a ``render_*``
+function for the text the paper prints.  A figure takes an optional
+``runner`` (an :class:`repro.runner.ExperimentRunner`; without one it builds
+one from the configuration's ``workers`` / ``use_cache`` / ``cache_dir``
+fields, which default to the serial, uncached seed behaviour); a table takes
+the runner's ``cache``.
 """
 
 from .config import SYNTHETIC_FLOW_DEMAND, ExperimentConfig
@@ -15,22 +19,14 @@ from .figures import (
     render_figure,
     run_figure,
 )
-from .report import (
-    format_value,
-    improvement_summary,
-    render_table,
-    runner_summary,
-)
 from .tables import (
-    CDG_COLUMNS,
     PAPER_TABLE_6_1,
     PAPER_TABLE_6_2,
     PAPER_TABLE_6_3,
-    TABLE_6_3_COLUMNS,
-    TableResult,
-    table_6_1,
-    table_6_2,
-    table_6_3,
+    TABLES,
+    Table,
+    render_table,
+    run_table,
 )
 from .workloads import (
     APPLICATION_WORKLOADS,
@@ -44,7 +40,6 @@ from .workloads import (
 
 __all__ = [
     "APPLICATION_WORKLOADS",
-    "CDG_COLUMNS",
     "ExperimentConfig",
     "FIGURES",
     "Figure",
@@ -53,21 +48,16 @@ __all__ = [
     "PAPER_TABLE_6_3",
     "SYNTHETIC_FLOW_DEMAND",
     "SYNTHETIC_WORKLOADS",
-    "TABLE_6_3_COLUMNS",
-    "TableResult",
+    "TABLES",
+    "Table",
     "WORKLOAD_NAMES",
     "extended_workload_names",
     "all_workloads",
     "build_mesh",
-    "format_value",
-    "improvement_summary",
     "render_curves",
     "render_figure",
     "render_table",
     "run_figure",
-    "runner_summary",
-    "table_6_1",
-    "table_6_2",
-    "table_6_3",
+    "run_table",
     "workload_flow_set",
 ]

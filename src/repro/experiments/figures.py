@@ -24,8 +24,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ExperimentError
+from ..runner.engine import runner_for
+from ..study.execute import run_scenario
+from ..study.resultset import ResultSet
+from ..study.spec import Scenario
 from .config import ExperimentConfig
-from .report import render_pivot, render_table
 
 #: The six algorithms plotted in Figures 6-1 .. 6-6 and 6-8 .. 6-10.
 PAPER_ROUTERS: Tuple[str, ...] = (
@@ -127,11 +130,6 @@ def run_figure(number: str, config: Optional[ExperimentConfig] = None,
     Without a *runner* one is built from the configuration's ``workers`` /
     ``use_cache`` / ``cache_dir`` fields.
     """
-    # the study engine imports this package's config module, so it loads late
-    from ..runner.engine import runner_for
-    from ..study.execute import run_scenario
-    from ..study.spec import Scenario
-
     key, figure = _lookup(number)
     if workload and figure.workload:
         raise ExperimentError(
@@ -157,8 +155,9 @@ def render_curves(results) -> str:
     offered rate, one column per router — titled with the scenario name."""
     [title] = results.distinct("scenario")
     return "\n\n".join(
-        render_pivot(results, "offered_rate", "display_name", value,
-                     x_label="offered rate", title=f"{title} - {label}")
+        results.pivot("offered_rate", "display_name", value,
+                      index_label="offered rate")
+        .to_text(title=f"{title} - {label}", precision=3)
         for value, label in (("throughput", "throughput (packets/cycle)"),
                              ("average_latency", "average latency (cycles)"))
     )
@@ -174,12 +173,13 @@ def render_figure(number: str, results) -> str:
     _, figure = _lookup(number)
     if figure.vcs:
         [title] = results.distinct("scenario")
-        counts = results.distinct("vcs")
         saturation = results.reduce("throughput", max, "display_name", "vcs")
-        return render_table(
-            ["algorithm"] + [f"{count} VCs" for count in counts],
-            [[name] + [saturation.get((name, count)) for count in counts]
-             for name in results.distinct("display_name")],
+        return ResultSet([
+            {"algorithm": name,
+             **{f"{count} VCs": saturation.get((name, count))
+                for count in results.distinct("vcs")}}
+            for name in results.distinct("display_name")
+        ]).to_text(
             title=f"{title} - saturation throughput (packets/cycle) by VC "
                   f"count",
             precision=3,

@@ -6,26 +6,31 @@
 * **Table 6.3** — MCL of the baseline oblivious algorithms (XY, YX, ROMM,
   Valiant) against the best MCL found by BSOR-MILP and BSOR-Dijkstra.
 
+A table is route selection only, so it is a set of route plans:
+:data:`TABLES` is the table of tables, and :func:`run_table` walks
+:func:`repro.planning.plan_matrix` (6.3 — the plans Figures 6-1 .. 6-6 also
+simulate) or :func:`repro.planning.plan_per_cdg` (6.1 / 6.2 — one
+single-CDG plan per column) into tagged
+:class:`~repro.study.resultset.ResultSet` rows.  Given the runner's cache a
+second run solves nothing.
+
 The absolute per-column values depend on the axis conventions of the turn
-models and on which ad hoc CDGs are drawn, so the `paper_reference` data is
-used for *shape* comparison (which CDG family wins, what BSOR's advantage
-over the baselines is), not for exact equality — see EXPERIMENTS.md.
+models and on which ad hoc CDGs are drawn, so the paper's numbers are used
+for *shape* comparison (which CDG family wins, what BSOR's advantage over
+the baselines is), not for exact equality — see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..planning import plan_routes
-from ..routing.bsor.framework import BSORRouting, CDGStrategy, paper_strategies
-from ..runner.engine import ExperimentRunner, runner_for
+from ..exceptions import ExperimentError
+from ..planning import plan_matrix, plan_per_cdg
+from ..study.resultset import ResultSet
 from .config import ExperimentConfig
-from .report import render_table
-from .workloads import WORKLOAD_NAMES, build_mesh, workload_flow_set
-
-#: Column labels of Tables 6.1 / 6.2 in the paper.
-CDG_COLUMNS = ("north-last", "west-first", "negative-first", "ad-hoc-1", "ad-hoc-2")
+from .figures import PAPER_ROUTERS
+from .workloads import WORKLOAD_NAMES
 
 #: The paper's Table 6.1 (BSOR-MILP, MB/s).
 PAPER_TABLE_6_1: Dict[str, Dict[str, float]] = {
@@ -79,157 +84,105 @@ PAPER_TABLE_6_3: Dict[str, Dict[str, float]] = {
 }
 
 
-@dataclass
-class TableResult:
-    """A reproduced table: per-workload rows of per-column MCL values."""
+@dataclass(frozen=True)
+class Table:
+    """One MCL table of the evaluation chapter, as the plans it tabulates."""
 
-    name: str
-    columns: List[str]
-    values: Dict[str, Dict[str, Optional[float]]]
-    paper_reference: Optional[Dict[str, Dict[str, float]]] = None
-
-    def row(self, workload: str) -> Dict[str, Optional[float]]:
-        return self.values[workload]
-
-    def minimum(self, workload: str) -> Optional[float]:
-        """Best (lowest) MCL of a workload across the columns."""
-        present = [value for value in self.values[workload].values()
-                   if value is not None]
-        return min(present) if present else None
-
-    def render(self) -> str:
-        headers = ["workload"] + list(self.columns) + ["min"]
-        rows = []
-        for workload, row in self.values.items():
-            rows.append([workload] + [row.get(column) for column in self.columns]
-                        + [self.minimum(workload)])
-        return render_table(headers, rows, title=self.name)
-
-    def render_against_paper(self) -> str:
-        if not self.paper_reference:
-            return self.render()
-        headers = ["workload"] + [f"{column} (ours/paper)"
-                                  for column in self.columns]
-        rows = []
-        for workload, row in self.values.items():
-            reference = self.paper_reference.get(workload, {})
-            cells = [workload]
-            for column in self.columns:
-                ours = row.get(column)
-                theirs = reference.get(column)
-                ours_text = "-" if ours is None else f"{ours:g}"
-                theirs_text = "-" if theirs is None else f"{theirs:g}"
-                cells.append(f"{ours_text}/{theirs_text}")
-            rows.append(cells)
-        return render_table(headers, rows, title=f"{self.name} (ours/paper)")
+    title: str
+    routers: Tuple[str, ...]
+    #: True: one column per paper CDG, the router planned on each alone
+    #: (Tables 6.1 / 6.2); False: one column per router (Table 6.3).
+    per_cdg: bool
+    #: The paper's values, workload -> column -> MCL.
+    paper: Dict[str, Dict[str, float]]
 
 
-# ----------------------------------------------------------------------
-# Tables 6.1 and 6.2: per-CDG MCL exploration
-# ----------------------------------------------------------------------
-def _exploration_row(task) -> Dict[str, Optional[float]]:
-    """One table row: explore every paper CDG for one workload.
+TABLES: Dict[str, Table] = {
+    "6-1": Table("Table 6.1 - BSOR-MILP minimum MCL by acyclic CDG (MB/s)",
+                 ("bsor-milp",), True, PAPER_TABLE_6_1),
+    "6-2": Table("Table 6.2 - BSOR-Dijkstra minimum MCL by acyclic CDG "
+                 "(MB/s)",
+                 ("bsor-dijkstra",), True, PAPER_TABLE_6_2),
+    "6-3": Table("Table 6.3 - Maximum channel load by routing algorithm "
+                 "(MB/s)",
+                 PAPER_ROUTERS, False, PAPER_TABLE_6_3),
+}
 
-    Module-level and driven by a picklable (selector, config, workload)
-    task so the runner can fan workloads out across worker processes —
-    the algorithms themselves hold lambdas and are rebuilt inside the
-    worker rather than shipped.
+
+def _lookup(number: str) -> Tuple[str, Table]:
+    key = number.replace(".", "-")
+    if key not in TABLES:
+        raise ExperimentError(
+            f"unknown table {number!r}; known: {list(TABLES)}"
+        )
+    return key, TABLES[key]
+
+
+def run_table(number: str, config: Optional[ExperimentConfig] = None,
+              workloads: Sequence[str] = WORKLOAD_NAMES, cache=None,
+              observer=None) -> ResultSet:
+    """Plan one table; returns one row per cell as a ``ResultSet``.
+
+    Rows carry ``table``, ``pattern``, ``router``, ``display_name``, ``cdg``
+    (Tables 6.1 / 6.2), ``max_channel_load`` (``None`` where a CDG admits no
+    route set) and ``optimal``: ``False`` when a MILP solve behind the cell
+    stopped before proving its minimum (``milp_time_limit``) or returned
+    nothing, ``True`` when every solve was proven, ``None`` for a router
+    that runs no solver.  *cache* (the runner's
+    :class:`~repro.runner.cache.ResultCache`) and *observer* go to the
+    planning walk.
     """
-    selector, config, workload = task
-    mesh = build_mesh(config)
-    flow_set = workload_flow_set(workload, mesh, config)
-    strategies: List[CDGStrategy] = paper_strategies()
-    # The harness reports the paper's column labels; map the first three
-    # strategies (turn models) and the two ad hoc seeds onto them.
-    label_map = dict(zip([strategy.name for strategy in strategies],
-                         CDG_COLUMNS))
-    router = BSORRouting(
-        selector=selector,
-        strategies=strategies,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
-    router.explore(mesh, flow_set)
-    row: Dict[str, Optional[float]] = {}
-    for entry in router.exploration:
-        row[label_map.get(entry.strategy_name, entry.strategy_name)] = entry.mcl
-    return row
-
-
-def _exploration_table(selector: str, config: ExperimentConfig,
-                       workloads: Sequence[str],
-                       table_name: str,
-                       paper_reference: Dict[str, Dict[str, float]],
-                       runner: Optional[ExperimentRunner] = None,
-                       ) -> TableResult:
-    runner = runner or runner_for(config)
-    names = list(workloads)
-    rows = runner.map(_exploration_row,
-                      [(selector, config, name) for name in names])
-    return TableResult(
-        name=table_name,
-        columns=list(CDG_COLUMNS),
-        values=dict(zip(names, rows)),
-        paper_reference=paper_reference,
-    )
-
-
-def table_6_1(config: Optional[ExperimentConfig] = None,
-              workloads: Sequence[str] = WORKLOAD_NAMES,
-              runner: Optional[ExperimentRunner] = None) -> TableResult:
-    """Table 6.1: minimum MCL per acyclic CDG under BSOR-MILP."""
+    key, table = _lookup(number)
     config = config or ExperimentConfig()
-    return _exploration_table(
-        "milp", config, workloads,
-        "Table 6.1 - BSOR-MILP minimum MCL by acyclic CDG (MB/s)",
-        PAPER_TABLE_6_1,
-        runner=runner,
-    )
+    mesh = [f"mesh{config.mesh_size}x{config.mesh_size}"]
+    if table.per_cdg:
+        cells = plan_per_cdg(mesh, workloads, table.routers, config,
+                             cache=cache, observer=observer)
+    else:
+        cells = plan_matrix(mesh, workloads, table.routers, None, config,
+                            cache=cache, observer=observer)
+    rows = []
+    for _, _, tags, plan in cells:
+        if plan is None:
+            optimal: Optional[bool] = False
+        elif plan.solves:
+            optimal = all(solve.optimal for solve in plan.solves.values())
+        else:
+            optimal = None
+        rows.append({
+            "table": key,
+            **{column: tags[column] for column in
+               ("pattern", "router", "display_name", "cdg")
+               if column in tags},
+            "max_channel_load": tags["max_channel_load"],
+            "optimal": optimal,
+        })
+    return ResultSet(rows)
 
 
-def table_6_2(config: Optional[ExperimentConfig] = None,
-              workloads: Sequence[str] = WORKLOAD_NAMES,
-              runner: Optional[ExperimentRunner] = None) -> TableResult:
-    """Table 6.2: minimum MCL per acyclic CDG under BSOR-Dijkstra."""
-    config = config or ExperimentConfig()
-    return _exploration_table(
-        "dijkstra", config, workloads,
-        "Table 6.2 - BSOR-Dijkstra minimum MCL by acyclic CDG (MB/s)",
-        PAPER_TABLE_6_2,
-        runner=runner,
-    )
+def render_table(number: str, results: ResultSet) -> str:
+    """The text form of :func:`run_table`'s rows: ours/paper per cell.
 
-
-# ----------------------------------------------------------------------
-# Table 6.3: MCL comparison across routing algorithms
-# ----------------------------------------------------------------------
-TABLE_6_3_COLUMNS = ("XY", "YX", "ROMM", "Valiant", "BSOR-MILP", "BSOR-Dijkstra")
-
-
-def _algorithm_mcl_row(task) -> Dict[str, Optional[float]]:
-    """One Table 6.3 row: MCL of every algorithm on one workload."""
-    config, workload = task
-    mesh = build_mesh(config)
-    flow_set = workload_flow_set(workload, mesh, config)
-    row: Dict[str, Optional[float]] = {}
-    for column in TABLE_6_3_COLUMNS:
-        plan = plan_routes(column, mesh, flow_set, config)
-        row[column] = plan.route_set.max_channel_load()
-    return row
-
-
-def table_6_3(config: Optional[ExperimentConfig] = None,
-              workloads: Sequence[str] = WORKLOAD_NAMES,
-              runner: Optional[ExperimentRunner] = None) -> TableResult:
-    """Table 6.3: MCL of every routing algorithm on every workload."""
-    config = config or ExperimentConfig()
-    runner = runner or runner_for(config)
-    names = list(workloads)
-    rows = runner.map(_algorithm_mcl_row,
-                      [(config, name) for name in names])
-    return TableResult(
-        name="Table 6.3 - Maximum channel load by routing algorithm (MB/s)",
-        columns=list(TABLE_6_3_COLUMNS),
-        values=dict(zip(names, rows)),
-        paper_reference=PAPER_TABLE_6_3,
-    )
+    A cell whose MILP stopped at its time limit carries a ``*`` (and the
+    table a one-line legend): what the solver had found, not a proven
+    minimum.
+    """
+    _, table = _lookup(number)
+    cells = []
+    for row in results:
+        column = row["cdg" if table.per_cdg else "display_name"]
+        ours = row["max_channel_load"]
+        theirs = table.paper.get(row["pattern"], {}).get(column)
+        cells.append({
+            "workload": row["pattern"],
+            "column": f"{column} (ours/paper)",
+            "cell": ("-" if ours is None else f"{ours:g}")
+            + ("*" if ours is not None and row["optimal"] is False else "")
+            + "/" + ("-" if theirs is None else f"{theirs:g}"),
+        })
+    text = ResultSet(cells).pivot("workload", "column", "cell") \
+        .to_text(title=f"{table.title} (ours/paper)")
+    if any("*" in cell["cell"] for cell in cells):
+        text += ("\n* the MILP stopped at milp_time_limit: the best MCL it "
+                 "had found, not a proven minimum")
+    return text

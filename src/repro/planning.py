@@ -22,22 +22,29 @@ occupancy heatmap) obtains them here, so the decisions below exist once:
   :func:`~repro.runner.fingerprint.route_plan_key`, re-verified on every
   load) and stores what it solves, so a warm study performs zero solves;
 * how a (topology x pattern x router x fault set) cross-product is walked
-  and tagged — :func:`plan_matrix`.
+  and tagged — :func:`plan_matrix` — and how the same walk plans a router
+  on each of the paper's five CDGs alone, which is what Tables 6.1 / 6.2
+  tabulate — :func:`plan_per_cdg`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import re
 import time
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .exceptions import ExperimentError, ReproError, TrafficError
+from .exceptions import ExperimentError, ReproError, RoutingError, TrafficError
 from .faults import FaultSet, RoutePlan, plan_on
 from .progress import emitter_for
 from .routing.base import RouteSet, RoutingAlgorithm
-from .routing.bsor.framework import CDGStrategy, full_strategy_set
+from .routing.bsor.framework import (
+    CDGStrategy,
+    full_strategy_set,
+    paper_strategies,
+)
 from .routing.bsor.milp import MILPSolution
 from .routing.deadlock import analyze_virtual_networks
 from .routing.registry import RouterSpec, router_spec
@@ -123,17 +130,21 @@ def pattern_flow_set(pattern: str, topology: Topology, config) -> FlowSet:
         return synthetic_by_name(pattern, topology.num_nodes,
                                  demand=config.synthetic_demand)
     except TrafficError as error:
-        # neither a synthetic pattern nor a workload: surface both
-        # vocabularies (workload_spec's error carries a did-you-mean hint
-        # over the registry)
-        try:
-            workload_spec(key)
-        except TrafficError as workload_error:
-            raise ExperimentError(
-                f"unknown pattern or workload {pattern!r}: {error}; "
-                f"{workload_error}"
-            ) from error
-        raise  # pragma: no cover - workload_spec cannot succeed here
+        raise _no_such_pattern(pattern, error) from error
+
+
+def _no_such_pattern(pattern: str, error: TrafficError) -> ReproError:
+    """Neither a synthetic pattern nor a workload: surface both
+    vocabularies (``workload_spec``'s error carries a did-you-mean hint
+    over the registry)."""
+    try:
+        workload_spec(pattern.strip().lower())
+    except TrafficError as workload_error:
+        return ExperimentError(
+            f"unknown pattern or workload {pattern!r}: {error}; "
+            f"{workload_error}"
+        )
+    return error  # pragma: no cover - workload_spec cannot succeed here
 
 
 def canonical_pattern(name: str) -> str:
@@ -147,7 +158,10 @@ def canonical_pattern(name: str) -> str:
     key = name.strip().lower()
     if is_registered_workload(key):
         return workload_spec(key).name
-    return normalize_pattern_name(name)
+    try:
+        return normalize_pattern_name(name)
+    except TrafficError as error:
+        raise _no_such_pattern(name, error) from error
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,12 +287,17 @@ def _restore_plan(document, spec: RouterSpec, topology: Topology,
 
 
 def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
-                faults=None, cache=None) -> RoutePlan:
+                faults=None, cache=None,
+                strategies: Optional[Sequence[CDGStrategy]] = None
+                ) -> RoutePlan:
     """Routes of router *name* for *flow_set*, ready to simulate.
 
     Builds a fresh router (randomized ones carry per-compute state) and
     plans through :func:`~repro.faults.plan_on`; *faults* is anything
-    :meth:`~repro.faults.FaultSet.from_spec` accepts.
+    :meth:`~repro.faults.FaultSet.from_spec` accepts, and *strategies*
+    replaces the CDG set *config* would give a BSOR router (the plan's
+    cache key names them, so a one-CDG plan never answers for the full
+    exploration).
 
     With a *cache* (a :class:`~repro.runner.cache.ResultCache`) the plan is
     looked up first and stored after solving, so it is solved once per
@@ -291,6 +310,8 @@ def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
     spec = router_spec(name)
     fault_set = FaultSet.from_spec(faults)
     options = _router_options(config, topology)
+    if strategies is not None:
+        options["strategies"] = tuple(strategies)
     if cache is not None:
         key = _plan_key(spec, topology, flow_set, options, fault_set)
         plan = cache.get_plan(key, lambda document: _restore_plan(
@@ -304,6 +325,59 @@ def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
         cache.put_plan(key, _plan_document(plan))
         plan.stored = True
     return plan
+
+
+def _walk(topologies: Sequence[str], patterns: Sequence[str],
+          routers: Sequence[str], fault_sets: Optional[Sequence],
+          cdgs: Sequence[Optional[CDGStrategy]], config, cache, observer
+          ) -> Iterator[Tuple[str, str, Dict, Optional[RoutePlan]]]:
+    """The one cell walk: :func:`plan_matrix` is ``cdgs=(None,)`` (every
+    router on its own strategy set), :func:`plan_per_cdg` a fifth axis of
+    strategies planned on one at a time."""
+    emitter = emitter_for(observer)
+    fault_axis = [FaultSet.from_spec(entry)
+                  for entry in (fault_sets or (None,))]
+    for topology_name in topologies:
+        topology = parse_topology(topology_name)
+        topology_tag = topology_name.strip().lower()
+        for pattern in patterns:
+            flow_set = pattern_flow_set(pattern, topology, config)
+            pattern_tag = canonical_pattern(pattern)
+            for router_name, fault_set, cdg in itertools.product(
+                    routers, fault_axis, cdgs):
+                spec = router_spec(router_name)
+                tags = {
+                    "topology": topology_tag,
+                    "pattern": pattern_tag,
+                    "router": spec.name,
+                    "display_name": spec.display_name,
+                    "faults": fault_set.label(),
+                }
+                started = time.perf_counter()
+                try:
+                    plan = plan_routes(router_name, topology, flow_set,
+                                       config, fault_set, cache=cache,
+                                       strategies=cdg and (cdg,))
+                except RoutingError:
+                    if cdg is None:
+                        raise
+                    plan = None  # nothing feasible on this CDG alone
+                if emitter is not None:
+                    cell = {column: tags[column] for column in
+                            ("router", "topology", "pattern", "faults")}
+                    if plan is not None and plan.cached:
+                        emitter.plan_cached(**cell)
+                    else:
+                        emitter.plan_solved(
+                            seconds=time.perf_counter() - started,
+                            stored=plan is not None and plan.stored, **cell)
+                if cdg is not None:
+                    tags["cdg"] = cdg.name
+                tags["max_channel_load"] = None if plan is None else \
+                    plan.route_set.max_channel_load()
+                tags["average_hops"] = None if plan is None else \
+                    plan.route_set.average_hop_count()
+                yield topology_name, pattern, tags, plan
 
 
 def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
@@ -323,36 +397,23 @@ def plan_matrix(topologies: Sequence[str], patterns: Sequence[str],
     :class:`~repro.progress.PlanCached` or
     :class:`~repro.progress.PlanSolved` event per cell.
     """
-    emitter = emitter_for(observer)
-    fault_axis = [FaultSet.from_spec(entry)
-                  for entry in (fault_sets or (None,))]
-    for topology_name in topologies:
-        topology = parse_topology(topology_name)
-        topology_tag = topology_name.strip().lower()
-        for pattern in patterns:
-            flow_set = pattern_flow_set(pattern, topology, config)
-            pattern_tag = canonical_pattern(pattern)
-            for router_name in routers:
-                for fault_set in fault_axis:
-                    started = time.perf_counter()
-                    plan = plan_routes(router_name, topology, flow_set,
-                                       config, fault_set, cache=cache)
-                    seconds = time.perf_counter() - started
-                    tags = {
-                        "topology": topology_tag,
-                        "pattern": pattern_tag,
-                        "router": plan.spec.name,
-                        "display_name": plan.spec.display_name,
-                        "faults": fault_set.label(),
-                        "max_channel_load": plan.route_set.max_channel_load(),
-                        "average_hops": plan.route_set.average_hop_count(),
-                    }
-                    if emitter is not None:
-                        cell = {column: tags[column] for column in
-                                ("router", "topology", "pattern", "faults")}
-                        if plan.cached:
-                            emitter.plan_cached(**cell)
-                        else:
-                            emitter.plan_solved(seconds=seconds,
-                                                stored=plan.stored, **cell)
-                    yield topology_name, pattern, tags, plan
+    return _walk(topologies, patterns, routers, fault_sets, (None,), config,
+                 cache, observer)
+
+
+def plan_per_cdg(topologies: Sequence[str], patterns: Sequence[str],
+                 routers: Sequence[str], config, cache=None, observer=None
+                 ) -> Iterator[Tuple[str, str, Dict, Optional[RoutePlan]]]:
+    """:func:`plan_matrix`, each cell planned on each paper CDG alone.
+
+    What Tables 6.1 / 6.2 tabulate: one single-strategy plan per
+    (topology, pattern, router) and column of
+    :func:`~repro.routing.bsor.framework.paper_strategies`, fault-free, the
+    strategy's name in the extra tag ``cdg``.  Each is a plan like any
+    other — cached, verified on load, announced on *observer*.  A CDG on
+    which the router finds no route set (or its MILP nothing within the
+    time limit) yields a ``None`` plan with ``None`` route metrics: an
+    empty cell, not a failed table.
+    """
+    return _walk(topologies, patterns, routers, None, paper_strategies(),
+                 config, cache, observer)

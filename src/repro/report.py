@@ -1,14 +1,17 @@
 """Single-file HTML run reports over saved result sets.
 
 ``python -m repro report results.json`` turns a result file written by the
-study/compare/sweep commands (``--format json`` / ``--output``) into one
-self-contained HTML page:
+``run`` / ``compare`` commands (``--format json`` / ``--output``) into one
+self-contained HTML page, every table written by
+:meth:`~repro.study.resultset.ResultSet.to_html`:
 
 * **pivots** — the latency and throughput tables of every (scenario,
   topology, pattern) group, reshaped through
   :meth:`~repro.study.resultset.ResultSet.pivot` exactly like the text
   reports;
-* **saturation summaries** — one row per router for saturate-mode rows;
+* **saturation summaries** — one row per router for saturate-mode rows,
+  and the :func:`~repro.study.resultset.degradation` table when they ran
+  under faults;
 * **channel-occupancy heatmap** — a channels x time matrix fed from the
   existing injection-trace layer (:mod:`repro.workloads.trace`): the
   scenario's topology, pattern and routes are reconstructed from the row
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import ReproError
-from .study.resultset import ResultSet
+from .study.resultset import ResultSet, degradation
 
 #: Sequential single-hue ramp (blue, light -> dark), lowest step first.
 #: Near-zero heatmap cells recede to the page surface below step one.
@@ -60,10 +63,10 @@ def load_result_rows(path: str) -> Tuple[ResultSet, Dict]:
     """Read a result file into a :class:`ResultSet` plus its metadata.
 
     Accepts both shapes the CLI writes: a study document
-    (``{"study": ..., "rows": [...]}``, from ``repro run --format json``)
-    and a bare JSON array of row objects (a serialized
-    :class:`ResultSet`).  Returns the rows and whatever metadata rode
-    along (the study spec, when present).
+    (``{"study": ..., "rows": [...]}``, from ``repro run`` / ``repro
+    compare`` with ``--format json``) and a bare JSON array of row objects
+    (a serialized :class:`ResultSet`).  Returns the rows and whatever
+    metadata rode along (the study spec, when present).
     """
     try:
         with open(path, "r", encoding="utf-8") as stream:
@@ -232,34 +235,6 @@ def _esc(value) -> str:
     return html.escape(str(value))
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e6:
-            return str(int(value))
-        return f"{value:.3f}"
-    return str(value)
-
-
-def _html_table(columns: Sequence[str], rows: Sequence[Dict],
-                caption: str = "") -> str:
-    parts = ["<table>"]
-    if caption:
-        parts.append(f"<caption>{_esc(caption)}</caption>")
-    parts.append("<thead><tr>" + "".join(
-        f"<th>{_esc(column)}</th>" for column in columns) + "</tr></thead>")
-    parts.append("<tbody>")
-    for row in rows:
-        parts.append("<tr>" + "".join(
-            f"<td>{_esc(_format(row.get(column)))}</td>"
-            for column in columns) + "</tr>")
-    parts.append("</tbody></table>")
-    return "".join(parts)
-
-
 def _ramp_color(value: float, maximum: float) -> str:
     """The sequential ramp step of a cell (surface color for near-zero)."""
     if maximum <= 0 or value <= 0:
@@ -304,13 +279,12 @@ def _render_heatmap(heatmap: OccupancyHeatmap) -> str:
                      f"</span>")
     parts.append(f"<span>{maximum} flits</span></div>")
     parts.append("<details><summary>table view</summary>")
-    parts.append(_html_table(
-        ["channel"] + [str(bucket * per) for bucket in range(heatmap.buckets)],
-        [dict([("channel", label)]
-              + [(str(bucket * per), value)
-                 for bucket, value in enumerate(row)])
+    starts = [str(bucket * per) for bucket in range(heatmap.buckets)]
+    parts.append(ResultSet(
+        [{"channel": label, **dict(zip(starts, row))}
          for label, row in zip(heatmap.channel_labels, heatmap.matrix)],
-    ))
+        columns=["channel"] + starts,
+    ).to_html())
     parts.append("</details></div>")
     return "".join(parts)
 
@@ -352,9 +326,9 @@ def _sweep_sections(results: ResultSet) -> List[str]:
         for metric, title in (("throughput", "throughput (packets/cycle)"),
                               ("average_latency",
                                "average latency (cycles)")):
-            pivot = group.pivot("offered_rate", series, metric,
-                                index_label="offered rate")
-            parts.append(_html_table(pivot.columns, pivot.rows, caption=title))
+            parts.append(group.pivot("offered_rate", series, metric,
+                                     index_label="offered rate")
+                         .to_html(caption=title))
         parts.append("</section>")
         sections.append("".join(parts))
     return sections
@@ -381,7 +355,15 @@ def _saturate_sections(results: ResultSet) -> List[str]:
                           if value is not None) or "saturation"
         sections.append(
             f"<section><h2>{_esc(label)}</h2>"
-            + _html_table(columns, group.rows, caption="saturation summary")
+            + group.to_html(columns, caption="saturation summary")
+            + "</section>"
+        )
+    degraded = degradation(saturate)
+    if degraded:
+        sections.append(
+            "<section><h2>Degradation under faults</h2>"
+            + degraded.to_html(caption="saturation throughput retained "
+                                       "against the fault-free twin")
             + "</section>"
         )
     return sections

@@ -5,7 +5,8 @@ takes the same (topology, route set, configuration, offered rates) inputs as
 :func:`repro.simulator.simulation.sweep_injection_rates` but
 
 * fans independent simulation points out across a pool of worker processes
-  (``concurrent.futures.ProcessPoolExecutor``, configurable worker count);
+  (the execution backends of :mod:`repro.runner.backends`, configurable
+  worker count);
 * consults a content-addressed :class:`~repro.runner.cache.ResultCache`
   before simulating, so repeated benchmark runs and re-plotted figures skip
   the simulator entirely;
@@ -21,18 +22,8 @@ simulated in a worker process equals the same point simulated inline.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    TypeVar,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import SimulationError
 from ..metrics.statistics import SimulationStatistics, SweepCurve, SweepPoint
@@ -49,9 +40,6 @@ from ..topology.base import Topology
 from .backends import ExecutionTask, resolve_execution
 from .cache import ResultCache
 from .fingerprint import batch_group_key, simulation_cache_key
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -105,16 +93,6 @@ def _group_payload(group):
     topology, route_set, _, _, boundaries, faults = group[0][3]
     points = [(payload[2], payload[3]) for _, _, _, payload in group]
     return (topology, route_set, points, boundaries, faults)
-
-
-def _apply_function(task):
-    function, item = task
-    return function(item)
-
-
-def _double_for_test(value):
-    """Picklable helper for exercising :meth:`ExperimentRunner.map` in tests."""
-    return value * 2
 
 
 @dataclass
@@ -204,30 +182,6 @@ class ExperimentRunner:
         self.execution = resolve_execution(execution)
         self.last_report = RunnerReport(workers=self.workers)
         self.total_report = RunnerReport(workers=self.workers)
-
-    # ------------------------------------------------------------------
-    # generic parallel map (used by the table harness)
-    # ------------------------------------------------------------------
-    def map(self, function: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply a picklable *function* to every item, in order.
-
-        Runs inline with one worker or a single item; otherwise fans out to
-        the process pool.  The function and items must be picklable (define
-        the function at module level).  Results are not cached — the result
-        cache is keyed on simulation inputs, which arbitrary tasks do not
-        have — but the run is accounted in the runner's reports.
-        """
-        items = list(items)
-        report = RunnerReport(workers=self.workers)
-        report.points_total = report.points_simulated = len(items)
-        self.last_report = report
-        self.total_report.merge(report)
-        if self.workers == 1 or len(items) <= 1:
-            return [function(item) for item in items]
-        tasks = [(function, item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) \
-                as pool:
-            return list(pool.map(_apply_function, tasks))
 
     # ------------------------------------------------------------------
     # sweeps

@@ -16,8 +16,11 @@ single, composable way to describe and run them:
   :class:`~repro.compare.matrix.CompareMatrix` and the adaptive
   saturation search, returning a :class:`StudyResult`;
 * :class:`ResultSet` — the first-class result container: tagged rows with
-  filter/group/pivot and markdown/JSON/CSV export, consumed by the
-  comparison reports and the ``python -m repro`` CLI alike.
+  filter/group/pivot/reduce and the package's one set of table writers
+  (markdown, aligned text, HTML, JSON, CSV); what figures, tables,
+  comparisons and studies all return and the ``python -m repro`` CLI
+  prints.  :func:`degradation` is the retained-throughput-under-faults
+  table every saturate report ends with.
 
 Bundled example specs live under ``examples/studies/``; the spec reference
 and cookbook is ``docs/study-guide.md``.  The CLI mirror is ``python -m
@@ -33,7 +36,7 @@ from .execute import (
     run_study,
     validate_pattern,
 )
-from .resultset import ResultSet
+from .resultset import ResultSet, degradation
 from .spec import MODES, PROFILES, ExecutionPolicy, Scenario, Study
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "Scenario",
     "Study",
     "StudyResult",
+    "degradation",
     "resolve_config",
     "run_scenario",
     "run_study",

@@ -13,7 +13,9 @@ command all hand it a :class:`~repro.study.spec.Scenario`:
   ``examples/studies/figure_6_7.yaml`` and ``python -m repro figure 6-7``
   are the same points under the same cache keys;
 * ``saturate`` scenarios drive the :class:`~repro.compare.matrix.CompareMatrix`
-  adaptive saturation search per cell.
+  adaptive saturation search per cell; its rows are tagged and projected
+  onto :data:`SATURATE_COLUMNS`, and a fault axis adds the
+  :func:`~repro.study.resultset.degradation` table to the report.
 
 Both produce tagged rows in one :class:`~repro.study.resultset.ResultSet`,
 which is what the reports render and the CLI exports.
@@ -28,14 +30,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compare.matrix import CompareMatrix
 from ..compare.saturation import SaturationCriteria
 from ..exceptions import ReproError, StudyError
 from ..experiments.config import ExperimentConfig
 from ..planning import canonical_pattern as validate_pattern  # re-exported
 from ..planning import plan_matrix
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
-from .resultset import ResultSet
+from .resultset import ResultSet, degradation
 from .spec import Scenario, Study
 
 #: Column order of sweep-mode result rows.
@@ -100,6 +101,10 @@ class StudyResult:
             lines.append(group.to_markdown(columns=["display_name"] + [
                 column for column in columns if column != "display_name"
             ]))
+        degraded = degradation(self.results.filter(mode="saturate"))
+        if degraded:
+            lines.extend(["", "## Degradation under faults", "",
+                          degraded.to_markdown()])
         lines.append("")
         return "\n".join(lines)
 
@@ -230,34 +235,21 @@ def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
 
 def _run_saturate_scenario(scenario: Scenario, config: ExperimentConfig,
                            runner: ExperimentRunner
-                           ) -> Tuple[List[Dict], RunnerReport]:
+                           ) -> Tuple[ResultSet, RunnerReport]:
     """Adaptive saturation search per cell, through the comparison engine."""
+    # the engine returns this package's ResultSet, so it loads late
+    from ..compare.matrix import CompareMatrix
+
     criteria = SaturationCriteria.bounded(
         scenario.min_rate, scenario.max_rate, scenario.resolution)
     matrix = CompareMatrix(config=config, criteria=criteria, runner=runner)
-    result = matrix.run(_scenario_topologies(scenario, config),
-                        list(scenario.patterns), list(scenario.routers),
-                        fault_sets=list(scenario.faults) or None)
-    rows: List[Dict] = []
-    for row in result.result_set():
-        rows.append({
-            "scenario": scenario.name,
-            "mode": "saturate",
-            "topology": row["topology"],
-            "pattern": row["pattern"],
-            "router": row["router"],
-            "display_name": row["display_name"],
-            "faults": row.get("faults", "none"),
-            "saturation_rate": row["saturation_rate"],
-            "saturated_within_range": row["saturated_within_range"],
-            "saturation_throughput": row["saturation_throughput"],
-            "low_load_latency": row["low_load_latency"],
-            "p99_latency": row["p99_latency"],
-            "max_channel_load": row["max_channel_load"],
-            "average_hops": row["average_hops"],
-            "sim_points": row["invocations"],
-        })
-    return rows, result.report
+    cells, report = matrix.run(_scenario_topologies(scenario, config),
+                               list(scenario.patterns),
+                               list(scenario.routers),
+                               fault_sets=list(scenario.faults) or None)
+    tagged = ResultSet([{"scenario": scenario.name, "mode": "saturate", **row}
+                        for row in cells])
+    return tagged.select(*SATURATE_COLUMNS), report
 
 
 def run_scenario(scenario: Scenario, config: ExperimentConfig,
@@ -269,8 +261,7 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig,
     """
     config = _scenario_config(scenario, config)
     if scenario.mode == "saturate":
-        rows, report = _run_saturate_scenario(scenario, config, runner)
-        return ResultSet(rows, columns=SATURATE_COLUMNS), report
+        return _run_saturate_scenario(scenario, config, runner)
     rows, report = _run_sweep_scenario(scenario, config, runner)
     return ResultSet(rows, columns=SWEEP_COLUMNS), report
 

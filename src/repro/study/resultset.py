@@ -10,17 +10,20 @@ one container those rows live in:
 * **group** — split into (key, ResultSet) groups, preserving row order;
 * **pivot** — reshape long rows into a wide table (one row per index value,
   one column per series), which is how figure-style tables are printed;
-* **export** — markdown (pipe tables), JSON and CSV.
+* **export** — the one cell formatter and every table writer of the
+  package: markdown (pipe tables), aligned text (the figure and table
+  harnesses), HTML (the run report), JSON and CSV.
 
 Rows are plain dicts and the container is immutable-by-convention: every
 transformation returns a new :class:`ResultSet`.  Missing columns read as
-``None`` and render as empty cells, so rows of different shapes (sweep rows
-and saturation rows) can share one set.
+``None`` and render as empty cells (a dash in aligned text), so rows of
+different shapes (sweep rows and saturation rows) can share one set.
 """
 
 from __future__ import annotations
 
 import csv
+import html
 import io
 import json
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -28,9 +31,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..exceptions import StudyError
 
 
-def _format_cell(value, precision: int) -> str:
+def _format_cell(value, precision: int, none: str = "") -> str:
     if value is None:
-        return ""
+        return none
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
@@ -204,6 +207,39 @@ class ResultSet:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines)
 
+    def to_text(self, columns: Optional[Sequence[str]] = None,
+                title: Optional[str] = None, precision: int = 2) -> str:
+        """An aligned text table with a header rule (``None`` prints ``-``)."""
+        columns = list(columns) if columns is not None else self._columns
+        table = [[str(column) for column in columns]] + [
+            [_format_cell(row.get(column), precision, none="-")
+             for column in columns] for row in self._rows]
+        widths = [max(len(line[index]) for line in table)
+                  for index in range(len(columns))]
+        table.insert(1, ["-" * width for width in widths])
+        lines = [title, "=" * len(title)] if title else []
+        lines.extend("  ".join(cell.ljust(width) for cell, width
+                               in zip(line, widths)).rstrip()
+                     for line in table)
+        return "\n".join(lines)
+
+    def to_html(self, columns: Optional[Sequence[str]] = None,
+                caption: str = "", precision: int = 3) -> str:
+        """An HTML ``<table>`` of the rows, every cell escaped."""
+        columns = list(columns) if columns is not None else self._columns
+        parts = ["<table>"]
+        if caption:
+            parts.append(f"<caption>{html.escape(caption)}</caption>")
+        parts.append("<thead><tr>" + "".join(
+            f"<th>{html.escape(str(column))}</th>" for column in columns)
+            + "</tr></thead><tbody>")
+        for row in self._rows:
+            parts.append("<tr>" + "".join(
+                f"<td>{html.escape(_format_cell(row.get(column), precision))}"
+                f"</td>" for column in columns) + "</tr>")
+        parts.append("</tbody></table>")
+        return "".join(parts)
+
     def to_json(self, indent: int = 2) -> str:
         """The rows as a JSON array of objects."""
         return json.dumps(self._rows, indent=indent, sort_keys=True)
@@ -227,3 +263,37 @@ class ResultSet:
             if column not in columns:
                 columns.append(column)
         return ResultSet(self._rows + other._rows, columns=columns)
+
+
+def degradation(results: ResultSet) -> ResultSet:
+    """Every faulty saturate row of *results* against its fault-free twin.
+
+    One row per row whose ``faults`` is not ``"none"``: the saturation
+    throughput it reached and the share of its twin's it ``retained`` — the
+    twin being the same (scenario, topology, pattern, router) under
+    ``faults == "none"`` — or ``n/a`` without a twin of positive
+    throughput.  This is the paper's robustness question (how gracefully
+    does each router degrade as links fail?) as a table; empty when no row
+    ran under faults.
+    """
+    shown = ("scenario", "topology", "pattern", "display_name", "faults",
+             "saturation_throughput")
+
+    def twin(row: Dict) -> Tuple:
+        return tuple(row.get(column) for column in
+                     ("scenario", "topology", "pattern", "router"))
+
+    faulty, baselines = [], {}
+    for row in results:
+        if row.get("faults", "none") == "none":
+            baselines[twin(row)] = row.get("saturation_throughput")
+        else:
+            faulty.append(row)
+    rows = []
+    for row in faulty:
+        baseline = baselines.get(twin(row))
+        retained = f"{100.0 * row['saturation_throughput'] / baseline:.1f}%" \
+            if baseline and baseline > 0 else "n/a"
+        rows.append({**{column: row.get(column) for column in shown},
+                     "retained": retained})
+    return ResultSet(rows, columns=shown + ("retained",))

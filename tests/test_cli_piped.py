@@ -91,8 +91,8 @@ class TestStdoutPurity:
     def test_timing_summary_is_on_stderr(self, capsys):
         assert repro_main(self._sweep_args()) == 0
         captured = capsys.readouterr()
-        assert "task(s)" in captured.err
-        assert "task(s)" not in captured.out
+        assert "1 points, 1 simulated, 0 cached" in captured.err
+        assert "points," not in captured.out
 
     def test_jsonl_progress_leaves_stdout_byte_identical(self, capsys):
         assert repro_main(self._sweep_args(["--progress", "quiet"])) == 0

@@ -183,7 +183,7 @@ class TestBatchBackendCli:
                            "--patterns", "transpose", "--routers", "dor",
                            "--max-rate", "1", "--resolution", "0.5"])
         assert code == 0
-        assert "## mesh4x4 / transpose" in capsys.readouterr().out
+        assert "mesh4x4 / transpose (saturate)" in capsys.readouterr().out
 
     def test_run_study_accepts_batch_backend(self, capsys):
         assert repro_main(["run", str(EXAMPLES / "smoke.yaml"),
@@ -353,7 +353,7 @@ class TestOptionsBeforeSubcommand:
                            "--max-rate", "1", "--resolution", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "## mesh4x4 / transpose" in out
+        assert "mesh4x4 / transpose (saturate)" in out
 
     COMPARE = ["compare", "--profile", "quick", "--topology", "mesh4x4",
                "--patterns", "transpose", "--routers", "dor",

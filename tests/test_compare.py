@@ -1,4 +1,4 @@
-"""Tests for the comparison matrix, its reports and the CLI."""
+"""Tests for the comparison matrix, its rows and the CLI."""
 
 import json
 
@@ -7,12 +7,8 @@ import pytest
 from repro.compare import (
     CompareMatrix,
     SaturationCriteria,
-    compare_routers,
     parse_topology,
     pattern_flow_set,
-    render_json,
-    render_markdown,
-    result_to_dict,
 )
 from repro.cli import main as repro_main
 from repro.exceptions import ExperimentError
@@ -23,13 +19,17 @@ QUICK = ExperimentConfig.quick()
 CRITERIA = SaturationCriteria(min_rate=0.25, max_rate=4.0, resolution=0.5)
 
 
+def compare(patterns, routers, config=QUICK):
+    """``(rows, report)`` of one quick 4x4-mesh comparison."""
+    return CompareMatrix(config=config, criteria=CRITERIA).run(
+        ["mesh4x4"], patterns, routers)
+
+
 @pytest.fixture(scope="module")
-def quick_result():
+def quick_rows():
     """One shared quick comparison: 4x4 mesh, two patterns, two routers."""
-    return compare_routers(
-        ["mesh4x4"], ["transpose", "bit-complement"], ["dor", "o1turn"],
-        config=QUICK, criteria=CRITERIA,
-    )
+    rows, _ = compare(["transpose", "bit-complement"], ["dor", "o1turn"])
+    return rows
 
 
 class TestParseTopology:
@@ -86,18 +86,23 @@ class TestPatternFlowSet:
 
 
 class TestCompareMatrix:
-    def test_cell_count_is_cross_product(self, quick_result):
-        assert len(quick_result.cells) == 1 * 2 * 2
+    def test_row_count_is_cross_product(self, quick_rows):
+        assert len(quick_rows) == 1 * 2 * 2
 
-    def test_cell_lookup(self, quick_result):
-        cell = quick_result.cell("mesh4x4", "transpose", "dor")
-        assert cell.display_name == "XY"
-        cell = quick_result.cell("mesh4x4", "bit_complement", "o1turn")
-        assert cell.display_name == "O1TURN"
+    def test_rows_are_tagged_canonically(self, quick_rows):
+        [row] = quick_rows.filter(topology="mesh4x4", pattern="transpose",
+                                  router="dor")
+        assert row["display_name"] == "XY"
+        [row] = quick_rows.filter(pattern="bit-complement", router="o1turn")
+        assert row["display_name"] == "O1TURN"
+        assert quick_rows.distinct("faults") == ["none"]
 
-    def test_cell_lookup_folds_topology_spelling(self, quick_result):
-        cell = quick_result.cell("  Mesh4X4 ", "transpose", "xy")
-        assert cell.display_name == "XY"
+    def test_names_are_folded_into_the_tags(self):
+        rows, _ = CompareMatrix(config=QUICK, criteria=CRITERIA).run(
+            ["  Mesh4X4 "], ["bit_complement"], ["xy"])
+        [row] = rows
+        assert (row["topology"], row["pattern"], row["router"]) == \
+            ("mesh4x4", "bit-complement", "dor")
 
     def test_full_cdg_set_forwarded_to_bsor(self):
         from dataclasses import replace
@@ -118,48 +123,49 @@ class TestCompareMatrix:
         assert len(default[0].plan.router.strategies) == \
             len(paper_strategies())
 
-    def test_cell_lookup_unknown_raises(self, quick_result):
-        with pytest.raises(ExperimentError, match="no comparison cell"):
-            quick_result.cell("mesh4x4", "shuffle", "dor")
-
-    def test_groups_preserve_run_order(self, quick_result):
-        keys = [key for key, _ in quick_result.groups()]
+    def test_rows_preserve_run_order(self, quick_rows):
+        keys = [key for key, _ in quick_rows.group("topology", "pattern")]
         assert keys == [("mesh4x4", "transpose"),
                         ("mesh4x4", "bit-complement")]
 
-    def test_offline_metrics_populated(self, quick_result):
-        for cell in quick_result.cells:
-            assert cell.max_channel_load > 0
-            assert cell.average_hops > 0
+    def test_offline_metrics_populated(self, quick_rows):
+        assert all(value > 0 for value in
+                   quick_rows.column("max_channel_load")
+                   + quick_rows.column("average_hops"))
 
-    def test_saturation_found_on_quick_mesh(self, quick_result):
-        for cell in quick_result.cells:
-            assert cell.saturation.invocations >= 1
-            assert cell.saturation_throughput > 0
+    def test_saturation_found_on_quick_mesh(self, quick_rows):
+        assert all(points >= 1 for points in quick_rows.column("sim_points"))
+        assert all(throughput > 0 for throughput in
+                   quick_rows.column("saturation_throughput"))
+        # what the search saw rides on the library rows
+        for row in quick_rows:
+            assert len(row["observations"]) == row["sim_points"]
+            assert list(row["observations"][0]) == [
+                "offered_rate", "throughput", "average_latency",
+                "delivery_ratio", "saturated"]
+            assert row["last_stable_rate"] <= row["saturation_rate"]
+            assert row["max_throughput"] >= row["saturation_throughput"]
 
-    def test_adaptive_needs_fewer_points_than_dense(self, quick_result):
+    def test_adaptive_needs_fewer_points_than_dense(self, quick_rows):
         # even over this deliberately narrow test range the adaptive search
         # beats the dense grid; the >= 3x claim at realistic ranges is
         # asserted in test_compare_saturation and the benchmark
         dense_points = len(CRITERIA.dense_rates())
-        for cell in quick_result.cells:
-            assert cell.saturation.invocations < dense_points
+        assert max(quick_rows.column("sim_points")) < dense_points
 
-    def test_latency_columns_populated(self, quick_result):
-        for cell in quick_result.cells:
-            assert cell.low_load_latency > 0
-            assert cell.p99_latency >= cell.low_load_latency * 0.5
+    def test_latency_columns_populated(self, quick_rows):
+        for row in quick_rows:
+            assert row["low_load_latency"] > 0
+            assert row["p99_latency"] >= row["low_load_latency"] * 0.5
 
-    def test_runner_report_accounts_points(self, quick_result):
-        assert quick_result.report.points_total == \
-            quick_result.total_invocations()
+    def test_runner_report_accounts_points(self):
+        rows, report = compare(["transpose"], ["dor", "o1turn"])
+        assert report.points_total == sum(rows.column("sim_points"))
 
-    def test_results_deterministic_across_runs(self, quick_result):
-        again = compare_routers(
-            ["mesh4x4"], ["transpose", "bit-complement"], ["dor", "o1turn"],
-            config=QUICK, criteria=CRITERIA,
-        )
-        assert result_to_dict(again) == result_to_dict(quick_result)
+    def test_results_deterministic_across_runs(self, quick_rows):
+        again, _ = compare(["transpose", "bit-complement"],
+                           ["dor", "o1turn"])
+        assert again == quick_rows
 
     def test_empty_inputs_rejected(self):
         matrix = CompareMatrix(config=QUICK, criteria=CRITERIA)
@@ -176,43 +182,12 @@ class TestCompareMatrix:
     def test_cached_rerun_skips_simulation(self, tmp_path):
         config = QUICK.with_runner(use_cache=True,
                                    cache_dir=str(tmp_path))
-        cold = compare_routers(["mesh4x4"], ["transpose"], ["dor"],
-                               config=config, criteria=CRITERIA)
-        assert cold.report.points_simulated == cold.report.points_total
-        warm = compare_routers(["mesh4x4"], ["transpose"], ["dor"],
-                               config=config, criteria=CRITERIA)
-        assert warm.report.points_simulated == 0
-        assert warm.report.cache_hits == warm.report.points_total
-        assert result_to_dict(warm) == result_to_dict(cold)
-
-
-class TestReports:
-    def test_markdown_has_table_per_group(self, quick_result):
-        markdown = render_markdown(quick_result)
-        assert "## mesh4x4 / transpose" in markdown
-        assert "## mesh4x4 / bit-complement" in markdown
-        assert "| XY |" in markdown
-        assert "| O1TURN |" in markdown
-        assert "saturation throughput" in markdown
-
-    def test_json_round_trips(self, quick_result):
-        payload = json.loads(render_json(quick_result))
-        assert len(payload["cells"]) == 4
-        cell = payload["cells"][0]
-        assert cell["router"] == "dor"
-        assert cell["saturation_throughput"] > 0
-        assert payload["total_invocations"] == \
-            sum(c["invocations"] for c in payload["cells"])
-
-    def test_unsaturated_cell_rendered_as_lower_bound(self, quick_result):
-        from dataclasses import replace
-
-        cell = quick_result.cells[0]
-        saturation = replace(cell.saturation, saturated_within_range=False)
-        unsaturated = replace(cell, saturation=saturation)
-        from repro.compare.report import _format_rate
-
-        assert _format_rate(unsaturated.to_row()).startswith(">=")
+        cold, cold_report = compare(["transpose"], ["dor"], config)
+        assert cold_report.points_simulated == cold_report.points_total
+        warm, warm_report = compare(["transpose"], ["dor"], config)
+        assert warm_report.points_simulated == 0
+        assert warm_report.cache_hits == warm_report.points_total
+        assert warm == cold
 
 
 class TestCLI:
@@ -226,7 +201,8 @@ class TestCLI:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "## mesh4x4 / transpose" in out
+        assert "# Study: compare" in out
+        assert "## scenario-1: mesh4x4 / transpose (saturate)" in out
         assert "| XY |" in out
         assert "| YX |" in out
 
@@ -240,7 +216,9 @@ class TestCLI:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert json.loads(out)["cells"][0]["router"] == "dor"
+        document = json.loads(out)
+        assert document["rows"][0]["router"] == "dor"
+        assert document["study"]["scenarios"][0]["mode"] == "saturate"
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"

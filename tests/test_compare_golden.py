@@ -1,7 +1,8 @@
-"""Golden regression tests for the comparison reports.
+"""Golden regression tests for the saturation report.
 
-A hand-built, fully deterministic :class:`CompareResult` is rendered to
-markdown and JSON and compared against fixtures stored in
+A hand-built, fully deterministic saturate-mode :class:`StudyResult` — the
+one document ``compare``, ``saturate`` and ``run`` all print — is rendered
+to markdown, JSON and CSV and compared against fixtures stored in
 ``tests/golden/``.  Report refactors that change the output must regenerate
 the fixtures deliberately (run this file with ``REPRO_UPDATE_GOLDEN=1``) —
 they can no longer change silently.
@@ -13,101 +14,87 @@ formatting differences do not trip the test.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
 
-from repro.compare.matrix import CompareCell, CompareResult
-from repro.compare.report import render_json, render_markdown
-from repro.compare.saturation import (
-    SaturationCriteria,
-    SaturationObservation,
-    SaturationResult,
-)
+from repro.experiments import ExperimentConfig
 from repro.runner.engine import RunnerReport
+from repro.study import (
+    SATURATE_COLUMNS,
+    ResultSet,
+    Scenario,
+    Study,
+    StudyResult,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
 
 
-def _observation(rate: float, saturated: bool) -> SaturationObservation:
-    return SaturationObservation(
-        offered_rate=rate,
-        throughput=min(rate, 2.0) * 0.9,
-        average_latency=8.0 + rate * (10.0 if saturated else 1.5),
-        delivery_ratio=0.8 if saturated else 1.0,
-        saturated=saturated,
-    )
+def _row(pattern: str, router: str, display: str, stable: float,
+         saturated: float, mcl: float, hops: float, faults: str = "none",
+         within_range: bool = True) -> dict:
+    return {
+        "scenario": "robustness",
+        "mode": "saturate",
+        "topology": "mesh8x8",
+        "pattern": pattern,
+        "router": router,
+        "display_name": display,
+        "faults": faults,
+        "saturation_rate": saturated,
+        "saturated_within_range": within_range,
+        "saturation_throughput": stable * 0.9,
+        "low_load_latency": 11.125,
+        "p99_latency": 27.5,
+        "max_channel_load": mcl,
+        "average_hops": hops,
+        "sim_points": 4,
+    }
 
 
-def _saturation(stable: float, saturated: float) -> SaturationResult:
-    return SaturationResult(
-        saturation_rate=saturated,
-        last_stable_rate=stable,
-        saturated_within_range=True,
-        throughput=stable * 0.9,
-        max_throughput=stable * 0.95,
-        invocations=4,
-        observations=[_observation(0.25, False), _observation(stable, False),
-                      _observation(saturated, True)],
-    )
-
-
-def _cell(pattern: str, router: str, display: str, stable: float,
-          saturated: float, mcl: float, hops: float,
-          faults: str = "none") -> CompareCell:
-    return CompareCell(
-        topology="mesh8x8",
-        pattern=pattern,
-        router=router,
-        display_name=display,
-        max_channel_load=mcl,
-        average_hops=hops,
-        saturation=_saturation(stable, saturated),
-        low_load_latency=11.125,
-        p99_latency=27.5,
-        faults=faults,
-    )
-
-
-def golden_result() -> CompareResult:
-    """A deterministic two-group, three-router comparison result."""
-    cells = [
-        _cell("transpose", "dor", "XY", 2.0, 2.25, 175.0, 4.67),
-        _cell("transpose", "o1turn", "O1TURN", 2.5, 2.75, 150.0, 4.67),
-        _cell("decoder-pipeline", "bsor-dijkstra", "BSOR-Dijkstra",
-              3.0, 3.25, 120.4, 2.18),
+def golden_result() -> StudyResult:
+    """A deterministic saturate study with a fault axis: per router a
+    baseline plus two degraded points (the retained-throughput ratios), a
+    router that never saturated within the range, and a faulty row whose
+    baseline delivered nothing (``n/a``)."""
+    faults = ("none", "link:0-1", "link:0-1,link:5-6@600")
+    rows = [
+        _row("transpose", "dor", "XY", 2.0, 2.25, 175.0, 4.67),
+        _row("transpose", "dor", "XY", 1.5, 1.75, 180.0, 4.71,
+             faults="link:0-1"),
+        _row("transpose", "dor", "XY", 1.0, 1.25, 195.0, 4.80,
+             faults="link:0-1,link:5-6@600"),
+        _row("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
+             2.5, 2.75, 150.0, 4.67),
+        _row("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
+             2.25, 2.5, 155.0, 4.69, faults="link:0-1"),
+        _row("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
+             2.0, 2.25, 160.0, 4.74, faults="link:0-1,link:5-6@600"),
+        _row("decoder-pipeline", "o1turn", "O1TURN", 16.0, 16.0, 120.4, 2.18,
+             within_range=False),
+        _row("decoder-pipeline", "valiant", "Valiant", 0.0, 0.25, 240.8, 4.4),
+        _row("decoder-pipeline", "valiant", "Valiant", 0.25, 0.5, 250.0, 4.5,
+             faults="link:0-1"),
     ]
-    return CompareResult(
-        cells=cells,
-        criteria=SaturationCriteria(),
-        report=RunnerReport(points_total=12, points_simulated=9,
-                            cache_hits=3, workers=4),
+    study = Study(
+        "degraded",
+        description="A hand-built saturation study with a fault axis.",
+        scenarios=[Scenario(
+            name="robustness", mode="saturate", topologies=("mesh8x8",),
+            patterns=("transpose", "decoder-pipeline"),
+            routers=("dor", "bsor-dijkstra", "o1turn", "valiant"),
+            faults=faults)],
     )
-
-
-def golden_faulted_result() -> CompareResult:
-    """A deterministic comparison with a fault axis: baseline plus two
-    degraded points per router, exercising the faults column and the
-    degradation section (including its retained-throughput ratios)."""
-    cells = [
-        _cell("transpose", "dor", "XY", 2.0, 2.25, 175.0, 4.67),
-        _cell("transpose", "dor", "XY", 1.5, 1.75, 180.0, 4.71,
-              faults="link:0-1"),
-        _cell("transpose", "dor", "XY", 1.0, 1.25, 195.0, 4.80,
-              faults="link:0-1,link:5-6@600"),
-        _cell("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
-              2.5, 2.75, 150.0, 4.67),
-        _cell("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
-              2.25, 2.5, 155.0, 4.69, faults="link:0-1"),
-        _cell("transpose", "bsor-dijkstra", "BSOR-Dijkstra",
-              2.0, 2.25, 160.0, 4.74, faults="link:0-1,link:5-6@600"),
-    ]
-    return CompareResult(
-        cells=cells,
-        criteria=SaturationCriteria(),
-        report=RunnerReport(points_total=24, points_simulated=18,
-                            cache_hits=6, workers=4),
+    return StudyResult(
+        study=study,
+        results=ResultSet(rows, columns=SATURATE_COLUMNS),
+        report=RunnerReport(points_total=36, points_simulated=27,
+                            cache_hits=9, workers=4),
+        config=ExperimentConfig(),
     )
 
 
@@ -139,54 +126,62 @@ def _round_floats(value, digits: int = 9):
 
 
 def test_markdown_report_matches_golden():
-    rendered = render_markdown(golden_result())
-    expected = _check_or_update("compare_report.md", rendered)
+    rendered = golden_result().render_markdown()
+    expected = _check_or_update("study_degraded.md", rendered)
     assert _normalize_markdown(rendered) == _normalize_markdown(expected)
 
 
 def test_json_report_matches_golden():
-    rendered = render_json(golden_result())
-    expected = _check_or_update("compare_report.json", rendered)
+    rendered = golden_result().to_json()
+    expected = _check_or_update("study_degraded.json", rendered)
     assert _round_floats(json.loads(rendered)) == \
         _round_floats(json.loads(expected))
 
 
 def test_json_report_is_sorted_and_stable():
-    first = render_json(golden_result())
-    second = render_json(golden_result())
-    assert first == second
+    first = golden_result().to_json()
+    assert first == golden_result().to_json()
     parsed = json.loads(first)
-    assert list(parsed) == sorted(parsed)
+    assert list(parsed) == sorted(parsed) == ["rows", "study"]
+    assert all(list(row) == sorted(SATURATE_COLUMNS)
+               for row in parsed["rows"])
 
 
-def test_faulted_markdown_report_matches_golden():
-    rendered = render_markdown(golden_faulted_result())
-    expected = _check_or_update("compare_report_faults.md", rendered)
-    assert _normalize_markdown(rendered) == _normalize_markdown(expected)
-
-
-def test_faulted_json_report_matches_golden():
-    rendered = render_json(golden_faulted_result())
-    expected = _check_or_update("compare_report_faults.json", rendered)
-    assert _round_floats(json.loads(rendered)) == \
-        _round_floats(json.loads(expected))
-
-
-def test_faulted_markdown_report_structure():
-    rendered = render_markdown(golden_faulted_result())
-    assert "## Degradation under faults" in rendered
-    # four degraded rows in the degradation table, none for the baselines
-    degradation = rendered.split("## Degradation under faults")[1]
-    assert degradation.count("| mesh8x8 |") == 4
-    assert "| none |" not in degradation
-    # retained ratio of the worst XY point: 0.9 / 1.8 = 50%
-    assert "50.0%" in degradation
+def test_csv_report_is_the_saturate_columns():
+    table = list(csv.reader(io.StringIO(golden_result().to_csv())))
+    assert tuple(table[0]) == SATURATE_COLUMNS
+    assert len(table) == 1 + 9
+    assert table[1][:7] == ["robustness", "saturate", "mesh8x8", "transpose",
+                            "dor", "XY", "none"]
 
 
 def test_markdown_report_structure():
-    rendered = render_markdown(golden_result())
-    assert rendered.count("## mesh8x8 / ") == 2  # one section per group
-    # every router row appears exactly once
-    for display in ("XY", "O1TURN", "BSOR-Dijkstra"):
-        assert sum(1 for line in rendered.splitlines()
-                   if line.startswith(f"| {display} |")) == 1
+    rendered = golden_result().render_markdown()
+    assert rendered.count("## robustness: mesh8x8 / ") == 2  # one per group
+    summary, degradation = rendered.split("## Degradation under faults")
+    assert "| faults |" in summary
+    # every (router, fault set) row appears exactly once in its group
+    for display, count in (("XY", 3), ("BSOR-Dijkstra", 3), ("O1TURN", 1),
+                           ("Valiant", 2)):
+        assert sum(1 for line in summary.splitlines()
+                   if line.startswith(f"| {display} |")) == count
+    # not saturated within the search range is a column, not a footnote
+    [o1turn] = [line for line in summary.splitlines()
+                if line.startswith("| O1TURN |")]
+    assert "| 16 | no |" in o1turn
+    # five degraded rows in the degradation table, none for the baselines
+    assert degradation.count("| mesh8x8 |") == 5
+    assert "| none |" not in degradation
+    # retained ratios: the worst XY point is 0.9 / 1.8, and a faulty row
+    # whose baseline delivered nothing has no ratio
+    assert [line.split("|")[-2].strip()
+            for line in degradation.splitlines() if "| mesh8x8 |" in line] \
+        == ["75.0%", "50.0%", "90.0%", "80.0%", "n/a"]
+
+
+def test_no_fault_axis_no_degradation_table():
+    result = golden_result()
+    result.results = result.results.filter(faults="none")
+    rendered = result.render_markdown()
+    assert "Degradation under faults" not in rendered
+    assert "| faults |" not in rendered

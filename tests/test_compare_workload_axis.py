@@ -17,6 +17,7 @@ from repro.compare.matrix import CompareMatrix, pattern_flow_set, parse_topology
 from repro.experiments.config import ExperimentConfig
 from repro.compare.saturation import SaturationCriteria
 from repro.simulator.simulation import phase_boundaries_for
+from repro.study import ResultSet
 from repro.workloads import (
     capture_simulation,
     create_workload,
@@ -150,7 +151,7 @@ def test_cli_workloads_combine_with_patterns(capsys):
     ])
     assert exit_code == 0
     report = json.loads(capsys.readouterr().out)
-    patterns = {cell["pattern"] for cell in report["cells"]}
+    patterns = {row["pattern"] for row in report["rows"]}
     assert patterns == {"transpose", "fft-butterfly"}
 
 
@@ -175,11 +176,8 @@ def test_cli_acceptance_mesh8x8_decoder_pipeline(capsys):
         "--profile", "quick", "--no-cache", "--json",
     ])
     assert exit_code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert {cell["pattern"] for cell in report["cells"]} == \
-        {"decoder-pipeline"}
-    routers = {cell["router"] for cell in report["cells"]}
-    assert routers == {"dor", "o1turn", "bsor-dijkstra"}
-    for cell in report["cells"]:
-        assert cell["max_channel_load"] > 0
-        assert cell["saturation_throughput"] > 0
+    rows = ResultSet(json.loads(capsys.readouterr().out)["rows"])
+    assert rows.distinct("pattern") == ["decoder-pipeline"]
+    assert set(rows.distinct("router")) == {"dor", "o1turn", "bsor-dijkstra"}
+    assert all(value > 0 for value in rows.column("max_channel_load")
+               + rows.column("saturation_throughput"))

@@ -12,17 +12,12 @@ from repro.experiments import (
     all_workloads,
     build_mesh,
     render_figure,
+    render_table,
     run_figure,
-    table_6_1,
-    table_6_2,
-    table_6_3,
+    run_table,
     workload_flow_set,
 )
-from repro.experiments.report import (
-    format_value,
-    improvement_summary,
-    render_table,
-)
+from repro.study import ResultSet
 
 
 QUICK = ExperimentConfig.quick()
@@ -83,52 +78,64 @@ class TestWorkloads:
             workload_flow_set("raytracer", build_mesh(QUICK), QUICK)
 
 
-class TestReportRendering:
-    def test_format_value(self):
-        assert format_value(None) == "-"
-        assert format_value(3.0) == "3"
-        assert format_value(3.14159, precision=2) == "3.14"
-        assert format_value("abc") == "abc"
+class TestTextRendering:
+    """The aligned-text writer the figure and table harnesses print with."""
 
-    def test_render_table_alignment_and_title(self):
-        text = render_table(["a", "b"], [[1, 2.5], [10, None]], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[2] and "b" in lines[2]
-        assert "-" in lines[-1]
+    def test_cells(self):
+        [_, _, row] = ResultSet([
+            {"a": None, "b": 3.0, "c": 3.14159, "d": "abc", "e": True},
+        ]).to_text().splitlines()
+        assert row.split() == ["-", "3", "3.14", "abc", "yes"]
 
-    def test_render_table_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            render_table(["a", "b"], [[1]])
+    def test_alignment_and_title(self):
+        text = ResultSet([{"a": 1, "b": 2.5}, {"a": 10, "b": None}]) \
+            .to_text(title="T")
+        assert text.splitlines() == [
+            "T", "=", "a   b", "--  ----", "1   2.50", "10  -"]
 
-    def test_improvement_summary(self):
-        text = improvement_summary({"BSOR": 2.0, "XY": 1.0}, "BSOR")
-        assert "100%" in text
-        assert improvement_summary({"XY": 1.0}, "BSOR") == "BSOR: no data"
+    def test_columns_choose_and_order(self):
+        text = ResultSet([{"a": 1, "b": 2}]).to_text(columns=["b", "a"])
+        assert text.splitlines()[0].split() == ["b", "a"]
 
 
 class TestTables:
     def test_table_6_3_quick(self):
-        table = table_6_3(QUICK, workloads=("transpose", "perf-modeling"))
-        assert set(table.values) == {"transpose", "perf-modeling"}
-        row = table.row("transpose")
-        assert set(row) == {"XY", "YX", "ROMM", "Valiant", "BSOR-MILP",
-                            "BSOR-Dijkstra"}
+        rows = run_table("6-3", QUICK,
+                         workloads=("transpose", "perf-modeling"))
+        assert rows.distinct("pattern") == ["transpose", "perf-modeling"]
+        assert rows.distinct("table") == ["6-3"]
+        transpose = rows.filter(pattern="transpose")
+        assert transpose.distinct("display_name") == [
+            "XY", "YX", "ROMM", "Valiant", "BSOR-MILP", "BSOR-Dijkstra"]
+        mcl = transpose.reduce("max_channel_load", min, "display_name")
         # BSOR never loses to plain DOR on MCL
-        assert row["BSOR-MILP"] <= row["XY"]
-        assert table.minimum("transpose") == min(v for v in row.values())
-        assert "Table 6.3" in table.render()
-        assert "ours/paper" in table.render_against_paper()
+        assert mcl["BSOR-MILP"] <= mcl["XY"]
+        # only the MILP router has a solve to prove
+        assert rows.reduce("optimal", set, "router") == {
+            "dor": {None}, "yx": {None}, "romm": {None}, "valiant": {None},
+            "bsor-milp": {True}, "bsor-dijkstra": {None}}
+        text = render_table("6-3", rows)
+        assert text.startswith("Table 6.3")
+        assert "XY (ours/paper)" in text and "*" not in text
 
     def test_table_6_1_quick(self):
-        table = table_6_1(QUICK, workloads=("transpose",))
-        row = table.row("transpose")
-        assert set(row) == set(table.columns)
-        assert any(value is not None for value in row.values())
+        rows = run_table("6-1", QUICK, workloads=("transpose",))
+        assert rows.distinct("cdg") == [
+            "north-last", "west-first", "negative-first", "ad-hoc-1",
+            "ad-hoc-2"]
+        assert rows.distinct("router") == ["bsor-milp"]
+        assert all(value is not None
+                   for value in rows.column("max_channel_load"))
+        assert rows.column("optimal") == [True] * 5
 
     def test_table_6_2_quick(self):
-        table = table_6_2(QUICK, workloads=("shuffle",))
-        assert table.minimum("shuffle") is not None
+        rows = run_table("6.2", QUICK, workloads=("shuffle",))
+        assert min(rows.column("max_channel_load")) > 0
+        assert rows.column("optimal") == [None] * 5
+
+    def test_unknown_table_is_rejected(self):
+        with pytest.raises(ExperimentError, match="unknown table '6-9'"):
+            run_table("6-9", QUICK)
 
     def test_paper_reference_tables_are_complete(self):
         for reference in (PAPER_TABLE_6_1, PAPER_TABLE_6_3):
@@ -136,11 +143,56 @@ class TestTables:
 
     def test_milp_table_not_worse_than_dijkstra_table(self):
         """Per the paper, MILP MCLs are <= Dijkstra MCLs CDG-by-CDG."""
-        milp = table_6_1(QUICK, workloads=("transpose",)).row("transpose")
-        dijkstra = table_6_2(QUICK, workloads=("transpose",)).row("transpose")
-        for column, milp_value in milp.items():
-            if milp_value is not None and dijkstra.get(column) is not None:
-                assert milp_value <= dijkstra[column] + 1e-9
+        milp, dijkstra = (
+            run_table(number, QUICK, workloads=("transpose",))
+            .reduce("max_channel_load", min, "cdg")
+            for number in ("6-1", "6-2"))
+        assert set(milp) == set(dijkstra)
+        for cdg, milp_value in milp.items():
+            assert milp_value <= dijkstra[cdg] + 1e-9
+
+    def test_a_time_limited_cell_is_marked_not_passed_off_as_a_minimum(
+            self, monkeypatch):
+        """Regression: a Table 6.1 cell whose MILP stopped at
+        ``milp_time_limit`` printed like a proven minimum."""
+        import repro.routing.bsor.milp as milp_module
+
+        real = milp_module.milp
+        calls = []
+
+        def limit_hits_the_second_solve(**kwargs):
+            result = real(**kwargs)
+            calls.append(result)
+            if len(calls) == 2:
+                # HiGHS at its time limit with an incumbent in hand
+                result.status = 1
+                result.message = "Time limit reached. (HiGHS Status 13)"
+            return result
+
+        monkeypatch.setattr(milp_module, "milp", limit_hits_the_second_solve)
+        rows = run_table("6-1", QUICK, workloads=("transpose",))
+        assert rows.column("optimal") == [True, False, True, True, True]
+        [_, _, _, _, cells, legend] = render_table("6-1", rows).splitlines()
+        assert cells.split() == ["transpose", "75/175", "75*/175", "75/75",
+                                 "50/175", "50/75"]
+        assert legend.startswith("* ") and "milp_time_limit" in legend
+
+    def test_a_cell_the_solver_never_filled_is_empty(self):
+        """Whatever a tiny ``milp_time_limit`` does on this host — nothing
+        found, an unproven incumbent, or a proven minimum — the cell says
+        which."""
+        import dataclasses
+
+        rows = run_table(
+            "6-1", dataclasses.replace(QUICK, milp_time_limit=1e-9),
+            workloads=("transpose",))
+        text = render_table("6-1", rows)
+        for row, cell in zip(rows, text.splitlines()[4].split()[1:]):
+            ours = cell.split("/")[0]
+            if row["max_channel_load"] is None:
+                assert (row["optimal"], ours) == (False, "-")
+            else:
+                assert ours.endswith("*") == (row["optimal"] is False)
 
 
 class TestFigures:

@@ -15,7 +15,6 @@ import dataclasses
 import pytest
 
 from repro.compare.matrix import CompareMatrix, parse_topology
-from repro.compare.report import render_markdown
 from repro.compare.saturation import SaturationCriteria
 from repro.exceptions import (
     DeadlockError,
@@ -35,6 +34,7 @@ from repro.routing.registry import create_router
 from repro.runner.fingerprint import simulation_cache_key
 from repro.simulator import NetworkSimulator, SimulationConfig
 from repro.simulator.injection import make_injection_process
+from repro.study.resultset import degradation
 from repro.study.spec import Scenario, Study
 from repro.topology import Mesh2D, Torus2D
 from repro.traffic import synthetic_by_name
@@ -378,24 +378,31 @@ class TestCompareFaultAxis:
     def test_matrix_runs_fault_axis_and_reports_degradation(self):
         matrix = CompareMatrix(config=_quick_config(),
                                criteria=QUICK_CRITERIA)
-        result = matrix.run(["mesh4x4"], ["transpose"], ["dor"],
-                            fault_sets=["none", "link:0-1,link:2-6"])
-        assert len(result.cells) == 2
-        labels = {cell.faults for cell in result.cells}
-        assert labels == {"none", "link:0-1,link:2-6"}
-        # targeted lookup by fault label
-        cell = result.cell("mesh4x4", "transpose", "dor",
-                           faults="link:2-6,link:0-1")
-        assert cell.faults == "link:0-1,link:2-6"  # canonicalised
-        rendered = render_markdown(result)
+        rows, _ = matrix.run(["mesh4x4"], ["transpose"], ["dor"],
+                             fault_sets=["none", "link:2-6,link:0-1"])
+        assert len(rows) == 2
+        # labels are canonicalised, so a row is found by the canonical one
+        assert rows.distinct("faults") == ["none", "link:0-1,link:2-6"]
+        [faulty] = rows.filter(router="dor", faults="link:0-1,link:2-6")
+        [retained] = degradation(rows)
+        assert retained["faults"] == faulty["faults"]
+        assert retained["retained"].endswith("%")
+
+    def test_study_report_grows_faults_column_and_degradation_table(self):
+        study = Study("s").grid(
+            topologies=["mesh4x4"], routers=["dor"],
+            faults=["none", "link:0-1,link:2-6"]).saturate(
+            min_rate=0.25, max_rate=0.5, resolution=0.25)
+        rendered = study.run(profile="quick", cache=False, workers=1) \
+            .render_markdown()
         assert "## Degradation under faults" in rendered
         assert "| faults |" in rendered
 
     def test_fault_free_report_has_no_faults_column(self):
-        matrix = CompareMatrix(config=_quick_config(),
-                               criteria=QUICK_CRITERIA)
-        result = matrix.run(["mesh4x4"], ["transpose"], ["dor"])
-        rendered = render_markdown(result)
+        study = Study("s").grid(topologies=["mesh4x4"], routers=["dor"]) \
+            .saturate(min_rate=0.25, max_rate=0.5, resolution=0.25)
+        rendered = study.run(profile="quick", cache=False, workers=1) \
+            .render_markdown()
         assert "Degradation under faults" not in rendered
         assert "| faults |" not in rendered
 

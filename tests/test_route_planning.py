@@ -729,11 +729,11 @@ class TestWarmMeansZeroSolves:
             matrix = CompareMatrix(
                 config=config, observer=observer,
                 criteria=SaturationCriteria.bounded(0.5, 2.5, 1.0))
-            result = matrix.run(["mesh4x4"], ["transpose"],
-                                ["dor", "bsor-dijkstra", "bsor-milp"],
-                                fault_sets=["none", "link:5-6,link:9-10@200"])
-            return json.dumps(result.result_set().rows, sort_keys=True), \
-                result.report
+            rows, report = matrix.run(
+                ["mesh4x4"], ["transpose"],
+                ["dor", "bsor-dijkstra", "bsor-milp"],
+                fault_sets=["none", "link:5-6,link:9-10@200"])
+            return rows.to_json(), report
 
         cold_events, warm_events = CollectingObserver(), CollectingObserver()
         cold, cold_report = run(cold_events)
@@ -850,31 +850,20 @@ def _outside_the_funnel(path: Path, tree: ast.Module):
     if relative.startswith("routing/") or \
             relative in ("faults.py", "planning.py"):
         return
-    allowed_lines = range(0)
-    if relative == "experiments/tables.py":
-        # Tables 6.1 / 6.2 tabulate the per-CDG exploration itself
-        [row] = [node for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "_exploration_row"]
-        allowed_lines = range(row.lineno, row.end_lineno + 1)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            # package __init__ facades re-export; tables.py imports for
-            # the exploration row
-            if path.name == "__init__.py" or \
-                    relative == "experiments/tables.py":
-                continue
+            if path.name == "__init__.py":
+                continue  # package facades re-export
             names = {alias.name for alias in node.names}
         elif isinstance(node, ast.Name):
             names = {node.id}
         elif isinstance(node, ast.Attribute):
             names = {node.attr}
-            if node.attr == "compute_routes" and \
-                    node.lineno not in allowed_lines:
+            if node.attr == "compute_routes":
                 yield node.lineno, ".compute_routes"
         else:
             continue
-        if names & STRATEGY_SETS and node.lineno not in allowed_lines:
+        if names & STRATEGY_SETS:
             yield node.lineno, sorted(names & STRATEGY_SETS)[0]
 
 
@@ -903,7 +892,11 @@ def test_guard_sees_what_it_guards():
     source = (SOURCE / "planning.py").read_text() + \
         (SOURCE / "faults.py").read_text()
     assert offences("study/execute.py", source) == \
-        {".compute_routes", "full_strategy_set"}
+        {".compute_routes", "full_strategy_set", "paper_strategies"}
+    # the table harness is no exception any more (Tables 6.1 / 6.2 walk
+    # planning.plan_per_cdg)
+    assert offences("experiments/tables.py", source) == \
+        offences("study/execute.py", source)
     assert offences("report.py",
                     "from x import paper_strategies as p") == \
         {"paper_strategies"}
@@ -970,3 +963,63 @@ def test_sweep_guards_see_what_they_guard():
     assert {name for _, name in _calls(ast.parse(source), bool)} == {
         "sweep_many", "SweepSpec", "from_profile", "BSORRouting",
         "XYRouting"}
+
+
+# ----------------------------------------------------------------------
+# structural guard: one process pool, one cell formatter, one set of writers
+# ----------------------------------------------------------------------
+def _names_process_pool(source: str):
+    return "ProcessPoolExecutor" in source
+
+
+def test_the_process_pool_lives_in_the_execution_backends_alone():
+    offenders = [path.relative_to(SOURCE).as_posix()
+                 for path in sorted(SOURCE.rglob("*.py"))
+                 if _names_process_pool(path.read_text())]
+    assert offenders == ["runner/backends.py"], (
+        "cache-miss work fans out through repro.runner.backends (the "
+        "execution-backend seam) only; a second pool bypasses --execution "
+        f"and both cache tiers: {offenders}")
+
+
+#: Names the second cell formatters / table writers had before they were
+#: folded onto ResultSet (`to_markdown` / `to_text` / `to_html` / `to_json`).
+SECOND_PRINTERS = {"format_value", "_format", "_html_table", "render_pivot",
+                   "render_json"}
+
+
+def _second_printers(path: Path, tree: ast.Module):
+    """Function definitions that would be a second formatter or writer."""
+    relative = path.relative_to(SOURCE).as_posix()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in SECOND_PRINTERS or (
+                node.name == "render_markdown"
+                and not relative.startswith("study/")):
+            yield f"{relative}:{node.lineno}: def {node.name}"
+
+
+def test_result_set_owns_the_cell_formatter_and_every_table_writer():
+    offences = [offence for path in sorted(SOURCE.rglob("*.py"))
+                for offence in _second_printers(
+                    path, ast.parse(path.read_text()))]
+    assert not offences, (
+        "cells are formatted and tables written by repro.study.resultset."
+        "ResultSet only (render_markdown lives under study/):\n  "
+        + "\n  ".join(offences))
+
+
+def test_printer_guards_see_what_they_guard():
+    assert _names_process_pool(
+        "from concurrent.futures import ProcessPoolExecutor")
+    assert not _names_process_pool((SOURCE / "runner/engine.py").read_text())
+    source = "def _format(value): ...\n" \
+             "class R:\n    def render_markdown(self): ...\n" \
+             "def to_markdown(): ...\n"
+    assert [offence.split(": ")[1] for offence in _second_printers(
+        SOURCE / "report.py", ast.parse(source))] == \
+        ["def _format", "def render_markdown"]
+    assert list(_second_printers(SOURCE / "study/execute.py",
+                                 ast.parse(source))) == \
+        ["study/execute.py:1: def _format"]

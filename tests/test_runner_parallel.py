@@ -2,8 +2,8 @@
 
 Covers the satellite requirement that a seeded sweep produces identical
 ``SweepCurve`` values through the runner with 1 worker and with N workers,
-plus the runner's equivalence with the serial driver, the generic parallel
-map, and worker-count resolution.
+plus the runner's equivalence with the serial driver and worker-count
+resolution.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.exceptions import SimulationError
 from repro.faults import plan_on
 from repro.routing import ROMMRouting, XYRouting
 from repro.runner import ExperimentRunner, SweepSpec, resolve_workers
-from repro.runner.engine import _double_for_test  # noqa: F401  (see test_map)
 from repro.simulator import SimulationConfig, sweep_injection_rates
 from repro.simulator.simulation import phase_boundaries_for
 
@@ -121,14 +120,6 @@ class TestSweepMany:
 
 
 class TestRunnerPlumbing:
-    def test_map_preserves_order(self):
-        runner = ExperimentRunner(workers=2)
-        assert runner.map(_double_for_test, [3, 1, 2]) == [6, 2, 4]
-
-    def test_map_serial(self):
-        runner = ExperimentRunner(workers=1)
-        assert runner.map(_double_for_test, [3, 1, 2]) == [6, 2, 4]
-
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(4) == 4
         assert resolve_workers(-2) == 1

@@ -117,8 +117,8 @@ class TestFigure67BitIdentity:
         # the runner summary is run bookkeeping, so it goes to stderr —
         # stdout carries only the figure itself
         legacy = capsys.readouterr()
-        assert "36 task(s), 36 executed, 0 from cache" in legacy.err
-        assert "task(s)" not in legacy.out
+        assert "36 points, 36 simulated, 0 cached" in legacy.err
+        assert "points," not in legacy.out
 
         study = Study.from_file(EXAMPLES / "figure_6_7.yaml")
         result = study.run(profile="quick", workers=1, cache_dir=cache_dir)
@@ -150,5 +150,5 @@ class TestFigure67BitIdentity:
         code = runner_main(["figure", "6.7", "--profile", "quick",
                             "--workers", "1", "--cache-dir", cache_dir])
         assert code == 0
-        assert "36 task(s), 0 executed, 36 from cache" in \
+        assert "36 points, 0 simulated, 36 cached" in \
             capsys.readouterr().err

@@ -161,18 +161,22 @@ class ResultCache:
         return self.shared_dir / subdir / f"{key}.json"
 
     @staticmethod
-    def _load(path: Path, decode: Callable[[object], Optional[T]]
+    def _load(path: Path, key: str, decode: Callable[[object], Optional[T]]
               ) -> Tuple[Optional[str], Optional[T]]:
-        """(stored text, decoded value) at *path*.
+        """(stored text, decoded value) of the entry for *key* at *path*.
 
-        ``(None, None)`` when the entry is absent, unreadable, not JSON or
-        rejected by *decode* (which returns ``None`` or raises ``KeyError``
-        / ``TypeError`` / ``ValueError`` for a stale or foreign layout):
-        all of them are a miss, and the fresh value overwrites the entry.
+        ``(None, None)`` when the entry is absent, unreadable, not JSON,
+        recorded under another key (a misfiled copy) or rejected by *decode*
+        (which returns ``None`` or raises ``KeyError`` / ``TypeError`` /
+        ``ValueError`` for a stale or foreign layout): all of them are a
+        miss, and the fresh value overwrites the entry.
         """
         try:
             text = path.read_text()
-            value = decode(json.loads(text))
+            payload = json.loads(text)
+            if payload["key"] != key:
+                return None, None
+            value = decode(payload)
         except (OSError, KeyError, TypeError, ValueError):
             return None, None
         return (text, value) if value is not None else (None, None)
@@ -181,12 +185,12 @@ class ResultCache:
                 decode: Callable[[object], Optional[T]]
                 ) -> Tuple[Optional[T], bool]:
         """(value, served by the shared tier?) — read-through, write-back."""
-        _, value = self._load(self._path(key, subdir), decode)
+        _, value = self._load(self._path(key, subdir), key, decode)
         if value is not None:
             return value, False
         shared_path = self._shared_path(key, subdir)
         if shared_path is not None:
-            text, value = self._load(shared_path, decode)
+            text, value = self._load(shared_path, key, decode)
             if value is not None:
                 assert text is not None
                 local = self._path(key, subdir)

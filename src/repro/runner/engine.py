@@ -39,7 +39,7 @@ from ..simulator.simulation import (
 from ..topology.base import Topology
 from .backends import ExecutionTask, resolve_execution
 from .cache import ResultCache
-from .fingerprint import batch_group_key, simulation_cache_key
+from .fingerprint import FragmentMemo, batch_group_key, simulation_cache_key
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -241,6 +241,10 @@ class ExperimentRunner:
             key: [None] * len(spec.offered_rates) for key, spec in specs.items()
         }
         pending = []  # (key, rate index, cache key, payload)
+        # canonical fragments of the specs' shared inputs, rendered once for
+        # this call; identity-indexed, so it must not outlive the call (a
+        # RouteSet is mutable and a stale fragment is a wrong cache hit)
+        memo: FragmentMemo = {}
         for key, spec in specs.items():
             for index, rate in enumerate(spec.offered_rates):
                 report.points_total += 1
@@ -249,7 +253,7 @@ class ExperimentRunner:
                     cache_key = simulation_cache_key(
                         spec.topology, spec.route_set, spec.config, rate,
                         spec.phase_boundaries,
-                        fault_schedule=spec.fault_schedule,
+                        fault_schedule=spec.fault_schedule, memo=memo,
                     )
                     cached = self.cache.get(cache_key)
                     if cached is not None:
@@ -264,7 +268,7 @@ class ExperimentRunner:
 
         report.points_simulated = len(pending)
         if pending:
-            self._run_pending(pending, collected, report, emitter)
+            self._run_pending(pending, collected, report, emitter, memo)
         if emitter is not None:
             emitter.sweep_finished(report.points_total,
                                    report.points_simulated,
@@ -296,7 +300,7 @@ class ExperimentRunner:
         return results
 
     # ------------------------------------------------------------------
-    def _plan_pending(self, pending):
+    def _plan_pending(self, pending, memo: FragmentMemo):
         """Split cache-miss points into scalar tasks and batchable groups.
 
         A point whose resolved backend advertises ``supports_batching``
@@ -321,8 +325,8 @@ class ExperimentRunner:
             if not spec.supports_batching:
                 scalar.append(entry)
                 continue
-            group = batch_group_key(topology, route_set, config,
-                                    boundaries, fault_schedule=faults)
+            group = batch_group_key(topology, route_set, config, boundaries,
+                                    fault_schedule=faults, memo=memo)
             groups.setdefault(group, []).append(entry)
         return scalar, list(groups.items())
 
@@ -334,8 +338,9 @@ class ExperimentRunner:
             if emitter is not None:
                 emitter.point_finished(key, payload[3])
 
-    def _run_pending(self, pending, collected, report, emitter=None) -> None:
-        scalar, groups = self._plan_pending(pending)
+    def _run_pending(self, pending, collected, report, emitter,
+                     memo: FragmentMemo) -> None:
+        scalar, groups = self._plan_pending(pending, memo)
         report.batch_groups = len(groups)
         if emitter is not None:
             for key, _, _, payload in scalar:

@@ -18,6 +18,12 @@ preserved, not sorted away: both are genuine simulation inputs (flows share
 one injection RNG stream drawn in flow-set order; channel ids and
 arbitration order follow the topology's channel enumeration), so two
 experiments that differ only in ordering must not collide on one key.
+
+Canonical JSON of a mapping is its members' canonical JSON joined in
+sorted-key order, so a point's key is *spliced* from one fragment per input
+instead of serialising the whole payload per point: the points of a sweep
+share almost all of that text, and a caller-owned :data:`FragmentMemo` lets
+them render it once.  The digests equal the whole-payload construction's.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..routing.base import RouteSet
 from ..simulator.batchsim import LANE_VARIABLE_FIELDS
@@ -44,9 +50,29 @@ CACHE_SCHEMA_VERSION = 1
 PLAN_SCHEMA_VERSION = 1
 
 
-def _digest(payload: object) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+#: A sweep-scoped memo of canonical fragments: ``(renderer, id(source))`` to
+#: ``(source, canonical JSON)``.  Holding *source* keeps its id from being
+#: recycled for as long as the memo lives.
+FragmentMemo = Dict[Tuple[Callable, int], Tuple[object, str]]
+
+
+def _canonical(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _fragment(memo: Optional[FragmentMemo], render: Callable[..., object],
+              source: object) -> str:
+    """Canonical JSON of ``render(source)``, once per *source* per *memo*."""
+    if memo is None:
+        return _canonical(render(source))
+    slot = (render, id(source))
+    if slot not in memo:
+        memo[slot] = (source, _canonical(render(source)))
+    return memo[slot][1]
 
 
 def topology_fingerprint(topology: Topology) -> Dict[str, object]:
@@ -101,15 +127,49 @@ def config_fingerprint(config: SimulationConfig) -> Dict[str, object]:
     are warm-cache hits for every other (and entries cached before the
     backend field existed stay valid).
     """
-    payload = dataclasses.asdict(config)
-    payload.pop("backend", None)
-    return payload
+    return {field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if field.name != "backend"}
+
+
+def _group_config(config: SimulationConfig) -> Dict[str, object]:
+    return {field: value for field, value in config_fingerprint(config).items()
+            if field not in LANE_VARIABLE_FIELDS}
+
+
+def _boundaries(phase_boundaries: Optional[Dict[str, int]]) -> list:
+    return sorted((phase_boundaries or {}).items())
+
+
+def _spliced_key(memo: Optional[FragmentMemo], render_config: Callable,
+                 topology: Topology, route_set: RouteSet,
+                 config: SimulationConfig, phase_boundaries, fault_schedule,
+                 offered_rate: Optional[float] = None) -> str:
+    """SHA-256 of ``_canonical`` of the mapping of the member names below to
+    their payloads, spliced from the members' (memoised) fragments."""
+    sources = {
+        "config": (render_config, config),
+        "flows": (flow_set_fingerprint, route_set.flow_set),
+        "phase_boundaries": (_boundaries, phase_boundaries),
+        "routes": (route_set_fingerprint, route_set),
+        "topology": (topology_fingerprint, topology),
+    }
+    if fault_schedule:
+        sources["faults"] = (type(fault_schedule).to_payload, fault_schedule)
+    members = {name: _fragment(memo, render, source)
+               for name, (render, source) in sources.items()}
+    members["schema"] = _canonical(CACHE_SCHEMA_VERSION)
+    if offered_rate is not None:
+        members["offered_rate"] = _canonical(float(offered_rate))
+    text = ",".join(f'"{name}":{members[name]}' for name in sorted(members))
+    return _sha256(f"{{{text}}}")
 
 
 def simulation_cache_key(topology: Topology, route_set: RouteSet,
                          config: SimulationConfig, offered_rate: float,
                          phase_boundaries: Optional[Dict[str, int]] = None,
-                         fault_schedule=None,
+                         fault_schedule=None, *,
+                         memo: Optional[FragmentMemo] = None,
                          ) -> str:
     """The content-addressed key of one simulation point.
 
@@ -126,25 +186,21 @@ def simulation_cache_key(topology: Topology, route_set: RouteSet,
     non-empty.  An empty or ``None`` schedule adds nothing — keys from
     before the fault model existed stay valid, and a degraded run can never
     collide with its fault-free twin in either direction.
+
+    *memo* (a dict the caller owns, see :data:`FragmentMemo`) shares the
+    rendered fragments between the points of one sweep.  It is indexed by
+    object identity, so it must not outlive a span in which its sources
+    are not mutated: the runner scopes one to each ``sweep_many`` call.
     """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "topology": topology_fingerprint(topology),
-        "flows": flow_set_fingerprint(route_set.flow_set),
-        "routes": route_set_fingerprint(route_set),
-        "config": config_fingerprint(config),
-        "offered_rate": float(offered_rate),
-        "phase_boundaries": sorted((phase_boundaries or {}).items()),
-    }
-    if fault_schedule:
-        payload["faults"] = fault_schedule.to_payload()
-    return _digest(payload)
+    return _spliced_key(memo, config_fingerprint, topology, route_set, config,
+                        phase_boundaries, fault_schedule, offered_rate)
 
 
 def batch_group_key(topology: Topology, route_set: RouteSet,
                     config: SimulationConfig,
                     phase_boundaries: Optional[Dict[str, int]] = None,
-                    fault_schedule=None,
+                    fault_schedule=None, *,
+                    memo: Optional[FragmentMemo] = None,
                     ) -> str:
     """The content-addressed key of one *batchable* family of points.
 
@@ -163,21 +219,8 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     affected: batched points are still stored under their unchanged
     :func:`simulation_cache_key`.
     """
-    config_payload = {
-        field: value for field, value in config_fingerprint(config).items()
-        if field not in LANE_VARIABLE_FIELDS
-    }
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "topology": topology_fingerprint(topology),
-        "flows": flow_set_fingerprint(route_set.flow_set),
-        "routes": route_set_fingerprint(route_set),
-        "config": config_payload,
-        "phase_boundaries": sorted((phase_boundaries or {}).items()),
-    }
-    if fault_schedule:
-        payload["faults"] = fault_schedule.to_payload()
-    return _digest(payload)
+    return _spliced_key(memo, _group_config, topology, route_set, config,
+                        phase_boundaries, fault_schedule)
 
 
 def route_plan_key(topology: Topology, flow_set: FlowSet, router: str,
@@ -192,11 +235,11 @@ def route_plan_key(topology: Topology, flow_set: FlowSet, router: str,
     the simulation configuration) takes part, and neither do numpy / scipy
     versions: a cached optimal plan stays optimal under any solver build.
     """
-    return _digest({
+    return _sha256(_canonical({
         "schema": PLAN_SCHEMA_VERSION,
         "topology": topology_fingerprint(topology),
         "flows": flow_set_fingerprint(flow_set),
         "router": router,
         "options": options,
         "faults": faults,
-    })
+    }))

@@ -16,8 +16,8 @@ Public entry points, lowest to highest level:
   configuration under one injection process, simulated cycle by cycle over
   flat per-(channel, VC) arrays;
 * :class:`FastSimulator` — the ``fast`` backend (the default):
-  event-skipping worklists and int-encoded flits, bit-identical to the
-  reference;
+  event-skipping worklists and four-integer packet windows, bit-identical
+  to the reference;
 * :func:`create_simulator` / :func:`register_backend` /
   :func:`backend_spec` / :func:`available_backends` — the pluggable
   backend registry (``SimulationConfig.backend`` selects the kernel);

@@ -42,7 +42,8 @@ Two kernels ship:
 * ``reference`` — :class:`~repro.simulator.network.NetworkSimulator`, the
   staged structure-of-arrays kernel (semantic ground truth);
 * ``fast`` (default) — :class:`~repro.simulator.fastsim.FastSimulator`, the
-  event-skipping kernel with active-buffer worklists and int-encoded flits.
+  event-skipping kernel with active-buffer worklists and one four-integer
+  packet window per buffer.
 
 New backends plug in with one decorator::
 
@@ -236,15 +237,15 @@ register_backend(
     "fast",
     display_name="Fast",
     aliases=("event-skipping", "worklist"),
-    summary="Event-skipping kernel: active-buffer worklists, int-encoded "
-            "flits and precomputed per-hop tables; bit-identical to "
-            "reference.",
+    summary="Event-skipping kernel: active-buffer worklists, four-integer "
+            "packet windows and precomputed per-hop tables; bit-identical "
+            "to reference.",
     mechanism=(
         "Maintains incremental worklists of ejection-ready and "
         "advance-ready buffers plus active source nodes, so idle "
-        "(channel, VC) slots and silent sources cost zero per cycle; flits "
-        "are single integers packing packet id, hop and flags instead of "
-        "objects."
+        "(channel, VC) slots and silent sources cost zero per cycle; a "
+        "buffer is one window of its owning packet's flit train (packet "
+        "id, hop, window start, flit count) and no flit is ever encoded."
     ),
 )(FastSimulator)
 

@@ -81,7 +81,13 @@ class Topology(ABC):
         simply becomes isolated.  Removing a channel that does not exist
         raises :class:`TopologyError`.
         """
-        degraded = copy.deepcopy(self)
+        # channels are immutable and subclasses add only scalars, so a copy
+        # of the four containers shares no mutable state with the original
+        degraded = copy.copy(self)
+        degraded._channels = list(self._channels)
+        degraded._channel_set = set(self._channel_set)
+        degraded._out = {node: list(out) for node, out in self._out.items()}
+        degraded._in = {node: list(into) for node, into in self._in.items()}
         for channel in channels:
             degraded._remove_channel(channel)
         return degraded

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -418,6 +419,94 @@ class TestPlanEntries:
         assert capsys.readouterr().out.strip() == (
             f"removed 1 cached result(s) and 1 route plan(s) from {tmp_path}")
         assert not list(tmp_path.rglob("*.json"))
+
+
+class TestMisfiledEntries:
+    """An entry records the key it was stored under; a file whose recorded
+    key is not the key asked for (a copy, a rename, a botched sync between
+    tiers) is a miss like any other unreadable entry — served as a hit it
+    would be another point's statistics, silently."""
+
+    A, B = "a" * 64, "b" * 64
+
+    def test_misfiled_statistics_are_a_miss_and_are_overwritten(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(self.A, _stats(500.0))
+        shutil.copy(tmp_path / f"{self.A}.json", tmp_path / f"{self.B}.json")
+        assert cache.get(self.B) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.get(self.A) == _stats(500.0)
+        cache.put(self.B, _stats(700.0))
+        assert cache.get(self.B) == _stats(700.0)
+        assert json.loads(
+            (tmp_path / f"{self.B}.json").read_text())["key"] == self.B
+
+    def test_misfiled_plan_is_a_miss_and_is_overwritten(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_plan(self.A, {"routes": {"f1": [1]}})
+        plans = tmp_path / "plans"
+        shutil.copy(plans / f"{self.A}.json", plans / f"{self.B}.json")
+        assert cache.get_plan(self.B, _decode) is None
+        assert (cache.plan_hits, cache.plan_misses) == (0, 1)
+        cache.put_plan(self.B, {"routes": {"f1": [2]}})
+        assert cache.get_plan(self.B, _decode) == {"f1": [2]}
+        assert cache.get_plan(self.A, _decode) == {"f1": [1]}
+
+    @pytest.mark.parametrize("subdir", ["", "plans"],
+                             ids=["statistics", "plan"])
+    def test_misfiled_shared_entry_is_not_written_back(self, tmp_path,
+                                                       subdir):
+        shared = ResultCache(tmp_path / "shared")
+        shared.put(self.A, _stats())
+        shared.put_plan(self.A, {"routes": {"f1": [1]}})
+        shutil.copy(tmp_path / "shared" / subdir / f"{self.A}.json",
+                    tmp_path / "shared" / subdir / f"{self.B}.json")
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        found = cache.get_plan(self.B, _decode) if subdir \
+            else cache.get(self.B)
+        assert found is None
+        assert cache.shared_hits == 0
+        assert not (tmp_path / "local" / subdir / f"{self.B}.json").exists()
+        # the rightly filed entry still reads through and is written back
+        assert (cache.get_plan(self.A, _decode) if subdir
+                else cache.get(self.A)) is not None
+        assert (tmp_path / "local" / subdir / f"{self.A}.json").exists()
+
+    def test_a_misfiled_local_entry_still_reads_through(self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_dir=tmp_path / "shared")
+        cache.put(self.A, _stats(500.0))
+        cache.put(self.B, _stats(700.0))
+        local = tmp_path / "local"
+        shutil.copy(local / f"{self.A}.json", local / f"{self.B}.json")
+        assert cache.get(self.B) == _stats(700.0)
+        assert cache.shared_hits == 1
+        # ... and the write-back repaired the local copy
+        assert ResultCache(local).get(self.B) == _stats(700.0)
+
+    def test_study_over_a_misfiled_entry_resimulates_that_one_point(
+            self, tmp_path):
+        from repro.study import Study
+
+        study = (Study("misfiled").grid(topologies=["mesh4x4"],
+                                        routers=["dor"],
+                                        patterns=["transpose"])
+                 .rates(0, values=[0.5, 1.0, 2.0])
+                 ).with_policy(profile="quick", workers=1)
+        cold = study.run(cache_dir=str(tmp_path))
+        assert cold.report.points_simulated == 3
+        first, second, _ = sorted(ResultCache(tmp_path).keys())
+        right = (tmp_path / f"{second}.json").read_bytes()
+        shutil.copy(tmp_path / f"{first}.json", tmp_path / f"{second}.json")
+        again = study.run(cache_dir=str(tmp_path))
+        assert (again.report.points_simulated,
+                again.report.cache_hits) == (1, 2)
+        assert again.to_json() == cold.to_json()
+        assert json.loads(right) == json.loads(
+            (tmp_path / f"{second}.json").read_text())
+        warm = study.run(cache_dir=str(tmp_path))
+        assert warm.report.cache_hits == 3
+        assert warm.to_json() == cold.to_json()
 
 
 class TestCacheObservability:

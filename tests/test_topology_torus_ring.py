@@ -1,9 +1,12 @@
-"""Tests for the torus and ring topologies."""
+"""Tests for the torus and ring topologies (and every topology's
+degraded copy)."""
+
+import copy
 
 import pytest
 
 from repro.exceptions import TopologyError
-from repro.topology import Direction, Ring, Torus2D
+from repro.topology import Direction, Mesh2D, Ring, Torus2D
 
 
 class TestTorus:
@@ -83,3 +86,71 @@ class TestRing:
         assert ring5.node_at(3) == 3
         with pytest.raises(TopologyError):
             ring5.node_at(1, 2)
+
+
+def _deepcopy_degraded(topology, channels):
+    """``without_channels`` as it was: a deep copy, then the removals."""
+    reference = copy.deepcopy(topology)
+    for channel in channels:
+        reference._remove_channel(channel)
+    return reference
+
+
+@pytest.fixture(params=[lambda: Mesh2D(4), lambda: Mesh2D(3, 5),
+                        lambda: Torus2D(4), lambda: Ring(6),
+                        lambda: Ring(5, bidirectional=False)],
+                ids=["mesh4x4", "mesh3x5", "torus4x4", "ring6", "ring5-uni"])
+def topology(request):
+    return request.param()
+
+
+class TestDegradedCopy:
+    """``without_channels`` copies four containers, not the whole object."""
+
+    def test_same_class_nodes_and_channels_as_a_deep_copy(self, topology):
+        removed = [topology.channels[0], topology.channels[-1]]
+        degraded = topology.without_channels(removed)
+        reference = _deepcopy_degraded(topology, removed)
+        assert type(degraded) is type(topology)
+        assert degraded.channels == reference.channels
+        assert degraded.nodes == topology.nodes
+        for node in topology.nodes:
+            assert degraded.out_channels(node) == reference.out_channels(node)
+            assert degraded.in_channels(node) == reference.in_channels(node)
+            assert degraded.coordinates(node) == topology.coordinates(node)
+        for channel in degraded.channels:
+            assert degraded.direction_of(channel) is \
+                topology.direction_of(channel)
+        assert vars(degraded).keys() == vars(topology).keys()
+
+    def test_no_mutable_state_is_shared_in_either_direction(self, topology):
+        before = topology.channels
+        first, second = before[0], before[1]
+        degraded = topology.without_channels([first])
+        # the original is untouched by the copy's removals ...
+        assert topology.channels == before
+        assert first in topology.out_channels(first.src)
+        assert first in topology.in_channels(first.dst)
+        assert topology.has_channel(first.src, first.dst)
+        # ... by later edits of the copy ...
+        degraded._remove_channel(second)
+        assert topology.has_channel(second.src, second.dst)
+        assert second in topology.out_channels(second.src)
+        assert second in topology.in_channels(second.dst)
+        # ... and the copy by edits of the original
+        third = before[2]
+        snapshot = degraded.channels
+        topology._remove_channel(third)
+        assert degraded.channels == snapshot
+        assert degraded.has_channel(third.src, third.dst)
+        assert third in degraded.out_channels(third.src)
+        assert third in degraded.in_channels(third.dst)
+        for name, value in vars(degraded).items():
+            if isinstance(value, (list, set, dict)):
+                assert value is not vars(topology)[name], name
+
+    def test_unknown_channel_still_raises(self, topology):
+        present = topology.channels[0]
+        degraded = topology.without_channels([present])
+        with pytest.raises(TopologyError):
+            degraded.without_channels([present])

@@ -18,6 +18,14 @@
 #                     `table 6-1`) each run twice into a temp cache: the
 #                     second run must solve no plan, simulate no point and
 #                     print byte-identical stdout (scripts/warm_smoke.py)
+#   make bench      - the pipeline benchmark (benchmarks/pipeline/, what
+#                     BENCHMARK.json declares) at smoke scale: all five
+#                     workloads on 4x4 meshes with the gate checks —
+#                     warm == cold, served == in-process, queue == local,
+#                     every plan deadlock-checked (the reference digests
+#                     are full-scale only and skipped here) — non-zero
+#                     exit on any failed check (~10 s); timings at this
+#                     scale are never recorded
 #   make bench-smoke - time all three simulator backends on a small fixed
 #                     sweep (the batch kernel as one vectorized call),
 #                     write BENCH_simkernel.json (appending the record to
@@ -50,7 +58,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 #: Minimum line coverage (percent) the full CI job enforces.
 COVERAGE_FLOOR ?= 75
 
-.PHONY: test test-fast test-faults coverage smoke smoke-cli bench-smoke bench-trend report-smoke serve-smoke links docs docs-check check clean-cache
+.PHONY: test test-fast test-faults coverage smoke smoke-cli bench bench-smoke bench-trend report-smoke serve-smoke links docs docs-check check clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -77,6 +85,9 @@ smoke-cli:
 	$(PYTHON) -m repro validate examples/studies/*.yaml
 	$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast --no-cache
 	$(PYTHON) scripts/warm_smoke.py
+
+bench:
+	$(PYTHON) benchmarks/pipeline/bench.py --scale smoke --seed 0
 
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py --check

@@ -8,17 +8,15 @@ breadth for transpose, where only a minority of CDGs admit the 75 MB/s
 solution — a single arbitrarily chosen turn model stays stuck at 175 MB/s.
 """
 
-from bench_utils import bench_config, emit
+from bench_utils import bench_config, bench_workload, emit
 
-from repro.experiments import build_mesh, workload_flow_set
 from repro.planning import plan_routes
 from repro.routing.bsor import full_strategy_set, paper_strategies
 from repro.study import ResultSet
 
 
 def cdg_exploration_ablation(config):
-    mesh = build_mesh(config)
-    flows = workload_flow_set("transpose", mesh, config)
+    mesh, flows = bench_workload("transpose", config)
     full = full_strategy_set(mesh)
     subsets = {
         "1 CDG (west-first only)": [paper_strategies()[1]],

@@ -11,10 +11,9 @@ refinement passes, which the framework exposes on top of the paper's
 single-pass heuristic.
 """
 
-from bench_utils import bench_config, emit
+from bench_utils import bench_config, bench_workload, emit
 
 from repro.cdg import TurnModel, turn_model_cdg
-from repro.experiments import build_mesh, workload_flow_set
 from repro.flowgraph import FlowGraph
 from repro.routing import DijkstraSelector, MILPSelector, ResidualCapacityWeight
 from repro.routing.bsor import ad_hoc_strategy
@@ -22,10 +21,9 @@ from repro.study import ResultSet
 
 
 def hop_slack_ablation(config):
-    mesh = build_mesh(config)
     rows = []
     for workload in ("perf-modeling", "transpose"):
-        flows = workload_flow_set(workload, mesh, config)
+        mesh, flows = bench_workload(workload, config)
         # the ad hoc CDG that reaches the transpose optimum in Table 6.1
         cdg = ad_hoc_strategy(2).build(mesh)
         for slack in (0, 2, 4):
@@ -41,8 +39,7 @@ def hop_slack_ablation(config):
 
 
 def refinement_ablation(config):
-    mesh = build_mesh(config)
-    flows = workload_flow_set("transpose", mesh, config)
+    mesh, flows = bench_workload("transpose", config)
     rows = []
     for passes in (0, 1, 2):
         cdg = turn_model_cdg(mesh, TurnModel.WEST_FIRST)

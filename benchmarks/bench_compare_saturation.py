@@ -7,18 +7,16 @@ it replaces, and must agree with the dense sweep's saturation rate to
 within one sweep step.
 """
 
-from bench_utils import bench_config, emit
+from bench_utils import bench_config, bench_workload, emit
 
 from repro.compare import SaturationCriteria, dense_saturation, find_saturation
-from repro.experiments import build_mesh, workload_flow_set
 from repro.routing import create_router
 from repro.runner.engine import runner_for
 
 
 def test_adaptive_saturation_vs_dense_sweep(benchmark):
     config = bench_config()
-    mesh = build_mesh(config)
-    flows = workload_flow_set("transpose", mesh, config)
+    mesh, flows = bench_workload("transpose", config)
     routes = create_router("dor").compute_routes(mesh, flows)
     runner = runner_for(config)
     criteria = SaturationCriteria(min_rate=0.25, max_rate=8.0,

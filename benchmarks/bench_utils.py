@@ -27,6 +27,7 @@ import os
 from typing import Dict
 
 from repro.experiments import ExperimentConfig
+from repro.planning import parse_topology, pattern_flow_set
 
 #: Worker processes used by the benchmark harness when $REPRO_WORKERS is
 #: not set (the acceptance target is a >= 2x figure-sweep speedup at 4).
@@ -80,6 +81,14 @@ def bench_config() -> ExperimentConfig:
     if backend:
         config = config.with_backend(backend)
     return config
+
+
+def bench_workload(workload: str, config: ExperimentConfig):
+    """``(mesh, flow set)`` of *workload* on the profile's mesh, built the
+    way every study builds them (``parse_topology`` / ``pattern_flow_set``).
+    """
+    mesh = parse_topology(f"mesh{config.mesh_size}x{config.mesh_size}")
+    return mesh, pattern_flow_set(workload, mesh, config)
 
 
 def improvement_summary(values: Dict[str, float], subject: str,

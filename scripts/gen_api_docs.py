@@ -61,6 +61,14 @@ def _signature(obj) -> str:
 def _is_public_member(module, name: str, obj) -> bool:
     if name.startswith("_"):
         return False
+    if inspect.ismethod(obj):
+        # a registry module's entry points are bound methods of its
+        # Registry instance (``create_router = _ROUTERS.create``); they
+        # belong to the module holding the instance, not to importers
+        from repro.registry import Registry
+
+        return isinstance(obj.__self__, Registry) and any(
+            value is obj.__self__ for value in vars(module).values())
     if not (inspect.isclass(obj) or inspect.isfunction(obj)):
         return False
     return inspect.getmodule(obj) is module
@@ -91,6 +99,22 @@ def _class_section(name: str, cls) -> List[str]:
     if methods:
         lines.extend(methods)
         lines.append("")
+    # methods a base documented on another page contributes (a registry's
+    # spec type gets its option filtering from ``repro.registry.Spec``)
+    page = ".".join(cls.__module__.split(".")[:2])
+    for base in cls.__mro__[1:]:
+        base_page = ".".join(base.__module__.split(".")[:2])
+        if not base_page.startswith("repro") or base_page == page:
+            continue
+        inherited = sorted(
+            f"`{method_name}`" for method_name, member in vars(base).items()
+            if not method_name.startswith("_") and inspect.isfunction(member)
+            and method_name not in vars(cls))
+        if inherited:
+            lines.extend([
+                f"Inherited from [`{base.__module__}.{base.__name__}`]"
+                f"({base_page.replace('.', '-')}.md): "
+                f"{', '.join(inherited)}.", ""])
     return lines
 
 

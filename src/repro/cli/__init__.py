@@ -109,12 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _maybe_list(args: argparse.Namespace) -> Optional[str]:
     """The listing a ``--list-*`` flag asks for, if any."""
-    for flag, kind in (("list_routers", "routers"),
-                       ("list_workloads", "workloads"),
-                       ("list_backends", "backends"),
-                       ("list_patterns", "patterns")):
+    # --list-workloads lists what --workload accepts: both vocabularies
+    for flag, kinds in (("list_routers", ("routers",)),
+                        ("list_workloads", ("workloads", "patterns")),
+                        ("list_backends", ("backends",)),
+                        ("list_patterns", ("patterns",))):
         if getattr(args, flag, False):
-            return render_listing(kind)
+            return "\n".join(render_listing(kind) for kind in kinds)
     return None
 
 

@@ -11,10 +11,8 @@ import argparse
 import os
 import sys
 
+from ..experiments.config import PROFILES
 from ..progress import PROGRESS_MODES
-
-#: Accepted experiment scales (mirrors ``ExperimentConfig.from_profile``).
-PROFILES = ("quick", "default", "paper")
 
 #: Exit codes of every CLI path: success / hard failure / usage error.
 EXIT_OK = 0

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import argparse
 
-from ..experiments.workloads import extended_workload_names
 from ..runner.cache import ResultCache, default_cache_dir
 from ..runner.engine import ExperimentRunner
 from .common import UsageError, split_names
+from .listing import workload_vocabulary
 
 
 def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
     """Register figure/table/sweep/cache/profile on a subparsers object."""
+    workloads = ", ".join(workload_vocabulary())
     figure = commands.add_parser("figure", help="regenerate one figure",
                                  parents=[common])
     figure.add_argument("number", nargs="?", default=None,
                         help="figure number, e.g. 6-1 or 6.7")
     figure.add_argument("--workload", default=None,
                         help="workload for figures 6-7..6-10: one of "
-                             f"{', '.join(extended_workload_names())} "
-                             "(default: transpose)")
+                             f"{workloads} (default: transpose)")
     figure.add_argument("--list-workloads", action="store_true",
                         help="list accepted workloads and exit")
 
@@ -37,9 +37,7 @@ def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
     sweep = commands.add_parser("sweep", help="sweep chosen algorithms",
                                 parents=[common])
     sweep.add_argument("--workload", default="transpose",
-                       help="one of "
-                            f"{', '.join(extended_workload_names())} "
-                            "(default: %(default)s)")
+                       help=f"one of {workloads} (default: %(default)s)")
     sweep.add_argument("--algorithms", default="XY,BSOR-Dijkstra",
                        help="comma-separated routing-registry names or "
                             "aliases (dor/XY, yx, romm, valiant, o1turn, "
@@ -64,9 +62,7 @@ def add_runner_subcommands(commands, common: argparse.ArgumentParser) -> None:
         "profile", parents=[common],
         help="cProfile one simulation point (top-20 by cumulative time)")
     prof.add_argument("--workload", default="transpose",
-                      help="one of "
-                           f"{', '.join(extended_workload_names())} "
-                           "(default: %(default)s)")
+                      help=f"one of {workloads} (default: %(default)s)")
     prof.add_argument("--algorithm", default="XY",
                       help="routing-registry name (default: %(default)s)")
     prof.add_argument("--rate", type=float, default=2.5,
@@ -147,13 +143,13 @@ def run_profile(args: argparse.Namespace, config) -> str:
     import io
     import pstats
 
-    from ..experiments import build_mesh
     from ..planning import pattern_flow_set, plan_routes
     from ..simulator.backends import backend_spec
     from ..simulator.simulation import simulate_route_set
+    from ..topology.mesh import Mesh2D
 
     backend = backend_spec(args.backend or config.simulation.backend)
-    mesh = build_mesh(config)
+    mesh = Mesh2D(config.mesh_size)
     flow_set = pattern_flow_set(args.workload, mesh, config)
     plan = plan_routes(args.algorithm, mesh, flow_set, config)
 

@@ -16,7 +16,8 @@ import dataclasses
 import sys
 import time
 
-from ..study.spec import MAPPINGS, Study
+from ..study.spec import Study
+from ..traffic.mapping import MAPPING_STRATEGIES
 from .common import UsageError, config_overrides, split_names
 
 
@@ -60,7 +61,8 @@ def add_study_subcommands(commands, common: argparse.ArgumentParser) -> None:
                               "the repro.workloads registry (see "
                               "--list-workloads); adds a workload axis "
                               "alongside --patterns")
-    compare.add_argument("--mapping", default=None, choices=MAPPINGS,
+    compare.add_argument("--mapping", default=None,
+                         choices=MAPPING_STRATEGIES,
                          help="task placement strategy for application "
                               "workloads (default: the workload's own)")
     compare.add_argument("--routers", default="dor,o1turn,bsor-dijkstra",
@@ -83,7 +85,8 @@ def add_study_subcommands(commands, common: argparse.ArgumentParser) -> None:
     compare.add_argument("--list-routers", action="store_true",
                          help="list registered routing algorithms and exit")
     compare.add_argument("--list-workloads", action="store_true",
-                         help="list registered application workloads and "
+                         help="list accepted workloads (registered "
+                              "applications, then synthetic patterns) and "
                               "exit")
     compare.add_argument("--list-patterns", action="store_true",
                          help="list accepted traffic patterns and exit")

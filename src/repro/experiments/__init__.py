@@ -24,22 +24,13 @@ from .tables import (
     PAPER_TABLE_6_2,
     PAPER_TABLE_6_3,
     TABLES,
+    WORKLOAD_NAMES,
     Table,
     render_table,
     run_table,
 )
-from .workloads import (
-    APPLICATION_WORKLOADS,
-    SYNTHETIC_WORKLOADS,
-    WORKLOAD_NAMES,
-    extended_workload_names,
-    all_workloads,
-    build_mesh,
-    workload_flow_set,
-)
 
 __all__ = [
-    "APPLICATION_WORKLOADS",
     "ExperimentConfig",
     "FIGURES",
     "Figure",
@@ -47,17 +38,12 @@ __all__ = [
     "PAPER_TABLE_6_2",
     "PAPER_TABLE_6_3",
     "SYNTHETIC_FLOW_DEMAND",
-    "SYNTHETIC_WORKLOADS",
     "TABLES",
     "Table",
     "WORKLOAD_NAMES",
-    "extended_workload_names",
-    "all_workloads",
-    "build_mesh",
     "render_curves",
     "render_figure",
     "render_table",
     "run_figure",
     "run_table",
-    "workload_flow_set",
 ]

@@ -21,6 +21,10 @@ from ..simulator.config import SimulationConfig
 #: bit-complement MCL is 4 * 25 = 100 MB/s, matching Table 6.3.
 SYNTHETIC_FLOW_DEMAND = 25.0
 
+#: Accepted experiment scales — the one definition behind ``--profile``, a
+#: study's ``profile:`` and :meth:`ExperimentConfig.from_profile`.
+PROFILES = ("quick", "default", "paper")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -49,10 +53,9 @@ class ExperimentConfig:
     explore_full_cdg_set: bool = False
     #: random seed shared by ROMM / Valiant / ad hoc CDGs / injection.
     seed: int = 0
-    #: mapping strategy for application task graphs onto the mesh.  ``None``
-    #: means "per-workload default": the paper's three applications use
-    #: ``"block"`` (their original placement), registry workloads use their
-    #: spec's ``default_mapping``.
+    #: mapping strategy for application task graphs onto the topology.
+    #: ``None`` means the workload's own ``default_mapping`` (``"block"``
+    #: for the paper's three applications, their original placement).
     mapping_strategy: Optional[str] = None
     #: worker processes for the experiment runner (1 = serial, the seed
     #: behaviour; 0 = auto via $REPRO_WORKERS or the CPU count).
@@ -136,7 +139,7 @@ class ExperimentConfig:
         if key in ("default", "benchmark"):
             return cls.benchmark_scale(**overrides)
         raise ExperimentError(
-            f"unknown profile {profile!r}; known: quick, default, paper"
+            f"unknown profile {profile!r}; known: {', '.join(PROFILES)}"
         )
 
     @classmethod

@@ -30,7 +30,6 @@ from ..planning import plan_matrix, plan_per_cdg
 from ..study.resultset import ResultSet
 from .config import ExperimentConfig
 from .figures import PAPER_ROUTERS
-from .workloads import WORKLOAD_NAMES
 
 #: The paper's Table 6.1 (BSOR-MILP, MB/s).
 PAPER_TABLE_6_1: Dict[str, Dict[str, float]] = {
@@ -96,6 +95,13 @@ class Table:
     #: The paper's values, workload -> column -> MCL.
     paper: Dict[str, Dict[str, float]]
 
+
+#: The six evaluation workloads, in the order the paper's tables list them:
+#: three synthetic patterns, then the three profiled applications.
+WORKLOAD_NAMES: Tuple[str, ...] = (
+    "transpose", "bit-complement", "shuffle",
+    "h264", "perf-modeling", "transmitter",
+)
 
 TABLES: Dict[str, Table] = {
     "6-1": Table("Table 6.1 - BSOR-MILP minimum MCL by acyclic CDG (MB/s)",

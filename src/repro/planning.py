@@ -62,7 +62,7 @@ from .traffic.flow import FlowSet
 from .traffic.synthetic import normalize_pattern_name, synthetic_by_name
 from .workloads.registry import (
     is_registered_workload,
-    workload_flow_set as registry_workload_flow_set,
+    workload_flow_set,
     workload_spec,
 )
 
@@ -95,73 +95,48 @@ def parse_topology(spec: str) -> Topology:
     return Torus2D(first, height)
 
 
-def pattern_flow_set(pattern: str, topology: Topology, config) -> FlowSet:
-    """Instantiate a traffic pattern or application workload on *topology*.
-
-    Synthetic patterns (``transpose``, ``bit_complement``, aliases included)
-    work on any power-of-two topology; the paper's application workloads
-    (``h264``, ``perf-modeling``, ``transmitter``) are task graphs mapped
-    onto a mesh; any other name resolves through the
-    :mod:`repro.workloads` registry (``decoder-pipeline``,
-    ``fft-butterfly``, ...) and maps onto meshes and tori alike — so BSOR's
-    bandwidth allocation is configured from the application's own flow
-    graph.
-    """
-    # the experiments package imports this module from its __init__ (the
-    # figure and table harnesses plan here), so its workloads load late
-    from .experiments.workloads import APPLICATION_WORKLOADS, workload_flow_set
-
-    key = pattern.strip().lower()
-    if key in APPLICATION_WORKLOADS:
-        if not isinstance(topology, (Mesh2D, Torus2D)):
-            raise ExperimentError(
-                f"application workload {pattern!r} requires a mesh or torus "
-                f"topology, got {type(topology).__name__}"
-            )
-        if isinstance(topology, Mesh2D):
-            return workload_flow_set(key, topology, config)
-    if is_registered_workload(key):
-        return registry_workload_flow_set(
-            key, topology,
-            strategy=config.mapping_strategy,
-            seed=config.seed,
-        )
-    try:
-        return synthetic_by_name(pattern, topology.num_nodes,
-                                 demand=config.synthetic_demand)
-    except TrafficError as error:
-        raise _no_such_pattern(pattern, error) from error
-
-
-def _no_such_pattern(pattern: str, error: TrafficError) -> ReproError:
-    """Neither a synthetic pattern nor a workload: surface both
-    vocabularies (``workload_spec``'s error carries a did-you-mean hint
-    over the registry)."""
-    try:
-        workload_spec(pattern.strip().lower())
-    except TrafficError as workload_error:
-        return ExperimentError(
-            f"unknown pattern or workload {pattern!r}: {error}; "
-            f"{workload_error}"
-        )
-    return error  # pragma: no cover - workload_spec cannot succeed here
-
-
 def canonical_pattern(name: str) -> str:
     """Resolve a pattern/workload name to its canonical form, or raise.
 
-    Accepts the vocabulary of :func:`pattern_flow_set`: any registered
-    :mod:`repro.workloads` entry (the paper's applications included) and
-    the synthetic patterns (aliases included).  Raises a did-you-mean
-    carrying :class:`~repro.exceptions.ReproError` for anything else.
+    The one vocabulary of ``patterns:`` / ``--workload`` / ``--patterns``:
+    a registered :mod:`repro.workloads` entry first (the paper's
+    applications included), a synthetic pattern second, aliases accepted
+    by both.  Anything else is one :class:`ExperimentError` carrying each
+    registry's own did-you-mean and listing.
     """
-    key = name.strip().lower()
-    if is_registered_workload(key):
-        return workload_spec(key).name
+    if is_registered_workload(name):
+        return workload_spec(name).name
     try:
         return normalize_pattern_name(name)
-    except TrafficError as error:
-        raise _no_such_pattern(name, error) from error
+    except TrafficError as no_pattern:
+        reasons = [str(no_pattern)]
+    try:
+        workload_spec(name)
+    except TrafficError as no_workload:
+        reasons.insert(0, str(no_workload))
+    raise ExperimentError(
+        f"unknown pattern or workload {name!r}: {'; '.join(reasons)}")
+
+
+def pattern_flow_set(pattern: str, topology: Topology, config) -> FlowSet:
+    """Instantiate a traffic pattern or application workload on *topology*.
+
+    *pattern* is anything :func:`canonical_pattern` accepts.  A registered
+    workload (``h264``, ``decoder-pipeline``, ...) is a task graph placed
+    with the config's mapping strategy — its own ``default_mapping`` when
+    that is ``None`` — and seed, so BSOR's bandwidth allocation is
+    configured from the application's own flow graph; a synthetic pattern
+    (``transpose``, ``bit_complement``, ...) covers every node of a
+    power-of-two topology.  A known name that cannot be built on this
+    topology fails with the builder's own error.
+    """
+    name = canonical_pattern(pattern)
+    if is_registered_workload(name):
+        return workload_flow_set(name, topology,
+                                 strategy=config.mapping_strategy,
+                                 seed=config.seed)
+    return synthetic_by_name(name, topology.num_nodes,
+                             demand=config.synthetic_demand)
 
 
 @functools.lru_cache(maxsize=None)

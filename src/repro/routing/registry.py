@@ -30,12 +30,11 @@ New algorithms plug in with one decorator::
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..exceptions import RoutingError
-from ..registry import Registry, normalize_name
+from ..registry import Registry, Spec, normalize_name
 from .base import RoutingAlgorithm
 from .bsor.framework import BSORRouting
 from .dor import XYRouting, YXRouting
@@ -43,29 +42,15 @@ from .o1turn import O1TurnRouting
 from .romm import ROMMRouting
 from .valiant import ValiantRouting
 
-RouterFactory = Callable[..., RoutingAlgorithm]
-
 
 @dataclass(frozen=True)
-class RouterSpec:
-    """One registered routing algorithm: its factory plus its documentation.
+class RouterSpec(Spec):
+    """One registered routing algorithm: a :class:`~repro.registry.Spec`
+    whose factory returns a fresh :class:`RoutingAlgorithm` and whose
+    ``display_name`` matches ``RoutingAlgorithm.name``.
 
     Attributes
     ----------
-    name:
-        Canonical registry slug (lower-case, dash-separated), e.g.
-        ``"bsor-dijkstra"``.
-    factory:
-        Callable returning a fresh :class:`RoutingAlgorithm`.  Only keyword
-        parameters the factory's signature declares are forwarded by
-        :func:`create_router`.
-    display_name:
-        The name the algorithm reports in result tables (``"XY"``,
-        ``"BSOR-Dijkstra"``); matches ``RoutingAlgorithm.name``.
-    aliases:
-        Alternative slugs accepted by the lookup functions.
-    summary:
-        One-line description for CLI listings and the API docs.
     mechanism:
         A paragraph describing how routes are chosen (routing-guide source).
     deadlock_freedom:
@@ -75,110 +60,38 @@ class RouterSpec:
         Where the source paper discusses the algorithm.
     """
 
-    name: str
-    factory: RouterFactory
-    display_name: str
-    aliases: Tuple[str, ...] = ()
-    summary: str = ""
     mechanism: str = ""
     deadlock_freedom: str = ""
     paper_section: str = ""
 
-    def accepted_options(self) -> Tuple[str, ...]:
-        """The keyword options this spec's factory understands."""
-        parameters = inspect.signature(self.factory).parameters
-        return tuple(
-            name for name, parameter in parameters.items()
-            if parameter.kind in (parameter.KEYWORD_ONLY,
-                                  parameter.POSITIONAL_OR_KEYWORD)
-        )
 
-    def received_options(self, **options) -> Dict[str, object]:
-        """The subset of *options* the factory actually receives: the
-        keywords it declares, minus ``None`` ("use the factory default")."""
-        accepted = set(self.accepted_options())
-        return {name: value for name, value in options.items()
-                if name in accepted and value is not None}
-
-    def create(self, **options) -> RoutingAlgorithm:
-        """Instantiate the algorithm, keeping only understood options."""
-        return self.factory(**self.received_options(**options))
-
-
-#: The registry instance, on the shared :class:`repro.registry.Registry`
-#: core.  Module-level so every layer (experiments, compare, CLI, docs
-#: generator) sees the same set of algorithms.
+#: The registry instance.  Module-level so every layer (experiments,
+#: compare, CLI, docs generator) sees the same set of algorithms.
 _ROUTERS: Registry[RouterSpec] = Registry(
-    kind="routing algorithm", plural="algorithms", noun="router name",
-    error=RoutingError,
+    RouterSpec, kind="routing algorithm", plural="algorithms",
+    noun="router name", error=RoutingError,
 )
 
-#: Canonical slug -> spec and any-accepted-slug -> canonical, aliased for
-#: test fixtures that register and unregister algorithms.
-_REGISTRY = _ROUTERS.specs_by_name
-_ALIASES = _ROUTERS.alias_map
+#: ``@register_router(name, display_name=, aliases=, summary=, mechanism=,
+#: deadlock_freedom=, paper_section=)`` — :meth:`Registry.register`; a
+#: clashing name, alias or display name raises :class:`RoutingError`.
+register_router = _ROUTERS.register
+#: Canonical names of every registered algorithm, in registration order.
+available_routers = _ROUTERS.names
+#: Every registered :class:`RouterSpec`, in registration order.
+router_specs = _ROUTERS.specs
+#: Look a spec up by canonical name, alias or display name.
+router_spec = _ROUTERS.lookup
+#: ``create_router(name, **options)`` — a fresh algorithm by name.  Options
+#: its factory does not declare are dropped and ``None`` means "the factory
+#: default", so one option bag — ``seed``, ``hop_slack``,
+#: ``milp_time_limit``, ``strategies`` — drives a heterogeneous comparison.
+create_router = _ROUTERS.create
 
 
 def normalize_router_name(name: str) -> str:
     """Canonical form of a router name: lower-case, ``_`` folded to ``-``."""
     return normalize_name(name)
-
-
-def register_router(name: str, *, display_name: str,
-                    aliases: Sequence[str] = (),
-                    summary: str = "", mechanism: str = "",
-                    deadlock_freedom: str = "",
-                    paper_section: str = "",
-                    ) -> Callable[[RouterFactory], RouterFactory]:
-    """Class/function decorator adding a factory to the routing registry.
-
-    Raises :class:`RoutingError` when the name, an alias or the display name
-    collides with an already-registered algorithm — duplicate names would
-    make comparison results ambiguous.
-    """
-
-    def decorate(factory: RouterFactory) -> RouterFactory:
-        spec = RouterSpec(
-            name=normalize_name(name),
-            factory=factory,
-            display_name=display_name,
-            aliases=tuple(normalize_name(alias) for alias in aliases),
-            summary=summary,
-            mechanism=mechanism,
-            deadlock_freedom=deadlock_freedom,
-            paper_section=paper_section,
-        )
-        _ROUTERS.add(spec.name, spec,
-                     extra_keys=[*spec.aliases, normalize_name(display_name)])
-        return factory
-
-    return decorate
-
-
-def available_routers() -> List[str]:
-    """Canonical names of every registered algorithm, in registration order."""
-    return _ROUTERS.names()
-
-
-def router_specs() -> List[RouterSpec]:
-    """Every registered spec, in registration order."""
-    return _ROUTERS.specs()
-
-
-def router_spec(name: str) -> RouterSpec:
-    """Look a spec up by canonical name, alias or display name."""
-    return _ROUTERS.lookup(name)
-
-
-def create_router(name: str, **options) -> RoutingAlgorithm:
-    """Instantiate a registered algorithm by name.
-
-    Options not understood by the algorithm's factory are silently dropped,
-    so one option bag — ``seed``, ``hop_slack``, ``milp_time_limit``,
-    ``strategies`` — can drive a heterogeneous comparison.  ``None`` values
-    are treated as "use the factory default".
-    """
-    return router_spec(name).create(**options)
 
 
 # ----------------------------------------------------------------------

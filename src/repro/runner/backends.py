@@ -50,7 +50,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import SimulationError
 from ..metrics.statistics import SimulationStatistics
-from ..registry import Registry, normalize_name
+from ..registry import Registry, Spec
 from ..simulator.simulation import simulate_route_set, simulate_route_set_batch
 from .workqueue import DEFAULT_LEASE_TIMEOUT, WorkQueue
 
@@ -117,82 +117,35 @@ def _run_task_tuple(task: Tuple[str, tuple]) -> List[SimulationStatistics]:
 # the registry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ExecutionBackendSpec:
-    """One registered execution backend: its factory plus documentation."""
+class ExecutionBackendSpec(Spec):
+    """One registered execution backend: a :class:`~repro.registry.Spec`
+    whose factory takes the options one CLI option set offers every
+    backend (``queue_dir``, ``spawn_workers``, ...) and keeps its own.
 
-    name: str
-    factory: Callable[..., object]
-    display_name: str
-    aliases: Tuple[str, ...] = ()
-    summary: str = ""
+    Attributes
+    ----------
+    mechanism:
+        A paragraph describing where and how tasks run (docs source).
+    """
+
     mechanism: str = ""
-
-    def create(self, **options):
-        """Instantiate the backend, forwarding only the options it takes.
-
-        Mirrors the routing registry's factory idiom: ``None``-valued
-        options are dropped, and options the factory does not accept are
-        silently ignored, so one CLI option set can serve every backend.
-        """
-        import inspect
-
-        try:
-            accepted = set(
-                inspect.signature(self.factory).parameters)
-        except (TypeError, ValueError):
-            accepted = set(options)
-        kwargs = {key: value for key, value in options.items()
-                  if value is not None and key in accepted}
-        return self.factory(**kwargs)
 
 
 _EXECUTIONS: Registry[ExecutionBackendSpec] = Registry(
-    kind="execution backend", plural="execution backends",
-    noun="execution backend name", error=SimulationError,
+    ExecutionBackendSpec, kind="execution backend",
+    plural="execution backends", noun="execution backend name",
+    error=SimulationError,
 )
 
-#: Aliased for test fixtures that register and unregister backends.
-_REGISTRY = _EXECUTIONS.specs_by_name
-_ALIASES = _EXECUTIONS.alias_map
-
-
-def register_execution_backend(name: str, *,
-                               display_name: Optional[str] = None,
-                               aliases: Sequence[str] = (),
-                               summary: str = "", mechanism: str = "",
-                               ) -> Callable:
-    """Class decorator adding an execution backend to the registry."""
-
-    def decorate(factory):
-        spec = ExecutionBackendSpec(
-            name=normalize_name(name),
-            factory=factory,
-            display_name=display_name or name,
-            aliases=tuple(normalize_name(alias) for alias in aliases),
-            summary=summary,
-            mechanism=mechanism,
-        )
-        _EXECUTIONS.add(spec.name, spec,
-                        extra_keys=[*spec.aliases,
-                                    normalize_name(spec.display_name)])
-        return factory
-
-    return decorate
-
-
-def available_executions() -> List[str]:
-    """Canonical names of every registered backend, in registration order."""
-    return _EXECUTIONS.names()
-
-
-def execution_specs() -> List[ExecutionBackendSpec]:
-    """Every registered spec, in registration order."""
-    return _EXECUTIONS.specs()
-
-
-def execution_spec(name: str) -> ExecutionBackendSpec:
-    """Look a spec up by canonical name, alias or display name."""
-    return _EXECUTIONS.lookup(name)
+#: ``@register_execution_backend(name, display_name=, aliases=, summary=,
+#: mechanism=)`` — :meth:`Registry.register` on a backend class.
+register_execution_backend = _EXECUTIONS.register
+#: Canonical names of every registered backend, in registration order.
+available_executions = _EXECUTIONS.names
+#: Every registered :class:`ExecutionBackendSpec`, in registration order.
+execution_specs = _EXECUTIONS.specs
+#: Look a spec up by canonical name, alias or display name.
+execution_spec = _EXECUTIONS.lookup
 
 
 def resolve_execution(execution=None, **options):
@@ -205,7 +158,7 @@ def resolve_execution(execution=None, **options):
     if execution is None:
         execution = DEFAULT_EXECUTION
     if isinstance(execution, str):
-        return execution_spec(execution).create(**options)
+        return _EXECUTIONS.create(execution, **options)
     if hasattr(execution, "run_tasks"):
         return execution
     raise SimulationError(

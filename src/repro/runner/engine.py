@@ -10,8 +10,8 @@ takes the same (topology, route set, configuration, offered rates) inputs as
 * consults a content-addressed :class:`~repro.runner.cache.ResultCache`
   before simulating, so repeated benchmark runs and re-plotted figures skip
   the simulator entirely;
-* assembles the results into the same :class:`SweepResult` /
-  :class:`SweepCurve` objects the figures and tables already consume.
+* assembles the results into :class:`SweepResult` / :class:`SweepCurve`
+  objects, one per :class:`SweepSpec`.
 
 Every sweep point is an independent cold-start simulation (the paper's
 methodology), which is what makes the fan-out embarrassingly parallel and
@@ -31,11 +31,7 @@ from ..progress import ProgressObserver, emitter_for
 from ..routing.base import RouteSet
 from ..simulator.backends import backend_spec
 from ..simulator.config import SimulationConfig
-from ..simulator.simulation import (
-    SweepResult,
-    simulate_route_set,
-    simulate_route_set_batch,
-)
+from ..simulator.simulation import SweepResult
 from ..topology.base import Topology
 from .backends import ExecutionTask, resolve_execution
 from .cache import ResultCache
@@ -62,25 +58,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
                 f"${WORKERS_ENV} must be an integer, got {env!r}"
             )
     return max(1, os.cpu_count() or 1)
-
-
-# ----------------------------------------------------------------------
-# worker entry points (module level so they pickle by reference)
-# ----------------------------------------------------------------------
-def _simulate_payload(payload) -> SimulationStatistics:
-    topology, route_set, config, offered_rate, boundaries, faults = payload
-    return simulate_route_set(
-        topology, route_set, config, offered_rate,
-        phase_boundaries=boundaries, fault_schedule=faults,
-    )
-
-
-def _simulate_batch_payload(payload) -> List[SimulationStatistics]:
-    topology, route_set, points, boundaries, faults = payload
-    return simulate_route_set_batch(
-        topology, route_set, points,
-        phase_boundaries=boundaries, fault_schedule=faults,
-    )
 
 
 def _group_payload(group):

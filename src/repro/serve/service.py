@@ -182,10 +182,20 @@ class StudyService:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):  # no sign, no junk
+            raise ServeError(
+                f"malformed Content-Length {declared!r}: expected a "
+                f"non-negative integer")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ServeError(f"request body too large ({length} bytes)")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as error:
+            raise ServeError(
+                f"request body ended after {len(error.partial)} of the "
+                f"{length} bytes Content-Length declared")
         return method, path, headers, body
 
     @staticmethod

@@ -56,10 +56,10 @@ New backends plug in with one decorator::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..exceptions import SimulationError
-from ..registry import Registry, normalize_name
+from ..registry import Registry, Spec
 from ..routing.base import RouteSet
 from ..topology.base import Topology
 from .config import SimulationConfig
@@ -68,31 +68,19 @@ from .fastsim import FastSimulator
 from .injection import InjectionProcess
 from .network import NetworkSimulator
 
-#: A backend factory: the constructor signature shared by every kernel.
-BackendFactory = Callable[..., object]
-
 #: The backend used when neither the call site nor the configuration names
 #: one.  ``SimulationConfig.backend`` defaults to this value.
 DEFAULT_BACKEND = "fast"
 
 
 @dataclass(frozen=True)
-class BackendSpec:
-    """One registered simulator backend: its factory plus its documentation.
+class BackendSpec(Spec):
+    """One registered simulator backend: a :class:`~repro.registry.Spec`
+    whose factory has the backend constructor signature (see the module
+    docstring's contract).
 
     Attributes
     ----------
-    name:
-        Canonical registry slug (lower-case, dash-separated).
-    factory:
-        Callable with the backend constructor signature (see the module
-        docstring's contract).
-    display_name:
-        Human-facing name for CLI listings and benchmark reports.
-    aliases:
-        Alternative slugs accepted by the lookup functions.
-    summary:
-        One-line description for CLI listings and the API docs.
     mechanism:
         A paragraph describing how the kernel achieves its performance
         (architecture-doc source).
@@ -106,11 +94,6 @@ class BackendSpec:
         per-point results and cache keys are unchanged.
     """
 
-    name: str
-    factory: BackendFactory
-    display_name: str
-    aliases: Tuple[str, ...] = ()
-    summary: str = ""
     mechanism: str = ""
     supports_batching: bool = False
 
@@ -132,68 +115,24 @@ class BackendSpec:
                             phase_boundaries=phase_boundaries)
 
 
-#: The registry instance, on the shared :class:`repro.registry.Registry`
-#: core.  Module-level so every layer (simulation driver, runner, compare,
-#: CLIs, benchmarks, docs generator) sees the same kernels.
+#: The registry instance.  Module-level so every layer (simulation driver,
+#: runner, compare, CLIs, benchmarks, docs generator) sees the same kernels.
 _BACKENDS: Registry[BackendSpec] = Registry(
-    kind="simulator backend", plural="backends",
+    BackendSpec, kind="simulator backend", plural="backends",
     noun="simulator backend name", error=SimulationError,
 )
 
-#: Canonical slug -> spec and any-accepted-slug -> canonical, aliased for
-#: test fixtures that register and unregister kernels.
-_REGISTRY = _BACKENDS.specs_by_name
-_ALIASES = _BACKENDS.alias_map
-
-
-def normalize_backend_name(name: str) -> str:
-    """Canonical form of a backend name: lower-case, ``_`` folded to ``-``."""
-    return normalize_name(name)
-
-
-def register_backend(name: str, *, display_name: Optional[str] = None,
-                     aliases: Sequence[str] = (),
-                     summary: str = "", mechanism: str = "",
-                     supports_batching: bool = False,
-                     ) -> Callable[[BackendFactory], BackendFactory]:
-    """Class/function decorator adding a kernel to the backend registry.
-
-    Raises :class:`SimulationError` when the name, an alias or the display
-    name collides with an already-registered backend — duplicate names would
-    make ``SimulationConfig.backend`` ambiguous.
-    """
-
-    def decorate(factory: BackendFactory) -> BackendFactory:
-        spec = BackendSpec(
-            name=normalize_name(name),
-            factory=factory,
-            display_name=display_name or name,
-            aliases=tuple(normalize_name(alias) for alias in aliases),
-            summary=summary,
-            mechanism=mechanism,
-            supports_batching=supports_batching,
-        )
-        _BACKENDS.add(spec.name, spec,
-                      extra_keys=[*spec.aliases,
-                                  normalize_name(spec.display_name)])
-        return factory
-
-    return decorate
-
-
-def available_backends() -> List[str]:
-    """Canonical names of every registered backend, in registration order."""
-    return _BACKENDS.names()
-
-
-def backend_specs() -> List[BackendSpec]:
-    """Every registered spec, in registration order."""
-    return _BACKENDS.specs()
-
-
-def backend_spec(name: str) -> BackendSpec:
-    """Look a spec up by canonical name, alias or display name."""
-    return _BACKENDS.lookup(name)
+#: ``@register_backend(name, display_name=, aliases=, summary=, mechanism=,
+#: supports_batching=)`` — :meth:`Registry.register` on a kernel class; a
+#: clashing name would make ``SimulationConfig.backend`` ambiguous and
+#: raises :class:`SimulationError`.
+register_backend = _BACKENDS.register
+#: Canonical names of every registered backend, in registration order.
+available_backends = _BACKENDS.names
+#: Every registered :class:`BackendSpec`, in registration order.
+backend_specs = _BACKENDS.specs
+#: Look a spec up by canonical name, alias or display name.
+backend_spec = _BACKENDS.lookup
 
 
 def create_simulator(topology: Topology, route_set: RouteSet,

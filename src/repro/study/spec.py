@@ -40,15 +40,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ReproError, StudyError
+from ..experiments.config import PROFILES
+from ..traffic.mapping import MAPPING_STRATEGIES
 
 #: Accepted scenario modes.
 MODES = ("sweep", "saturate")
-
-#: Accepted execution profiles (mirrors ``ExperimentConfig.from_profile``).
-PROFILES = ("quick", "default", "paper")
-
-#: Accepted task-placement strategies for application workloads.
-MAPPINGS = ("block", "row-major", "spread", "random")
 
 #: Study-level spec keys (the execution policy is inlined at the top level).
 _STUDY_KEYS = ("name", "description", "profile", "backend", "workers",
@@ -168,7 +164,7 @@ class Scenario:
         Routing-registry names or aliases.
     patterns:
         Traffic patterns and/or application workloads — anything
-        :func:`repro.compare.matrix.pattern_flow_set` accepts.
+        :func:`repro.planning.canonical_pattern` accepts.
     mode:
         ``"sweep"`` (simulate every rate point) or ``"saturate"`` (adaptive
         saturation search per cell).
@@ -242,11 +238,12 @@ class Scenario:
                 f"saturation search chooses its own rates; use "
                 f"min_rate/max_rate/resolution to bound it)"
             )
-        if self.mapping is not None and self.mapping not in MAPPINGS:
+        if self.mapping is not None and \
+                self.mapping not in MAPPING_STRATEGIES:
             raise StudyError(
                 f"{where}: unknown mapping {self.mapping!r}"
-                f"{_suggest(self.mapping, MAPPINGS)}; accepted mappings: "
-                f"{list(MAPPINGS)}"
+                f"{_suggest(self.mapping, MAPPING_STRATEGIES)}; accepted "
+                f"mappings: {list(MAPPING_STRATEGIES)}"
             )
         # name checks ride on the registries so the did-you-mean hints and
         # the accepted vocabularies can never drift from the code

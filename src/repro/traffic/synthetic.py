@@ -15,10 +15,18 @@ paper's evaluation.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..exceptions import TrafficError
-from .flow import Flow, FlowSet
+from ..registry import Registry, Spec
+from .flow import FlowSet
+
+#: The bit-permutation benchmarks by name: factories taking ``(num_nodes,
+#: demand=)``.  Used by the planner, the experiment harness and the examples.
+_PATTERNS: Registry[Spec] = Registry(
+    kind="synthetic pattern", plural="patterns",
+    noun="synthetic pattern name", error=TrafficError,
+)
 
 
 def _address_bits(num_nodes: int) -> int:
@@ -54,6 +62,10 @@ def _pattern_flow_set(num_nodes: int, destination_of: Callable[[int], int],
 # ----------------------------------------------------------------------
 # the paper's three synthetic benchmarks
 # ----------------------------------------------------------------------
+@_PATTERNS.register(
+    "bit-complement", display_name="Bit-complement",
+    aliases=("bitcomp", "complement"),
+    summary="Every node sends to the bitwise complement of its address.")
 def bit_complement(num_nodes: int, demand: float = 1.0) -> FlowSet:
     """Bit-complement: ``d_i = NOT s_i`` for every address bit.
 
@@ -71,6 +83,9 @@ def bit_complement(num_nodes: int, demand: float = 1.0) -> FlowSet:
     return _pattern_flow_set(num_nodes, destination_of, demand, "bit-complement")
 
 
+@_PATTERNS.register(
+    "transpose", display_name="Transpose",
+    summary="Swap the address halves: node (x, y) sends to node (y, x).")
 def transpose(num_nodes: int, demand: float = 1.0) -> FlowSet:
     """Transpose: ``d_i = s_(i + b/2 mod b)`` — swap the two halves of the address.
 
@@ -96,6 +111,9 @@ def transpose(num_nodes: int, demand: float = 1.0) -> FlowSet:
     return _pattern_flow_set(num_nodes, destination_of, demand, "transpose")
 
 
+@_PATTERNS.register(
+    "shuffle", display_name="Shuffle", aliases=("perfect-shuffle",),
+    summary="Perfect shuffle: rotate the address left by one bit.")
 def shuffle(num_nodes: int, demand: float = 1.0) -> FlowSet:
     """Shuffle: ``d_i = s_(i - 1 mod b)`` — rotate the address left by one bit.
 
@@ -112,6 +130,11 @@ def shuffle(num_nodes: int, demand: float = 1.0) -> FlowSet:
     return _pattern_flow_set(num_nodes, destination_of, demand, "shuffle")
 
 
+@_PATTERNS.register(
+    "bit-reverse", display_name="Bit-reverse",
+    aliases=("bitrev", "reverse"),
+    summary="Mirror the address bits (FFT butterfly exchanges); not in "
+            "the paper's evaluation.")
 def bit_reverse(num_nodes: int, demand: float = 1.0) -> FlowSet:
     """Bit-reverse: ``d_i = s_(b - 1 - i)`` — mirror the address bits.
 
@@ -190,59 +213,30 @@ def neighbor(num_nodes: int, stride: int = 1, demand: float = 1.0) -> FlowSet:
     return flow_set
 
 
-#: Registry of the paper's synthetic benchmarks by name, used by the
-#: experiment harness and the examples.
-SYNTHETIC_PATTERNS: Dict[str, Callable[..., FlowSet]] = {
-    "transpose": transpose,
-    "bit-complement": bit_complement,
-    "shuffle": shuffle,
-    "bit-reverse": bit_reverse,
-}
-
-#: Accepted alternative spellings, resolved after case/underscore folding.
-SYNTHETIC_PATTERN_ALIASES: Dict[str, str] = {
-    "bitcomp": "bit-complement",
-    "complement": "bit-complement",
-    "bitrev": "bit-reverse",
-    "reverse": "bit-reverse",
-    "perfect-shuffle": "shuffle",
-}
+#: Every registered pattern's :class:`~repro.registry.Spec`, in
+#: registration order.
+pattern_specs = _PATTERNS.specs
 
 
 def available_pattern_names() -> List[str]:
     """Canonical synthetic pattern names, sorted."""
-    return sorted(SYNTHETIC_PATTERNS)
+    return sorted(_PATTERNS.names())
 
 
 def normalize_pattern_name(name: str) -> str:
     """Resolve a pattern name or alias to its canonical form.
 
     Folds case, surrounding whitespace and ``_``/``-`` spelling, then
-    resolves aliases.  Raises :class:`TrafficError` naming every available
+    resolves aliases.  Raises :class:`TrafficError` naming every registered
     pattern (and the closest match, when one exists) for unknown names, so
     CLI and config errors are self-explanatory.
     """
-    import difflib
-
-    key = name.strip().lower().replace("_", "-")
-    key = SYNTHETIC_PATTERN_ALIASES.get(key, key)
-    if key not in SYNTHETIC_PATTERNS:
-        candidates = sorted(set(SYNTHETIC_PATTERNS) |
-                            set(SYNTHETIC_PATTERN_ALIASES))
-        suggestions = difflib.get_close_matches(key, candidates, n=1)
-        hint = f" (did you mean {suggestions[0]!r}?)" if suggestions else ""
-        raise TrafficError(
-            f"unknown synthetic pattern {name!r}{hint}; "
-            f"available patterns: {available_pattern_names()}"
-        )
-    return key
+    return _PATTERNS.lookup(name).name
 
 
 def synthetic_by_name(name: str, num_nodes: int, demand: float = 1.0) -> FlowSet:
     """Look up a synthetic pattern by its canonical name or an alias."""
-    return SYNTHETIC_PATTERNS[normalize_pattern_name(name)](
-        num_nodes, demand=demand
-    )
+    return _PATTERNS.lookup(name).factory(num_nodes, demand=demand)
 
 
 def pattern_permutation(flow_set: FlowSet, num_nodes: int) -> List[Optional[int]]:

@@ -35,7 +35,6 @@ from .registry import (
     available_workloads,
     create_workload,
     is_registered_workload,
-    normalize_workload_name,
     register_workload,
     render_workloads_guide,
     workload_flow_set,
@@ -70,7 +69,6 @@ __all__ = [
     "is_registered_workload",
     "map_reduce",
     "modulated_process",
-    "normalize_workload_name",
     "perf_modeling_app",
     "register_workload",
     "render_workloads_guide",

@@ -2,10 +2,11 @@
 
 Mirrors :mod:`repro.routing.registry`: a workload is registered once, under a
 canonical slug, together with the metadata the documentation generator and
-the comparison engine consume.  The comparison CLI's ``--workloads`` axis,
-``repro.experiments.workloads.workload_flow_set`` and the generated
-``docs/workloads-guide.md`` all resolve names through this module, so adding
-an application with one decorator makes it available everywhere::
+the comparison engine consume.  Every ``patterns:`` / ``--workload`` name
+(:func:`repro.planning.pattern_flow_set` looks here first, then among the
+synthetic patterns) and the generated ``docs/workloads-guide.md`` resolve
+through this module, so adding an application with one decorator makes it
+available everywhere::
 
     @register_workload("my-app", display_name="MyApp",
                        summary="...", description="...")
@@ -19,38 +20,23 @@ onto a topology, which is the form the route selectors consume.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..exceptions import TrafficError
-from ..registry import Registry, normalize_name
+from ..registry import Registry, Spec
 from ..topology.base import Topology
 from ..traffic.flow import FlowSet
 from .appgraph import AppGraph
 
-WorkloadFactory = Callable[..., AppGraph]
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """One registered application workload: its factory plus its docs.
+class WorkloadSpec(Spec):
+    """One registered application workload: a :class:`~repro.registry.Spec`
+    whose factory returns a fresh :class:`AppGraph`.
 
     Attributes
     ----------
-    name:
-        Canonical registry slug (lower-case, dash-separated), e.g.
-        ``"decoder-pipeline"``.
-    factory:
-        Callable returning a fresh :class:`AppGraph`.  Only keyword
-        parameters the factory's signature declares are forwarded by
-        :meth:`create`.
-    display_name:
-        The name printed in tables and figures.
-    aliases:
-        Alternative slugs accepted by the lookup functions.
-    summary:
-        One-line description for CLI listings and the API docs.
     description:
         A paragraph for the generated workloads guide: what the application
         models and what traffic structure it produces.
@@ -60,104 +46,32 @@ class WorkloadSpec:
         routes).
     """
 
-    name: str
-    factory: WorkloadFactory
-    display_name: str
-    aliases: Tuple[str, ...] = ()
-    summary: str = ""
     description: str = ""
     default_mapping: str = "block"
 
-    def accepted_options(self) -> Tuple[str, ...]:
-        """The keyword options this spec's factory understands."""
-        parameters = inspect.signature(self.factory).parameters
-        return tuple(
-            name for name, parameter in parameters.items()
-            if parameter.kind in (parameter.KEYWORD_ONLY,
-                                  parameter.POSITIONAL_OR_KEYWORD)
-        )
 
-    def create(self, **options) -> AppGraph:
-        """Instantiate the task graph, keeping only understood options."""
-        accepted = set(self.accepted_options())
-        kwargs = {name: value for name, value in options.items()
-                  if name in accepted and value is not None}
-        return self.factory(**kwargs)
-
-
-#: The registry instance, on the shared :class:`repro.registry.Registry` core.
+#: The registry instance.
 _WORKLOADS: Registry[WorkloadSpec] = Registry(
-    kind="workload", plural="workloads", noun="workload name",
+    WorkloadSpec, kind="workload", plural="workloads", noun="workload name",
     error=TrafficError,
 )
 
-#: Canonical slug -> spec and any-accepted-slug -> canonical, aliased for
-#: test fixtures that register and unregister workloads.
-_REGISTRY = _WORKLOADS.specs_by_name
-_ALIASES = _WORKLOADS.alias_map
-
-
-def normalize_workload_name(name: str) -> str:
-    """Canonical form of a workload name: lower-case, ``_`` folded to ``-``."""
-    return normalize_name(name)
-
-
-def register_workload(name: str, *, display_name: str,
-                      aliases: Sequence[str] = (),
-                      summary: str = "", description: str = "",
-                      default_mapping: str = "block",
-                      ) -> Callable[[WorkloadFactory], WorkloadFactory]:
-    """Decorator adding an :class:`AppGraph` factory to the registry.
-
-    Raises :class:`TrafficError` when the name, an alias or the display name
-    collides with an already-registered workload.
-    """
-
-    def decorate(factory: WorkloadFactory) -> WorkloadFactory:
-        spec = WorkloadSpec(
-            name=normalize_name(name),
-            factory=factory,
-            display_name=display_name,
-            aliases=tuple(normalize_name(alias) for alias in aliases),
-            summary=summary,
-            description=description,
-            default_mapping=default_mapping,
-        )
-        _WORKLOADS.add(spec.name, spec,
-                       extra_keys=[*spec.aliases,
-                                   normalize_name(display_name)])
-        return factory
-
-    return decorate
-
-
-def available_workloads() -> List[str]:
-    """Canonical names of every registered workload, in registration order."""
-    return _WORKLOADS.names()
-
-
-def workload_specs() -> List[WorkloadSpec]:
-    """Every registered spec, in registration order."""
-    return _WORKLOADS.specs()
-
-
-def is_registered_workload(name: str) -> bool:
-    """Whether *name* resolves to a registered workload (aliases included)."""
-    return _WORKLOADS.is_registered(name)
-
-
-def workload_spec(name: str) -> WorkloadSpec:
-    """Look a spec up by canonical name, alias or display name."""
-    return _WORKLOADS.lookup(name)
-
-
-def create_workload(name: str, **options) -> AppGraph:
-    """Instantiate a registered workload's task graph by name.
-
-    Options not understood by the workload's factory are silently dropped,
-    so one option bag can parameterise a heterogeneous workload sweep.
-    """
-    return workload_spec(name).create(**options)
+#: ``@register_workload(name, display_name=, aliases=, summary=,
+#: description=, default_mapping=)`` — :meth:`Registry.register`; a clashing
+#: name, alias or display name raises :class:`TrafficError`.
+register_workload = _WORKLOADS.register
+#: Canonical names of every registered workload, in registration order.
+available_workloads = _WORKLOADS.names
+#: Every registered :class:`WorkloadSpec`, in registration order.
+workload_specs = _WORKLOADS.specs
+#: Whether a name resolves to a registered workload (aliases included).
+is_registered_workload = _WORKLOADS.is_registered
+#: Look a spec up by canonical name, alias or display name.
+workload_spec = _WORKLOADS.lookup
+#: ``create_workload(name, **options)`` — a registered workload's task
+#: graph; options its factory does not declare are dropped, so one option
+#: bag can parameterise a heterogeneous workload sweep.
+create_workload = _WORKLOADS.create
 
 
 def workload_flow_set(name: str, topology: Topology,

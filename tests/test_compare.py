@@ -1,5 +1,6 @@
 """Tests for the comparison matrix, its rows and the CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from repro.compare import (
     pattern_flow_set,
 )
 from repro.cli import main as repro_main
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, TrafficError
 from repro.experiments import ExperimentConfig
 from repro.topology import Mesh2D, Ring, Torus2D
 
@@ -71,9 +72,16 @@ class TestPatternFlowSet:
         flows = pattern_flow_set("h264", Mesh2D(4), QUICK)
         assert len(flows) > 0
 
-    def test_application_requires_mesh(self):
-        with pytest.raises(ExperimentError, match="mesh"):
+    def test_application_block_mapping_requires_a_grid(self):
+        # the mapping layer's own error: the placement is the problem, and
+        # the message says which placements a ring does accept
+        with pytest.raises(TrafficError, match="needs a 2-D grid topology "
+                                               ".*mesh or torus.*row-major"):
             pattern_flow_set("h264", Ring(16), QUICK)
+        placed = pattern_flow_set(
+            "h264", Ring(16),
+            dataclasses.replace(QUICK, mapping_strategy="row-major"))
+        assert len(placed) == len(pattern_flow_set("h264", Mesh2D(4), QUICK))
 
     def test_unknown_pattern_lists_names(self):
         from repro.exceptions import ReproError
@@ -83,6 +91,39 @@ class TestPatternFlowSet:
             pattern_flow_set("unknown-thing", Mesh2D(4), QUICK)
         with pytest.raises(ReproError, match="workload"):
             pattern_flow_set("unknown-thing", Mesh2D(4), QUICK)
+
+
+    @pytest.mark.parametrize("topology", ["mesh3x3", "ring6"])
+    def test_known_pattern_on_an_unfit_topology_is_not_unknown(
+            self, topology):
+        # the pattern is known, the node count is the problem: the builder's
+        # own error surfaces, not "unknown pattern or workload 'transpose'"
+        with pytest.raises(TrafficError) as raised:
+            pattern_flow_set("transpose", parse_topology(topology), QUICK)
+        message = str(raised.value)
+        assert "power-of-two node count" in message
+        assert "unknown" not in message and "did you mean" not in message
+
+    @pytest.mark.parametrize("typo, meant", [("trnspose", "transpose"),
+                                             ("h265", "h264")])
+    def test_unknown_name_suggests_from_either_vocabulary(self, typo, meant):
+        with pytest.raises(ExperimentError) as raised:
+            pattern_flow_set(typo, Mesh2D(4), QUICK)
+        message = str(raised.value)
+        assert f"unknown pattern or workload {typo!r}" in message
+        assert f"did you mean {meant!r}" in message
+        assert "registered workloads" in message
+        assert "registered patterns" in message
+
+    def test_unfit_topology_end_to_end(self, capsys):
+        code = repro_main([
+            "compare", "--profile", "quick", "--topology", "mesh3x3",
+            "--patterns", "transpose", "--routers", "dor", "--no-cache",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "power-of-two node count, got 9" in err
+        assert "unknown" not in err and "did you mean" not in err
 
 
 class TestCompareMatrix:
@@ -257,4 +298,4 @@ class TestCLI:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "available patterns" in err
+        assert "registered patterns" in err

@@ -66,22 +66,69 @@ def test_per_workload_default_mapping_is_honored():
         [flow.pair for flow in via_compare]
 
 
-def test_extended_workload_names_drive_the_workload_vocabulary():
-    from repro.experiments import extended_workload_names, workload_flow_set
-    from repro.exceptions import ExperimentError
-    from repro.topology import Mesh2D
+def _listed_spellings(listing: str) -> tuple:
+    """(canonical names, aliases) a registry listing prints."""
+    import re
 
-    names = extended_workload_names()
-    assert names[:6] == ["transpose", "bit-complement", "shuffle",
-                         "h264", "perf-modeling", "transmitter"]
-    assert "decoder-pipeline" in names and "map-reduce" in names
-    # every accepted name instantiates; unknown names list the vocabulary
-    mesh = Mesh2D(8)
+    names, aliases = [], []
+    for line in listing.splitlines():
+        if line.startswith("  "):
+            names.append(line.split()[0])
+            found = re.search(r"\(aliases: ([^)]*)\)", line)
+            if found:
+                aliases.extend(found.group(1).split(", "))
+    return names, aliases
+
+
+def test_listed_vocabulary_is_what_canonical_pattern_accepts(
+        capsys, monkeypatch):
+    """Every name a listing or a --workload help prints resolves, every
+    name that resolves is listed, and the two registries share no
+    spelling (workloads are looked up first: a shared one would shadow
+    the synthetic pattern silently)."""
+    from repro.exceptions import ExperimentError
+    from repro.experiments import WORKLOAD_NAMES
+    from repro.planning import canonical_pattern
+    from repro.traffic.synthetic import _PATTERNS
+    from repro.workloads.registry import _WORKLOADS
+
+    monkeypatch.setenv("COLUMNS", "1000")  # keep argparse from wrapping
+
+    def stdout_of(*argv):
+        assert repro_main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    canonical = set(_WORKLOADS.names()) | set(_PATTERNS.names())
+    assert set(WORKLOAD_NAMES) <= canonical
+    assert "decoder-pipeline" in canonical and "bit-reverse" in canonical
+
+    # list patterns + list workloads: each prints its registry, whole
+    names, aliases = _listed_spellings(
+        stdout_of("list", "workloads") + stdout_of("list", "patterns"))
+    assert set(names) == canonical
+    assert all(canonical_pattern(name) == name for name in names)
+    assert {canonical_pattern(alias) for alias in aliases} <= canonical
+    assert set(names) | set(aliases) <= \
+        set(_WORKLOADS.alias_map) | set(_PATTERNS.alias_map)
+
+    # --list-workloads and the --workload help name the same vocabulary
+    for command in ("figure", "sweep", "profile"):
+        listed, _ = _listed_spellings(stdout_of(command, "--list-workloads"))
+        assert set(listed) == canonical, command
+        helped = stdout_of(command, "--help").split("one of ")[1] \
+            .split(" (default")[0].split(", ")
+        assert set(helped) == canonical, command
+        assert all(canonical_pattern(name) == name for name in helped)
+
+    assert not set(_WORKLOADS.alias_map) & set(_PATTERNS.alias_map)
+
+    # every accepted name instantiates; unknown names list both vocabularies
+    mesh = parse_topology("mesh8x8")
     config = _quick_config()
-    for name in names:
-        assert len(workload_flow_set(name, mesh, config)) > 0
-    with pytest.raises(ExperimentError, match="decoder-pipeline"):
-        workload_flow_set("no-such-workload", mesh, config)
+    for name in canonical:
+        assert len(pattern_flow_set(name, mesh, config)) > 0
+    with pytest.raises(ExperimentError, match="decoder-pipeline.*transpose"):
+        pattern_flow_set("no-such-workload", mesh, config)
 
 
 def test_bsor_routes_are_derived_from_the_app_flow_graph():

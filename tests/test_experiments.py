@@ -9,18 +9,17 @@ from repro.experiments import (
     PAPER_TABLE_6_1,
     PAPER_TABLE_6_3,
     WORKLOAD_NAMES,
-    all_workloads,
-    build_mesh,
     render_figure,
     render_table,
     run_figure,
     run_table,
-    workload_flow_set,
 )
+from repro.planning import parse_topology, pattern_flow_set
 from repro.study import ResultSet
 
 
 QUICK = ExperimentConfig.quick()
+QUICK_MESH = f"mesh{QUICK.mesh_size}x{QUICK.mesh_size}"
 
 
 class TestExperimentConfig:
@@ -57,25 +56,26 @@ class TestExperimentConfig:
 
 class TestWorkloads:
     def test_all_six_workloads_instantiate(self):
-        workloads = all_workloads(QUICK)
-        assert [name for name, _, _ in workloads] == list(WORKLOAD_NAMES)
-        for _, mesh, flow_set in workloads:
+        mesh = parse_topology(QUICK_MESH)
+        assert len(WORKLOAD_NAMES) == 6
+        for name in WORKLOAD_NAMES:
+            flow_set = pattern_flow_set(name, mesh, QUICK)
             assert len(flow_set) > 0
             assert flow_set.max_node() < mesh.num_nodes
 
     def test_synthetic_demand_applied(self):
-        mesh = build_mesh(QUICK)
-        flows = workload_flow_set("transpose", mesh, QUICK)
+        mesh = parse_topology(QUICK_MESH)
+        flows = pattern_flow_set("transpose", mesh, QUICK)
         assert flows.max_demand() == QUICK.synthetic_demand
 
     def test_application_demands_preserved(self):
-        mesh = build_mesh(QUICK)
-        flows = workload_flow_set("h264", mesh, QUICK)
+        mesh = parse_topology(QUICK_MESH)
+        flows = pattern_flow_set("h264", mesh, QUICK)
         assert flows.max_demand() == pytest.approx(120.4)
 
     def test_unknown_workload(self):
         with pytest.raises(ExperimentError):
-            workload_flow_set("raytracer", build_mesh(QUICK), QUICK)
+            pattern_flow_set("raytracer", parse_topology(QUICK_MESH), QUICK)
 
 
 class TestTextRendering:

@@ -8,8 +8,9 @@ qualitative result the evaluation chapter reports for that configuration.
 
 import pytest
 
-from repro.experiments import ExperimentConfig, build_mesh, workload_flow_set
+from repro.experiments import ExperimentConfig
 from repro.metrics import load_report
+from repro.planning import parse_topology, pattern_flow_set
 from repro.routing import (
     BSORRouting,
     NodeRoutingTable,
@@ -116,8 +117,8 @@ class TestExperimentWorkloadsSmoke:
                                           "shuffle", "h264", "perf-modeling",
                                           "transmitter"])
     def test_every_workload_routes_and_simulates_quickly(self, workload):
-        mesh = build_mesh(QUICK)
-        flows = workload_flow_set(workload, mesh, QUICK)
+        mesh = parse_topology(f"mesh{QUICK.mesh_size}x{QUICK.mesh_size}")
+        flows = pattern_flow_set(workload, mesh, QUICK)
         routes = BSORRouting(selector="dijkstra").compute_routes(mesh, flows)
         stats = simulate_route_set(mesh, routes, QUICK.simulation, 0.5)
         assert stats.packets_delivered > 0

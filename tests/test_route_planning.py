@@ -151,6 +151,93 @@ class TestCacheKeysMatchThePreFunnelConstruction:
             recorded["mesh4x4|transpose|bsor-dijkstra|none|full-cdg-set"]
 
 
+# SHA-256 of ``flow_set_fingerprint`` of the paper's three applications, as
+# ``app/topology/mapping`` (seed 0).  Recorded at the parent of ISSUE 19,
+# where ``experiments.workloads.workload_flow_set`` built them through
+# ``traffic.mapping.map_onto_mesh`` — the fork kept "so cached results stay
+# valid".  The workload registry is the one construction now and must
+# reproduce every digest: the flow set is in every simulation-point key and
+# every route-plan key, so this is what keeps warm caches warm.
+PAPER_APPLICATION_FLOW_SETS = {
+    "h264/mesh4x4/default":
+        "05a2283d8461b458c4c7198fbcb01c4e24ed4fb0f8b128dc9d0fdac300f473b9",
+    "h264/mesh4x4/block":
+        "05a2283d8461b458c4c7198fbcb01c4e24ed4fb0f8b128dc9d0fdac300f473b9",
+    "h264/mesh4x4/row-major":
+        "7fb28b3204e65c3f5260aac26115c9034a4b3738151dfe80deb9a57116b1dfbf",
+    "h264/mesh4x4/spread":
+        "04ecfbe2a80f7eb54f583d3bda52cc01dc178905d41c22857eb03e10b45cfb42",
+    "h264/mesh4x4/random":
+        "96ccf6e92d1bc30a3dbe6569e9477d88003ee99ff6f798fdd9847718f36b2b5d",
+    "h264/mesh8x8/default":
+        "4c73d4249377e132b976993cad9fc3fadcc959c8a33683b0ca217865c6620974",
+    "h264/mesh8x8/block":
+        "4c73d4249377e132b976993cad9fc3fadcc959c8a33683b0ca217865c6620974",
+    "h264/mesh8x8/row-major":
+        "7fb28b3204e65c3f5260aac26115c9034a4b3738151dfe80deb9a57116b1dfbf",
+    "h264/mesh8x8/spread":
+        "749a277a18f4f7c6e7d861f7a473cbe01c7a7fa55c8563c5b0d3ac41e6364fe7",
+    "h264/mesh8x8/random":
+        "8a8f275a0f1e02a524bf22644a3a1e1adc966cd075f9c4cfdb6b6937d89db016",
+    "perf-modeling/mesh4x4/default":
+        "a05ba27a29454fba0ce5f2852295dd0a943c48f9ee9f83a953fb37c0ecb5ff81",
+    "perf-modeling/mesh4x4/block":
+        "a05ba27a29454fba0ce5f2852295dd0a943c48f9ee9f83a953fb37c0ecb5ff81",
+    "perf-modeling/mesh4x4/row-major":
+        "543c6e36eb5e3a01c50aa0616ba706d2564196d4491cb870c13b53d3c4bd203c",
+    "perf-modeling/mesh4x4/spread":
+        "7f8b74cbe3c210f8c6671dbaab8f02ddf451995a2d079f924b0d2be96338ca3c",
+    "perf-modeling/mesh4x4/random":
+        "7eec378adadf596d8271d75ca1cfa26ac4ac1d4a5c5bee0d7d4313e33ae57f3e",
+    "perf-modeling/mesh8x8/default":
+        "5c831dbcd4a0d9978ebc0cd34ac7257d1fc142e63db7d5e9b3d82b9437b1c300",
+    "perf-modeling/mesh8x8/block":
+        "5c831dbcd4a0d9978ebc0cd34ac7257d1fc142e63db7d5e9b3d82b9437b1c300",
+    "perf-modeling/mesh8x8/row-major":
+        "543c6e36eb5e3a01c50aa0616ba706d2564196d4491cb870c13b53d3c4bd203c",
+    "perf-modeling/mesh8x8/spread":
+        "f138f1489521980100ee4767c56805897ba8dcad35dd17f6869fa4c9a776d42b",
+    "perf-modeling/mesh8x8/random":
+        "90d661117f5b81e5ced874da24730ba7f722ad0759ebaebeeabc4ac685cf88a8",
+    "transmitter/mesh4x4/default":
+        "bfbdc3a2a228750e2ec5ba3fc9a0806eb5937115d55fc4db065b90252f5126fe",
+    "transmitter/mesh4x4/block":
+        "bfbdc3a2a228750e2ec5ba3fc9a0806eb5937115d55fc4db065b90252f5126fe",
+    "transmitter/mesh4x4/row-major":
+        "bfbdc3a2a228750e2ec5ba3fc9a0806eb5937115d55fc4db065b90252f5126fe",
+    "transmitter/mesh4x4/spread":
+        "bfbdc3a2a228750e2ec5ba3fc9a0806eb5937115d55fc4db065b90252f5126fe",
+    "transmitter/mesh4x4/random":
+        "d39d7e86fb8152776d9b40c7e1256b24a230a0fa3162e5d8c22fcd1f79f62b05",
+    "transmitter/mesh8x8/default":
+        "60e59df2d519558e7f0713f1a71e7c30e47d76d153840a1b9fb621c87de5f8b7",
+    "transmitter/mesh8x8/block":
+        "60e59df2d519558e7f0713f1a71e7c30e47d76d153840a1b9fb621c87de5f8b7",
+    "transmitter/mesh8x8/row-major":
+        "bfbdc3a2a228750e2ec5ba3fc9a0806eb5937115d55fc4db065b90252f5126fe",
+    "transmitter/mesh8x8/spread":
+        "4a4aa90751c1ac315086cff603bd2ae13ddd38f982cdfba26ea0f2e7509dad9e",
+    "transmitter/mesh8x8/random":
+        "e36bba4959c07e6705a8ec11481b8334ab4e0083aacce4c52182760a7270226a",
+}
+
+
+@pytest.mark.parametrize("label", PAPER_APPLICATION_FLOW_SETS)
+def test_paper_applications_keep_their_flow_sets(label):
+    import hashlib
+
+    from repro.runner.fingerprint import flow_set_fingerprint
+
+    application, topology, mapping = label.split("/")
+    config = dataclasses.replace(
+        QUICK, seed=0,
+        mapping_strategy=None if mapping == "default" else mapping)
+    flow_set = pattern_flow_set(application, parse_topology(topology), config)
+    text = json.dumps(flow_set_fingerprint(flow_set), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PAPER_APPLICATION_FLOW_SETS[label]
+
+
 # ----------------------------------------------------------------------
 # (b) faults still go through route_with_faults, verification included
 # ----------------------------------------------------------------------

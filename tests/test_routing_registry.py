@@ -13,8 +13,7 @@ from repro.routing import (
     YXRouting,
 )
 from repro.routing.registry import (
-    _ALIASES,
-    _REGISTRY,
+    _ROUTERS,
     available_routers,
     create_router,
     normalize_router_name,
@@ -106,13 +105,6 @@ class TestOptions:
 
 
 class TestRegistration:
-    def _cleanup(self, name):
-        spec = _REGISTRY.pop(name, None)
-        if spec is not None:
-            for key in [spec.name, *spec.aliases,
-                        normalize_router_name(spec.display_name)]:
-                _ALIASES.pop(key, None)
-
     def test_duplicate_name_rejected(self):
         with pytest.raises(RoutingError, match="already registered"):
             @register_router("dor", display_name="Duplicate")
@@ -142,7 +134,7 @@ class TestRegistration:
             assert create_router("test-router").name == "TestRouter"
             assert "TestRouter" in render_routing_guide()
         finally:
-            self._cleanup("test-router")
+            _ROUTERS.remove("test-router")
 
 
 class TestMetadata:

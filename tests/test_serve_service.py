@@ -11,7 +11,9 @@ here: the served result document is byte-identical to ``python -m repro run
 from __future__ import annotations
 
 import json
+import socket
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -148,6 +150,63 @@ class TestServiceEndpoints:
     def test_malformed_spec_is_400(self, served):
         with pytest.raises(ServeError, match="HTTP 400"):
             served.client.submit("{not a spec")
+
+
+class TestHostileRequests:
+    """Malformed framing is a 400 like any other malformed head — never an
+    exception out of the connection callback (which asyncio reports as
+    "Unhandled exception in client_connected_cb" and answers with nothing).
+    """
+
+    @staticmethod
+    def _exchange(served, request: bytes) -> bytes:
+        """Send raw bytes, half-close, and read the whole reply."""
+        url = urlsplit(served.client.base_url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=10) as connection:
+            connection.sendall(request)
+            connection.shutdown(socket.SHUT_WR)
+            reply = b""
+            while True:
+                chunk = connection.recv(65536)
+                if not chunk:
+                    return reply
+                reply += chunk
+
+    def _assert_bad_request(self, served, caplog, request: bytes,
+                            needle: str) -> None:
+        reply = self._exchange(served, request)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert needle in json.loads(body)["error"]
+        # the service survived and nothing reached asyncio's last resort
+        assert served.client.health() == {"status": "ok"}
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1e3", "\xb2"])
+    def test_malformed_content_length_is_400(self, served, caplog, length):
+        self._assert_bad_request(
+            served, caplog,
+            f"POST /studies HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode("latin-1"),
+            "malformed Content-Length")
+
+    def test_truncated_body_is_400(self, served, caplog):
+        self._assert_bad_request(
+            served, caplog,
+            b"POST /studies HTTP/1.1\r\nContent-Length: 50\r\n\r\nname: x",
+            "ended after 7 of the 50 bytes")
+
+    def test_peer_gone_mid_body_is_a_quiet_close(self, served, caplog):
+        url = urlsplit(served.client.base_url)
+        connection = socket.create_connection((url.hostname, url.port))
+        connection.sendall(b"POST /studies HTTP/1.1\r\n"
+                           b"Content-Length: 50\r\n\r\nname: x")
+        connection.close()  # nobody left to read the 400
+        assert served.client.health() == {"status": "ok"}
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
 
 
 class TestServedStudy:

@@ -17,7 +17,7 @@ from repro.simulator import (
     register_backend,
     simulate_route_set,
 )
-from repro.simulator.backends import DEFAULT_BACKEND, _ALIASES, _REGISTRY
+from repro.simulator.backends import DEFAULT_BACKEND, _BACKENDS
 from repro.traffic import FlowSet
 
 
@@ -82,9 +82,7 @@ class TestRegistry:
         try:
             assert backend_spec("test-kernel").factory is StubKernel
         finally:
-            name = _ALIASES.pop("test-kernel")
-            _ALIASES.pop("test-kernel", None)
-            _REGISTRY.pop(name, None)
+            _BACKENDS.remove("test-kernel")
         assert "test-kernel" not in available_backends()
 
 

@@ -183,11 +183,12 @@ class TestRegistry:
             normalize_pattern_name("")
 
     def test_available_pattern_names_sorted_and_canonical(self):
-        from repro.traffic import SYNTHETIC_PATTERNS, available_pattern_names
+        from repro.traffic import available_pattern_names, pattern_specs
 
         names = available_pattern_names()
         assert names == sorted(names)
-        assert set(names) == set(SYNTHETIC_PATTERNS)
+        assert set(names) == {spec.name for spec in pattern_specs()} == {
+            "transpose", "bit-complement", "shuffle", "bit-reverse"}
 
     def test_alias_demand_forwarded(self):
         flows = synthetic_by_name("bitcomp", 16, demand=3.5)

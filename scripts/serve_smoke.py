@@ -4,13 +4,16 @@
 Starts ``python -m repro serve`` as a real subprocess on an ephemeral port,
 drives it with the stdlib client the way a deployment would:
 
-1. submit ``examples/studies/smoke.yaml`` cold and fetch the result;
+1. submit ``examples/studies/smoke.yaml`` cold, wait for it — which must
+   take exactly one job-state request however long the cold run simulates
+   (waiting is a parked ``?wait=`` request, never a poll loop) — and fetch
+   the result;
 2. resubmit the same spec and require the warm run to complete entirely
    from the result cache (one ``cache_hit`` event per point, zero
    ``point_started``) with a byte-identical result document;
 3. POST ``/shutdown`` and require a clean exit.
 
-Exit code 0 means the whole submit -> poll -> stream -> fetch -> shutdown
+Exit code 0 means the whole submit -> wait -> stream -> fetch -> shutdown
 loop works against a real server process.
 """
 
@@ -29,6 +32,16 @@ from repro.serve.client import ServeClient  # noqa: E402
 
 SMOKE_SPEC = REPO_ROOT / "examples" / "studies" / "smoke.yaml"
 STARTUP_TIMEOUT = 30.0
+
+
+class CountingClient(ServeClient):
+    """Counts the job-state requests ``wait()`` is built from."""
+
+    state_requests = 0
+
+    def job_state(self, job_id, wait=None):
+        self.state_requests += 1
+        return super().job_state(job_id, wait)
 
 
 def fail(message: str) -> None:
@@ -68,12 +81,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as cache_dir:
         server = start_server(cache_dir)
         try:
-            client = ServeClient(read_base_url(server), timeout=30.0)
+            client = CountingClient(read_base_url(server), timeout=30.0)
             if client.health() != {"status": "ok"}:
                 fail("health probe failed")
 
             cold_id = client.submit(spec_text)
             check_counts(client.wait(cold_id, timeout=300), cached=False)
+            if client.state_requests != 1:
+                fail(f"waiting for the cold job took "
+                     f"{client.state_requests} job-state requests, not 1: "
+                     f"the client is polling again")
             cold_text = client.result_text(cold_id)
             rows = json.loads(cold_text)["rows"]
             if len(rows) != 2:
@@ -96,7 +113,8 @@ def main() -> int:
             if server.poll() is None:
                 server.terminate()
                 server.wait(timeout=10)
-    print("serve-smoke: ok (cold simulate, warm cache-only, clean shutdown)")
+    print("serve-smoke: ok (cold simulate behind one parked wait, warm "
+          "cache-only, clean shutdown)")
     return 0
 
 

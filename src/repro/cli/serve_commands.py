@@ -24,7 +24,7 @@ def add_serve_subcommands(commands, common: argparse.ArgumentParser) -> None:
     """Register serve/worker/submit on a subparsers object."""
     serve = commands.add_parser(
         "serve", parents=[common],
-        help="serve studies over HTTP (submit, poll, stream, fetch)")
+        help="serve studies over HTTP (submit, wait, stream, fetch)")
     serve.add_argument("--host", default=None,
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=None,

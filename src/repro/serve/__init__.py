@@ -10,8 +10,9 @@ adds the three serving layers on top:
   :mod:`repro.progress` event stream and its finished result document;
 * :mod:`repro.serve.service` — the asyncio HTTP front door
   (``python -m repro serve``): POST a Study YAML/JSON spec for a job id,
-  poll job state, stream progress events as JSONL, fetch the finished
-  ``StudyResult`` JSON (byte-identical to ``python -m repro run``);
+  wait for the job on a parked ``?wait=`` request, stream progress events
+  as JSONL, fetch the finished ``StudyResult`` JSON (byte-identical to
+  ``python -m repro run``);
 * :mod:`repro.serve.client` — the stdlib ``urllib`` client behind
   ``python -m repro submit`` and the end-to-end tests.
 

@@ -2,8 +2,12 @@
 
 ``urllib.request`` only — the same no-new-dependencies rule as the server.
 This is what ``python -m repro submit`` and the end-to-end tests use:
-submit a spec, poll the job, stream its progress events (rebuilt into the
-typed :mod:`repro.progress` classes), fetch the result document verbatim.
+submit a spec, wait for the job, stream its progress events (rebuilt into
+the typed :mod:`repro.progress` classes), fetch the result document
+verbatim.  Waiting is a blocking request, not a poll loop:
+``GET /studies/<id>?wait=<seconds>`` is answered when the job becomes
+terminal, so :meth:`ServeClient.wait` normally costs one request however
+long the study runs.
 """
 
 from __future__ import annotations
@@ -81,27 +85,36 @@ class ServeClient:
         return _json(f"{self.base_url}/studies",
                      timeout=self.timeout).get("jobs", [])
 
-    def job_state(self, job_id: str) -> Dict:
-        return _json(f"{self.base_url}/studies/{job_id}",
+    def job_state(self, job_id: str, wait: Optional[float] = None) -> Dict:
+        """The job's summary, at once — or, with *wait*, as soon as the job
+        is terminal or *wait* seconds (server-capped) have passed."""
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return _json(f"{self.base_url}/studies/{job_id}{query}",
                      timeout=self.timeout)
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_interval: float = 0.1) -> Dict:
-        """Poll until the job is terminal; returns its final summary.
+        """Block until the job is terminal; returns its final summary.
 
-        Raises :class:`ServeError` when the deadline passes or the study
-        failed (the error carries the server-side traceback).
+        Each request parks on the server for what is left of *timeout*, but
+        never more than half this client's per-request socket timeout, so a
+        healthy long job is a string of quiet non-terminal answers rather
+        than a socket error; *poll_interval* is only the pause after such an
+        answer.  Raises :class:`ServeError` when the deadline passes or the
+        study failed (the error carries the server-side traceback).
         """
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
-            state = self.job_state(job_id)
+            remaining = max(deadline - time.monotonic(), 0.0)
+            state = self.job_state(job_id,
+                                   wait=min(remaining, self.timeout / 2))
             if state.get("state") == "done":
                 return state
             if state.get("state") == "failed":
                 raise ServeError(
                     f"job {job_id} failed:\n{state.get('error')}"
                 )
-            if time.time() > deadline:
+            if time.monotonic() > deadline:
                 raise ServeError(
                     f"job {job_id} still {state.get('state')!r} after "
                     f"{timeout}s"

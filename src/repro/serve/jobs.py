@@ -8,8 +8,11 @@ JSON document ``python -m repro run --format json`` prints (byte-identical,
 which is what the end-to-end tests assert).
 
 :class:`JobStore` is the thread-safe registry the asyncio front door and the
-executor threads share; a ``Condition`` lets event streamers and state
-pollers block until something changes instead of spinning.
+executor threads share.  It holds no waiting machinery of its own: every
+mutation calls the store's one *listener* with the job id, on the mutating
+thread and after the lock is released, and whoever needs to block until a
+job changes (the service's parked ``?wait=`` requests and ``/events``
+followers) hangs its own wake-up off that call.
 :class:`JobObserver` adapts one job to the
 :class:`~repro.progress.ProgressObserver` interface, so the runner's typed
 events buffer on the job as they are emitted — the service streams them to
@@ -22,7 +25,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..progress import ProgressEvent, ProgressObserver
 
@@ -73,29 +76,42 @@ class Job:
 class JobStore:
     """The thread-safe job registry shared by the service's layers.
 
-    Every mutation happens under one lock and wakes the store's condition,
-    so state pollers and event streamers can wait for changes.  Jobs are
-    never evicted — the store lives as long as the service process, and a
-    study's result stays fetchable until shutdown.
+    Every mutation happens under one lock and then, with the lock released,
+    reports the job's id to *listener* on the mutating thread — the push
+    that replaces polling the store.  The listener must be cheap, must not
+    raise and must not call back into the store's mutators.  Jobs are never
+    evicted — the store lives as long as the service process, and a study's
+    result stays fetchable until shutdown.
     """
 
-    def __init__(self) -> None:
+    def __init__(self,
+                 listener: Optional[Callable[[str], None]] = None) -> None:
         self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
+        self._notify = listener or (lambda job_id: None)
         self._jobs: Dict[str, Job] = {}
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     def create(self, study_name: str) -> Job:
-        with self._changed:
+        with self._lock:
             job = Job(job_id=f"job-{next(self._ids)}", study_name=study_name)
             self._jobs[job.job_id] = job
-            self._changed.notify_all()
             return job
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def summary(self, job_id: str) -> Optional[Dict]:
+        """:meth:`Job.to_dict` taken under the lock, or ``None`` if unknown.
+
+        What the state endpoint answers with: a reader woken by the job's
+        last mutation never sees a terminal state without its timestamps
+        and event counts.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            return None if job is None else job.to_dict()
 
     def list_jobs(self) -> List[Dict]:
         with self._lock:
@@ -103,39 +119,40 @@ class JobStore:
 
     # ------------------------------------------------------------------
     def mark_running(self, job_id: str) -> None:
-        with self._changed:
+        with self._lock:
             job = self._jobs[job_id]
             job.state = "running"
             job.started_at = time.time()
-            self._changed.notify_all()
+        self._notify(job_id)
 
     def append_event(self, job_id: str, event: ProgressEvent) -> None:
-        with self._changed:
+        with self._lock:
             job = self._jobs[job_id]
             job.events.append(event)
             job.event_counts[event.kind] = \
                 job.event_counts.get(event.kind, 0) + 1
-            self._changed.notify_all()
+        self._notify(job_id)
 
     def finish(self, job_id: str, result_json: str) -> None:
-        with self._changed:
+        with self._lock:
             job = self._jobs[job_id]
             job.state = "done"
             job.finished_at = time.time()
             job.result_json = result_json
-            self._changed.notify_all()
+        self._notify(job_id)
 
     def fail(self, job_id: str, error: str) -> None:
-        with self._changed:
+        with self._lock:
             job = self._jobs[job_id]
             job.state = "failed"
             job.finished_at = time.time()
             job.error = error
-            self._changed.notify_all()
+        self._notify(job_id)
 
     # ------------------------------------------------------------------
-    def snapshot(self, job_id: str) -> Optional[Dict]:
-        """State + a copy of the event list, atomically (for streamers)."""
+    def snapshot(self, job_id: str, since: int = 0) -> Optional[Dict]:
+        """State + a copy of the events from index *since* on, atomically
+        (for streamers, which pass how many events they have sent)."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
@@ -143,13 +160,8 @@ class JobStore:
             return {
                 "state": job.state,
                 "terminal": job.is_terminal(),
-                "events": list(job.events),
+                "events": job.events[since:],
             }
-
-    def wait_for_change(self, timeout: float = 0.5) -> None:
-        """Block until any job mutates (or *timeout* elapses)."""
-        with self._changed:
-            self._changed.wait(timeout)
 
 
 class JobObserver(ProgressObserver):

@@ -11,6 +11,8 @@ GET       ``/version``                service + registry inventory
 POST      ``/studies``                body = Study YAML/JSON spec -> job id
 GET       ``/studies``                all job summaries
 GET       ``/studies/<id>``           one job summary (state, event counts)
+GET       ``/studies/<id>?wait=<s>``  the same summary, once the job is
+                                      terminal or *s* seconds have passed
 GET       ``/studies/<id>/events``    progress events streamed as JSONL
 GET       ``/studies/<id>/result``    finished ``StudyResult`` JSON
 POST      ``/shutdown``               clean exit
@@ -25,6 +27,16 @@ exactly the ``--progress jsonl`` wire format.  The result document is
 ``StudyResult.to_json()``, byte-identical to ``python -m repro run --format
 json`` for the same spec.
 
+Nothing here polls.  A request that has to outlast the moment it arrives —
+``?wait=`` on a running job, an ``/events`` follower that has caught up — is
+*parked* (:class:`_Parked`): every job mutation on an executor thread
+reaches the event loop through the store's listener and
+``loop.call_soon_threadsafe`` and wakes the requests parked on that job.
+``wait`` must be a finite non-negative number (``400`` otherwise) and is
+clamped to :data:`MAX_WAIT_SECONDS`; a parked request also ends when its
+peer hangs up or the service shuts down, and a peer that does not deliver a
+whole request within :data:`READ_TIMEOUT` is answered ``408``.
+
 The service enables the result cache by default and honours the shared
 cache tier (``--shared-cache-dir`` / ``$REPRO_SHARED_CACHE_DIR``), so a
 study whose points are warm anywhere in the deployment is answered without
@@ -35,17 +47,20 @@ a single simulator invocation — the submission's event stream then carries
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import math
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
+from urllib.parse import parse_qs
 
 from .. import __version__
 from ..exceptions import ReproError, ServeError, StudyError
 from ..study.execute import run_study
 from ..study.spec import Study
-from .jobs import JobObserver, JobStore
+from .jobs import Job, JobObserver, JobStore
 
 #: Default bind address: loopback — the service trusts its submitters
 #: (specs execute arbitrary registered routers/workloads), so exposure
@@ -58,8 +73,12 @@ DEFAULT_PORT = 8787
 #: Largest accepted request body (a study spec is a few KiB).
 MAX_BODY_BYTES = 1 << 20
 
-#: Cadence of the event-stream follow loop and job-state polling.
-POLL_INTERVAL = 0.05
+#: Longest a ``GET /studies/<id>?wait=<seconds>`` request stays parked; a
+#: longer *wait* is clamped, and the client asks again.
+MAX_WAIT_SECONDS = 30.0
+
+#: Seconds a peer has to deliver its whole request, head and body.
+READ_TIMEOUT = 10.0
 
 
 def study_from_text(text: str) -> Study:
@@ -87,6 +106,56 @@ def study_from_text(text: str) -> Study:
         except yaml.YAMLError as error:
             raise StudyError(f"invalid study spec: {error}") from error
     return Study.from_dict(data)
+
+
+class _Parked:
+    """One request held open on a job: a ``?wait=`` or an ``/events`` follower.
+
+    A single :class:`asyncio.Event` with four setters — a mutation of the
+    job, the peer hanging up, the wait's deadline, service shutdown.  Only
+    the first is a reason to look at the job again; the other three
+    *release* the request, and :meth:`changed` answers ``False`` from then
+    on.  The event stays registered for the request's whole life, so a
+    mutation that lands while the request is busy writing is not lost: the
+    next :meth:`changed` returns at once.  Event-loop thread only.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 timeout: Optional[float]) -> None:
+        self._event = asyncio.Event()
+        self._released = False
+        self._peer = asyncio.ensure_future(self._until_peer_gone(reader))
+        self._peer.add_done_callback(lambda _: self.release())
+        self._timer = None if timeout is None else \
+            asyncio.get_running_loop().call_later(timeout, self.release)
+
+    @staticmethod
+    async def _until_peer_gone(reader: asyncio.StreamReader) -> None:
+        """Discard whatever else the peer sends; return at its EOF."""
+        try:
+            while await reader.read(65536):
+                pass
+        except ConnectionError:
+            pass
+
+    def wake(self) -> None:
+        self._event.set()
+
+    def release(self) -> None:
+        self._released = True
+        self._event.set()
+
+    async def changed(self) -> bool:
+        """Park until the job mutates (``True``) or the request is released."""
+        if not self._released:
+            await self._event.wait()
+            self._event.clear()
+        return not self._released
+
+    def close(self) -> None:
+        self._peer.cancel()
+        if self._timer is not None:
+            self._timer.cancel()
 
 
 class StudyService:
@@ -119,7 +188,7 @@ class StudyService:
                  queue_dir: Optional[str] = None) -> None:
         self.host = host
         self.port = port
-        self.store = JobStore()
+        self.store = JobStore(listener=self._job_changed)
         self.run_options: Dict = {
             "cache": cache,
             "cache_dir": cache_dir,
@@ -136,6 +205,8 @@ class StudyService:
         )
         self._stop: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: the requests parked on each job (event-loop thread only)
+        self._parked: Dict[str, Set[_Parked]] = {}
 
     # ------------------------------------------------------------------
     # job execution (executor threads)
@@ -162,12 +233,57 @@ class StudyService:
             self.store.fail(job_id, traceback.format_exc())
 
     # ------------------------------------------------------------------
+    # wake-ups: executor threads -> event loop -> parked requests
+    # ------------------------------------------------------------------
+    def _job_changed(self, job_id: str) -> None:
+        """The store's listener: runs on whichever thread mutated the job."""
+        if self._loop is None:
+            return  # not serving yet: nothing can be parked
+        try:
+            self._loop.call_soon_threadsafe(self._wake, job_id)
+        except RuntimeError:
+            pass  # the loop closed under a job that outlived the service
+
+    def _wake(self, job_id: str) -> None:
+        for parked in self._parked.get(job_id, ()):
+            parked.wake()
+
+    @contextlib.contextmanager
+    def _park(self, job_id: str, reader: asyncio.StreamReader,
+              timeout: Optional[float] = None) -> Iterator[_Parked]:
+        """Register a request on *job_id* for as long as the block runs.
+
+        Enter it *before* reading the job, so that no mutation falls between
+        the read and the first :meth:`_Parked.changed`.
+        """
+        parked = _Parked(reader, timeout)
+        self._parked.setdefault(job_id, set()).add(parked)
+        if self._stop.is_set():
+            parked.release()
+        try:
+            yield parked
+        finally:
+            parked.close()
+            waiting = self._parked[job_id]
+            waiting.discard(parked)
+            if not waiting:
+                del self._parked[job_id]
+
+    def _begin_shutdown(self) -> None:
+        """Stop serving and let every parked request answer and go."""
+        assert self._stop is not None
+        self._stop.set()
+        for waiting in self._parked.values():
+            for parked in waiting:
+                parked.release()
+
+    # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader
-                            ) -> Tuple[str, str, Dict[str, str], bytes]:
-        """(method, path, headers, body) of one request, or raise."""
+                            ) -> Tuple[str, str, str, bytes]:
+        """(method, path, query, body) of one request, or raise."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -176,7 +292,8 @@ class StudyService:
         parts = lines[0].split()
         if len(parts) < 2:
             raise ServeError(f"malformed request line {lines[0]!r}")
-        method, path = parts[0].upper(), parts[1]
+        method = parts[0].upper()
+        path, _, query = parts[1].partition("?")
         headers = {}
         for line in lines[1:]:
             if ":" in line:
@@ -196,7 +313,7 @@ class StudyService:
             raise ServeError(
                 f"request body ended after {len(error.partial)} of the "
                 f"{length} bytes Content-Length declared")
-        return method, path, headers, body
+        return method, path, query, body
 
     @staticmethod
     def _response(status: int, reason: str, body: bytes,
@@ -221,12 +338,18 @@ class StudyService:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, _, body = await self._read_request(reader)
+                method, path, query, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT)
             except ServeError as error:
                 writer.write(self._error_response(400, "Bad Request",
                                                   str(error)))
                 return
-            await self._route(method, path, body, writer)
+            except asyncio.TimeoutError:
+                writer.write(self._error_response(
+                    408, "Request Timeout",
+                    f"no complete request within {READ_TIMEOUT:g}s"))
+                return
+            await self._route(method, path, query, body, reader, writer)
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away mid-response
         finally:
@@ -237,8 +360,11 @@ class StudyService:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _route(self, method: str, path: str, body: bytes,
+    async def _route(self, method: str, path: str, query: str, body: bytes,
+                     reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
+        """Dispatch on method and path; only the job-state route reads the
+        query, every other route ignores one."""
         if path == "/healthz" and method == "GET":
             writer.write(self._json_response(200, "OK", {"status": "ok"}))
             return
@@ -249,8 +375,7 @@ class StudyService:
             writer.write(self._json_response(200, "OK",
                                              {"status": "shutting down"}))
             await writer.drain()
-            if self._stop is not None:
-                self._stop.set()
+            self._begin_shutdown()
             return
         if path == "/studies" and method == "POST":
             await self._handle_submit(body, writer)
@@ -260,7 +385,7 @@ class StudyService:
                 200, "OK", {"jobs": self.store.list_jobs()}))
             return
         if path.startswith("/studies/"):
-            await self._handle_job(method, path, writer)
+            await self._handle_job(method, path, query, reader, writer)
             return
         writer.write(self._error_response(404, "Not Found",
                                           f"no route for {method} {path}"))
@@ -293,7 +418,8 @@ class StudyService:
         writer.write(self._json_response(202, "Accepted",
                                          {"job": job_id, "state": "queued"}))
 
-    async def _handle_job(self, method: str, path: str,
+    async def _handle_job(self, method: str, path: str, query: str,
+                          reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         segments = path.strip("/").split("/")
         job_id = segments[1] if len(segments) > 1 else ""
@@ -310,12 +436,36 @@ class StudyService:
                                               f"{path}"))
             return
         if action == "":
-            writer.write(self._json_response(200, "OK", job.to_dict()))
+            await self._write_summary(job, query, reader, writer)
             return
         if action == "result":
             self._write_result(job_id, writer)
             return
-        await self._stream_events(job_id, writer)
+        await self._stream_events(job_id, reader, writer)
+
+    async def _write_summary(self, job: Job, query: str,
+                             reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
+        """The job summary — with ``?wait=<seconds>``, held back until the
+        job is terminal or the (clamped) wait is over."""
+        waits = parse_qs(query, keep_blank_values=True).get("wait")
+        if waits:
+            try:
+                wait = float(waits[-1])
+            except ValueError:
+                wait = math.nan
+            if not (math.isfinite(wait) and wait >= 0):
+                writer.write(self._error_response(
+                    400, "Bad Request",
+                    f"malformed wait {waits[-1]!r}: expected a finite "
+                    f"non-negative number of seconds"))
+                return
+            with self._park(job.job_id, reader,
+                            min(wait, MAX_WAIT_SECONDS)) as parked:
+                while not job.is_terminal() and await parked.changed():
+                    pass
+        writer.write(self._json_response(200, "OK",
+                                         self.store.summary(job.job_id)))
 
     def _write_result(self, job_id: str,
                       writer: asyncio.StreamWriter) -> None:
@@ -337,6 +487,7 @@ class StudyService:
                                     "application/json"))
 
     async def _stream_events(self, job_id: str,
+                             reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         """Replay the job's buffered events, then follow live as JSONL.
 
@@ -351,17 +502,16 @@ class StudyService:
             b"Connection: close\r\n\r\n"
         )
         sent = 0
-        while True:
-            snapshot = self.store.snapshot(job_id)
-            assert snapshot is not None  # existence checked by the router
-            events = snapshot["events"]
-            for event in events[sent:]:
-                writer.write((event.to_json() + "\n").encode())
-            sent = len(events)
-            await writer.drain()
-            if snapshot["terminal"]:
-                break
-            await asyncio.sleep(POLL_INTERVAL)
+        with self._park(job_id, reader) as parked:
+            while True:
+                snapshot = self.store.snapshot(job_id, since=sent)
+                assert snapshot is not None  # existence checked by the router
+                for event in snapshot["events"]:
+                    writer.write((event.to_json() + "\n").encode())
+                sent += len(snapshot["events"])
+                await writer.drain()
+                if snapshot["terminal"] or not await parked.changed():
+                    break
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -388,7 +538,7 @@ class StudyService:
     def request_shutdown(self) -> None:
         """Ask a running service to exit (thread-safe)."""
         if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+            self._loop.call_soon_threadsafe(self._begin_shutdown)
 
 
 class ServiceHandle:

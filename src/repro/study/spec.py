@@ -556,7 +556,10 @@ class Study:
             scenarios=scenarios,
             policy=policy,
         )
-        return study.validate()
+        # Scenario.from_dict validated each scenario (building every named
+        # topology); only the policy is left of Study.validate
+        policy.validate()
+        return study
 
     # ------------------------------------------------------------------
     @classmethod

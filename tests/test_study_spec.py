@@ -119,6 +119,24 @@ class TestValidation:
             Study.from_dict({"name": "s",
                              "scenarios": [{"topologies": ["cube3"]}]})
 
+    def test_each_construction_validates_a_scenario_once(self, monkeypatch):
+        """Validation builds every named topology in full, so count it."""
+        import repro.compare.matrix as matrix
+
+        parsed = []
+        parse_topology = matrix.parse_topology
+        monkeypatch.setattr(
+            matrix, "parse_topology",
+            lambda spec: parsed.append(spec) or parse_topology(spec))
+        scenario = {"topologies": ["mesh4x4"], "routers": ["dor"]}
+
+        study = Study.from_dict({"name": "s", "scenarios": [scenario]})
+        assert parsed == ["mesh4x4"]
+        Scenario.from_dict(scenario)          # standalone: still validated
+        assert parsed == ["mesh4x4"] * 2
+        study.validate()                      # what run_study calls first
+        assert parsed == ["mesh4x4"] * 3
+
     def test_unknown_profile_and_mode_and_backend(self):
         with pytest.raises(StudyError, match="unknown profile 'quik'.*did "
                                              "you mean 'quick'"):

@@ -48,9 +48,10 @@
 #   make docs       - regenerate docs/api/*.md, docs/routing-guide.md and
 #                     docs/workloads-guide.md
 #   make docs-check - fail when the generated docs are stale
-#   make check      - test + smoke + docs-check + links (the fast CI job
-#                     runs this with test-fast; the full CI job adds the
-#                     slow tests and the coverage floor)
+#   make check      - test + smoke + smoke-cli + bench + docs-check + links,
+#                     the gate CI applies (its fast job runs these with
+#                     test-fast, its full job runs bench and adds the slow
+#                     tests and the coverage floor)
 
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
@@ -125,7 +126,7 @@ docs:
 docs-check:
 	$(PYTHON) scripts/gen_api_docs.py --check
 
-check: test smoke smoke-cli docs-check links
+check: test smoke smoke-cli bench docs-check links
 
 clean-cache:
 	$(PYTHON) -m repro cache clear

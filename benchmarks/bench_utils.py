@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper and prints the
 resulting rows/series so they can be compared with the published numbers
-(``pytest benchmarks/ --benchmark-only -s`` shows the tables inline; the
-EXPERIMENTS.md file records a captured run).
+(``pytest benchmarks/ --benchmark-only -s`` shows the tables inline, and
+every run writes them under ``benchmarks/results/`` — see "One result path"
+in docs/architecture.md).
 
 The benchmark scale is selected with the ``REPRO_BENCH_PROFILE`` environment
 variable:
@@ -154,7 +155,7 @@ def emit_to_file(title: str, text: str) -> None:
     pytest captures stdout of passing tests, so the printed tables are not
     visible in a plain ``pytest benchmarks/ --benchmark-only`` log; the
     results directory keeps a durable copy of every regenerated table and
-    figure for EXPERIMENTS.md and for diffing across runs.
+    figure for diffing across runs.
     """
     path = _results_dir() / f"{_slugify(title)}.txt"
     path.write_text(f"{title}\n{'=' * len(title)}\n{text}\n")

@@ -235,9 +235,16 @@ class ChannelDependenceGraph:
             raise CyclicCDGError(f"CDG {self.name!r} has a cycle: {pretty}")
 
     def topological_order(self) -> List[Resource]:
-        """A topological order of the resources (requires acyclicity)."""
-        self.require_acyclic()
-        return list(nx.topological_sort(self._graph))
+        """A topological order of the resources (requires acyclicity).
+
+        One pass: the sort itself finds out whether the graph is acyclic,
+        and only a cyclic graph pays for the witness in the error.
+        """
+        try:
+            return list(nx.topological_sort(self._graph))
+        except nx.NetworkXUnfeasible:
+            self.require_acyclic()
+            raise
 
     def strongly_connected_components(self) -> List[Set[Resource]]:
         """Non-trivial strongly connected components (each contains a cycle)."""

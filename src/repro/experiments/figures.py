@@ -15,7 +15,8 @@ other result.  Saturation throughput and route MCL are read off the rows::
     results.reduce("max_channel_load", max, "display_name")  # route MCL
 
 :func:`render_figure` prints the rows as the text tables the benchmark suite
-emits and EXPERIMENTS.md records.
+emits and keeps under ``benchmarks/results/`` (see "One result path" in
+docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class Figure:
     #: The figure's fixed workload; ``None`` takes the caller's
     #: (``--workload``, default transpose).
     workload: Optional[str]
-    #: Qualitative claim of the paper, recorded so the benchmark output and
-    #: EXPERIMENTS.md can state what shape to expect.
+    #: Qualitative claim of the paper, recorded so the benchmark output can
+    #: state what shape to expect (docs/architecture.md, "One result path").
     claim: str
     routers: Tuple[str, ...] = PAPER_ROUTERS
     #: VC counts to cross the sweep with (empty = the profile's count).

@@ -17,7 +17,8 @@ second run solves nothing.
 The absolute per-column values depend on the axis conventions of the turn
 models and on which ad hoc CDGs are drawn, so the paper's numbers are used
 for *shape* comparison (which CDG family wins, what BSOR's advantage over
-the baselines is), not for exact equality — see EXPERIMENTS.md.
+the baselines is), not for exact equality — see "One result path" in
+docs/architecture.md.
 """
 
 from __future__ import annotations

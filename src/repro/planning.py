@@ -19,8 +19,9 @@ occupancy heatmap) obtains them here, so the decisions below exist once:
 * that a plan is solved once — given the runner's
   :class:`~repro.runner.cache.ResultCache`, :func:`plan_routes` answers
   from its route-plan entries (content-addressed by
-  :func:`~repro.runner.fingerprint.route_plan_key`, re-verified on every
-  load) and stores what it solves, so a warm study performs zero solves;
+  :func:`~repro.runner.fingerprint.route_plan_key`, each carrying a
+  certificate of deadlock freedom that is checked on every load) and
+  stores what it solves, so a warm study performs zero solves;
 * how a (topology x pattern x router x fault set) cross-product is walked
   and tagged — :func:`plan_matrix` — and how the same walk plans a router
   on each of the paper's five CDGs alone, which is what Tables 6.1 / 6.2
@@ -46,10 +47,15 @@ from .routing.bsor.framework import (
     paper_strategies,
 )
 from .routing.bsor.milp import MILPSolution
-from .routing.deadlock import analyze_virtual_networks
+from .routing.deadlock import (
+    DeadlockReport,
+    analyze_virtual_networks,
+    certifies,
+)
 from .routing.registry import RouterSpec, router_spec
 from .runner.fingerprint import (
     PLAN_SCHEMA_VERSION,
+    resource_hop,
     route_plan_key,
     route_set_fingerprint,
 )
@@ -189,14 +195,30 @@ def _plan_key(spec: RouterSpec, topology: Topology, flow_set: FlowSet,
                           fault_set.label())
 
 
-def _plan_document(plan: RoutePlan) -> Dict[str, object]:
-    """What a plan's consumers read, as JSON.  The degraded topology and
-    the failure schedule are left out: the fault set rebuilds them."""
+def _plan_document(plan: RoutePlan) -> Optional[Dict[str, object]]:
+    """What a plan's consumers read, as JSON, with the plan's proof of
+    deadlock freedom; ``None`` when there is nothing to certify.
+
+    The proof is the topological ranks
+    :func:`~repro.routing.deadlock.analyze_virtual_networks` proved the
+    route set acyclic with: per virtual network, ``[src, dst, vc, rank]``
+    for every hop the network uses, in rank order.  A route set that is not
+    deadlock free gets no document, so it is never stored.  The degraded
+    topology and the failure schedule are left out: the fault set rebuilds
+    them.
+    """
+    report = plan.report or analyze_virtual_networks(plan.route_set,
+                                                     plan.phase_boundaries)
+    if report.ranks is None:
+        return None  # not deadlock free: nothing to certify
     return {
         "schema": PLAN_SCHEMA_VERSION,
         # algorithm + per-flow hops with static VCs, in route order
         **route_set_fingerprint(plan.route_set),
         "phase_boundaries": dict(plan.phase_boundaries),
+        "ranks": [[[*resource_hop(resource), rank]
+                   for resource, rank in table.items()]
+                  for table in report.ranks],
         "rerouted_flows": list(plan.rerouted_flows),
         "solves": {name: dataclasses.asdict(solution)
                    for name, solution in plan.solves.items()},
@@ -210,10 +232,14 @@ def _restore_plan(document, spec: RouterSpec, topology: Topology,
 
     Nothing loaded is trusted: every hop must be a channel of the
     (degraded) topology, every flow must have exactly one well-formed
-    route, and the route set must pass the same
-    :func:`~repro.routing.deadlock.analyze_virtual_networks` check a
-    freshly rerouted one does.  A foreign layout surfaces as ``KeyError`` /
-    ``TypeError`` / ``ValueError``, which the cache also reads as a miss.
+    route, and the stored ranks must prove the route set deadlock free
+    (:func:`~repro.routing.deadlock.certifies`: a rank for every hop, rising
+    along every route inside each virtual network) — a check linear in the
+    hops that accepts exactly the route sets
+    :func:`~repro.routing.deadlock.analyze_virtual_networks` accepts, and
+    never a cyclic one, whatever the ranks say.  A foreign layout surfaces
+    as ``KeyError`` / ``TypeError`` / ``ValueError``, which the cache also
+    reads as a miss.
     """
     if document["schema"] != PLAN_SCHEMA_VERSION:
         return None
@@ -240,9 +266,22 @@ def _restore_plan(document, spec: RouterSpec, topology: Topology,
         if any(not 0 <= boundary <= route_set.route_by_name(name).hop_count
                for name, boundary in boundaries.items()):
             return None  # a split outside its route (unknown flow: raises)
-        report = analyze_virtual_networks(route_set, boundaries)
-        if not report.deadlock_free:
+        ranks = []
+        for entries in document["ranks"]:
+            table: Dict[object, object] = {}
+            for src, dst, vc, rank in entries:
+                resource = resources.get((src, dst, vc))
+                if resource in table:
+                    return None  # one hop, two ranks
+                if resource is not None:  # a hop no route uses proves nothing
+                    table[resource] = rank
+            ranks.append(table)
+        if not certifies(route_set, boundaries, ranks):
             return None
+        report = DeadlockReport(
+            deadlock_free=True,
+            detail="certified by the stored ranks of each virtual network",
+            ranks=tuple(ranks))
         return RoutePlan(
             topology=degraded,
             route_set=route_set,
@@ -280,7 +319,8 @@ def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
     any tier keeps it.  A plan with a non-optimal MILP solve — the time
     limit hit — is returned but not stored: what the solver reached in the
     time it had depends on the host's load, and a shared tier must not
-    freeze that.  Without a cache every call solves.
+    freeze that.  Neither is a plan whose route set is not deadlock free:
+    it has no certificate to store.  Without a cache every call solves.
     """
     spec = router_spec(name)
     fault_set = FaultSet.from_spec(faults)
@@ -297,8 +337,10 @@ def plan_routes(name: str, topology: Topology, flow_set: FlowSet, config,
     plan.spec = spec
     if cache is not None and all(solution.optimal
                                  for solution in plan.solves.values()):
-        cache.put_plan(key, _plan_document(plan))
-        plan.stored = True
+        document = _plan_document(plan)
+        if document is not None:
+            cache.put_plan(key, document)
+            plan.stored = True
     return plan
 
 

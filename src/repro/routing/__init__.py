@@ -27,6 +27,7 @@ from .deadlock import (
     analyze_route_set,
     analyze_two_phase,
     analyze_virtual_networks,
+    certifies,
     check_deadlock_freedom,
     induced_cdg,
     split_route_at,
@@ -97,6 +98,7 @@ __all__ = [
     "available_routers",
     "bsor_dijkstra",
     "bsor_milp",
+    "certifies",
     "check_deadlock_freedom",
     "create_router",
     "dijkstra_route_set",

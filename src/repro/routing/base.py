@@ -125,14 +125,25 @@ class Route:
 
 
 class RouteSet:
-    """The routes of all flows of one application under one routing algorithm."""
+    """The routes of all flows of one application under one routing algorithm.
+
+    The algorithm's name is fixed at construction; :meth:`add` is the only
+    mutator, and it drops the canonical key fragment
+    :mod:`repro.runner.fingerprint` keeps on the set.
+    """
 
     def __init__(self, topology: Topology, flow_set: FlowSet,
                  algorithm: str = "") -> None:
         self.topology = topology
         self.flow_set = flow_set
-        self.algorithm = algorithm
+        self._algorithm = algorithm
         self._routes: Dict[str, Route] = {}
+        self._key_fragment: Optional[str] = None
+
+    @property
+    def algorithm(self) -> str:
+        """The name of the routing algorithm that produced the routes."""
+        return self._algorithm
 
     # ------------------------------------------------------------------
     # population
@@ -144,6 +155,7 @@ class RouteSet:
         if route.flow not in self.flow_set:
             raise RoutingError(f"flow {name!r} is not part of this flow set")
         self._routes[name] = route
+        self._key_fragment = None
 
     def add_path(self, flow: Flow, resources: Sequence) -> Route:
         """Build a :class:`Route` from resources and add it."""

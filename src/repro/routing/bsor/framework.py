@@ -277,7 +277,6 @@ class BSORRouting(RoutingAlgorithm):
                 cdg = strategy.build(topology, self.num_vcs)
                 selector = self._selector_on(cdg, flow_set)
                 route_set = selector.select_routes(flow_set)
-                route_set.algorithm = self.name
                 entries.append(ExplorationEntry(
                     strategy_name=strategy.name,
                     mcl=route_set.max_channel_load(),

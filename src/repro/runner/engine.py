@@ -35,7 +35,7 @@ from ..simulator.simulation import SweepResult
 from ..topology.base import Topology
 from .backends import ExecutionTask, resolve_execution
 from .cache import ResultCache
-from .fingerprint import FragmentMemo, batch_group_key, simulation_cache_key
+from .fingerprint import batch_group_key, simulation_cache_key
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -218,10 +218,6 @@ class ExperimentRunner:
             key: [None] * len(spec.offered_rates) for key, spec in specs.items()
         }
         pending = []  # (key, rate index, cache key, payload)
-        # canonical fragments of the specs' shared inputs, rendered once for
-        # this call; identity-indexed, so it must not outlive the call (a
-        # RouteSet is mutable and a stale fragment is a wrong cache hit)
-        memo: FragmentMemo = {}
         for key, spec in specs.items():
             for index, rate in enumerate(spec.offered_rates):
                 report.points_total += 1
@@ -230,7 +226,7 @@ class ExperimentRunner:
                     cache_key = simulation_cache_key(
                         spec.topology, spec.route_set, spec.config, rate,
                         spec.phase_boundaries,
-                        fault_schedule=spec.fault_schedule, memo=memo,
+                        fault_schedule=spec.fault_schedule,
                     )
                     cached = self.cache.get(cache_key)
                     if cached is not None:
@@ -245,7 +241,7 @@ class ExperimentRunner:
 
         report.points_simulated = len(pending)
         if pending:
-            self._run_pending(pending, collected, report, emitter, memo)
+            self._run_pending(pending, collected, report, emitter)
         if emitter is not None:
             emitter.sweep_finished(report.points_total,
                                    report.points_simulated,
@@ -277,7 +273,7 @@ class ExperimentRunner:
         return results
 
     # ------------------------------------------------------------------
-    def _plan_pending(self, pending, memo: FragmentMemo):
+    def _plan_pending(self, pending):
         """Split cache-miss points into scalar tasks and batchable groups.
 
         A point whose resolved backend advertises ``supports_batching``
@@ -303,7 +299,7 @@ class ExperimentRunner:
                 scalar.append(entry)
                 continue
             group = batch_group_key(topology, route_set, config, boundaries,
-                                    fault_schedule=faults, memo=memo)
+                                    fault_schedule=faults)
             groups.setdefault(group, []).append(entry)
         return scalar, list(groups.items())
 
@@ -315,9 +311,8 @@ class ExperimentRunner:
             if emitter is not None:
                 emitter.point_finished(key, payload[3])
 
-    def _run_pending(self, pending, collected, report, emitter,
-                     memo: FragmentMemo) -> None:
-        scalar, groups = self._plan_pending(pending, memo)
+    def _run_pending(self, pending, collected, report, emitter) -> None:
+        scalar, groups = self._plan_pending(pending)
         report.batch_groups = len(groups)
         if emitter is not None:
             for key, _, _, payload in scalar:

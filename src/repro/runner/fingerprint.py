@@ -20,10 +20,14 @@ arbitration order follow the topology's channel enumeration), so two
 experiments that differ only in ordering must not collide on one key.
 
 Canonical JSON of a mapping is its members' canonical JSON joined in
-sorted-key order, so a point's key is *spliced* from one fragment per input
-instead of serialising the whole payload per point: the points of a sweep
-share almost all of that text, and a caller-owned :data:`FragmentMemo` lets
-them render it once.  The digests equal the whole-payload construction's.
+sorted-key order, so a key is *spliced* from one fragment per input instead
+of serialising the whole payload per point.  The big fragments are rendered
+once and kept: a :class:`~repro.topology.base.Topology`, a
+:class:`~repro.traffic.flow.FlowSet` and a
+:class:`~repro.routing.base.RouteSet` carry their own (every mutator of
+theirs drops it).  The small ones — the configuration, the failure
+schedule, the phase boundaries — are rendered per key.  The digests equal
+the whole-payload construction's.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..routing.base import RouteSet
 from ..simulator.batchsim import LANE_VARIABLE_FIELDS
@@ -47,13 +51,9 @@ CACHE_SCHEMA_VERSION = 1
 #: Bump when a router's route selection changes for unchanged inputs (a new
 #: default CDG set, a different MILP model) or the stored plan layout does:
 #: it is part of every route-plan key and of every stored plan.
-PLAN_SCHEMA_VERSION = 1
-
-
-#: A sweep-scoped memo of canonical fragments: ``(renderer, id(source))`` to
-#: ``(source, canonical JSON)``.  Holding *source* keeps its id from being
-#: recycled for as long as the memo lives.
-FragmentMemo = Dict[Tuple[Callable, int], Tuple[object, str]]
+#: Version 2: every stored plan carries the topological ranks that certify
+#: its route set deadlock free.
+PLAN_SCHEMA_VERSION = 2
 
 
 def _canonical(payload: object) -> str:
@@ -64,15 +64,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _fragment(memo: Optional[FragmentMemo], render: Callable[..., object],
-              source: object) -> str:
-    """Canonical JSON of ``render(source)``, once per *source* per *memo*."""
-    if memo is None:
-        return _canonical(render(source))
-    slot = (render, id(source))
-    if slot not in memo:
-        memo[slot] = (source, _canonical(render(source)))
-    return memo[slot][1]
+def _kept_fragment(render: Callable[..., object], source) -> str:
+    """Canonical JSON of ``render(source)``, kept on *source* — a topology,
+    flow set or route set, whose mutators drop it — until it changes."""
+    text = source._key_fragment
+    if text is None:
+        text = source._key_fragment = _canonical(render(source))
+    return text
+
+
+def _splice(members: Mapping[str, str]) -> str:
+    """SHA-256 of ``_canonical`` of a mapping, given each member's
+    canonical JSON: the members joined in sorted-name order."""
+    text = ",".join(f'"{name}":{members[name]}' for name in sorted(members))
+    return _sha256(f"{{{text}}}")
 
 
 def topology_fingerprint(topology: Topology) -> Dict[str, object]:
@@ -103,18 +108,20 @@ def flow_set_fingerprint(flow_set: FlowSet) -> list:
     ]
 
 
+def resource_hop(resource) -> List[int]:
+    """``[src, dst, vc]`` of one route hop; ``vc`` is -1 for a physical
+    channel (dynamic VC allocation)."""
+    channel = physical(resource)
+    vc = virtual_index(resource)
+    return [channel.src, channel.dst, -1 if vc is None else vc]
+
+
 def route_set_fingerprint(route_set: RouteSet) -> Dict[str, object]:
     """Canonical description of every route (channels + static VCs)."""
-    routes = {}
-    for route in route_set:
-        hops = []
-        for resource in route.resources:
-            channel = physical(resource)
-            vc = virtual_index(resource)
-            hops.append([channel.src, channel.dst,
-                         -1 if vc is None else vc])
-        routes[route.flow.name] = hops
-    return {"algorithm": route_set.algorithm, "routes": routes}
+    return {"algorithm": route_set.algorithm,
+            "routes": {route.flow.name: [resource_hop(resource)
+                                         for resource in route.resources]
+                       for route in route_set}}
 
 
 def config_fingerprint(config: SimulationConfig) -> Dict[str, object]:
@@ -137,40 +144,32 @@ def _group_config(config: SimulationConfig) -> Dict[str, object]:
             if field not in LANE_VARIABLE_FIELDS}
 
 
-def _boundaries(phase_boundaries: Optional[Dict[str, int]]) -> list:
-    return sorted((phase_boundaries or {}).items())
-
-
-def _spliced_key(memo: Optional[FragmentMemo], render_config: Callable,
-                 topology: Topology, route_set: RouteSet,
-                 config: SimulationConfig, phase_boundaries, fault_schedule,
+def _spliced_key(render_config: Callable, topology: Topology,
+                 route_set: RouteSet, config: SimulationConfig,
+                 phase_boundaries, fault_schedule,
                  offered_rate: Optional[float] = None) -> str:
     """SHA-256 of ``_canonical`` of the mapping of the member names below to
-    their payloads, spliced from the members' (memoised) fragments."""
-    sources = {
-        "config": (render_config, config),
-        "flows": (flow_set_fingerprint, route_set.flow_set),
-        "phase_boundaries": (_boundaries, phase_boundaries),
-        "routes": (route_set_fingerprint, route_set),
-        "topology": (topology_fingerprint, topology),
+    their payloads, spliced from the members' fragments."""
+    members = {
+        "config": _canonical(render_config(config)),
+        "flows": _kept_fragment(flow_set_fingerprint, route_set.flow_set),
+        "phase_boundaries": _canonical(
+            sorted((phase_boundaries or {}).items())),
+        "routes": _kept_fragment(route_set_fingerprint, route_set),
+        "schema": _canonical(CACHE_SCHEMA_VERSION),
+        "topology": _kept_fragment(topology_fingerprint, topology),
     }
     if fault_schedule:
-        sources["faults"] = (type(fault_schedule).to_payload, fault_schedule)
-    members = {name: _fragment(memo, render, source)
-               for name, (render, source) in sources.items()}
-    members["schema"] = _canonical(CACHE_SCHEMA_VERSION)
+        members["faults"] = _canonical(fault_schedule.to_payload())
     if offered_rate is not None:
         members["offered_rate"] = _canonical(float(offered_rate))
-    text = ",".join(f'"{name}":{members[name]}' for name in sorted(members))
-    return _sha256(f"{{{text}}}")
+    return _splice(members)
 
 
 def simulation_cache_key(topology: Topology, route_set: RouteSet,
                          config: SimulationConfig, offered_rate: float,
                          phase_boundaries: Optional[Dict[str, int]] = None,
-                         fault_schedule=None, *,
-                         memo: Optional[FragmentMemo] = None,
-                         ) -> str:
+                         fault_schedule=None) -> str:
     """The content-addressed key of one simulation point.
 
     Any change to any input — a different channel, demand, route hop, VC
@@ -187,21 +186,18 @@ def simulation_cache_key(topology: Topology, route_set: RouteSet,
     before the fault model existed stay valid, and a degraded run can never
     collide with its fault-free twin in either direction.
 
-    *memo* (a dict the caller owns, see :data:`FragmentMemo`) shares the
-    rendered fragments between the points of one sweep.  It is indexed by
-    object identity, so it must not outlive a span in which its sources
-    are not mutated: the runner scopes one to each ``sweep_many`` call.
+    The points of a sweep share almost every input: the topology, flow set
+    and route set render their fragments once and keep them until they are
+    mutated.
     """
-    return _spliced_key(memo, config_fingerprint, topology, route_set, config,
+    return _spliced_key(config_fingerprint, topology, route_set, config,
                         phase_boundaries, fault_schedule, offered_rate)
 
 
 def batch_group_key(topology: Topology, route_set: RouteSet,
                     config: SimulationConfig,
                     phase_boundaries: Optional[Dict[str, int]] = None,
-                    fault_schedule=None, *,
-                    memo: Optional[FragmentMemo] = None,
-                    ) -> str:
+                    fault_schedule=None) -> str:
     """The content-addressed key of one *batchable* family of points.
 
     Two simulation points may share a lane of one vectorized
@@ -219,7 +215,7 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     affected: batched points are still stored under their unchanged
     :func:`simulation_cache_key`.
     """
-    return _spliced_key(memo, _group_config, topology, route_set, config,
+    return _spliced_key(_group_config, topology, route_set, config,
                         phase_boundaries, fault_schedule)
 
 
@@ -235,11 +231,11 @@ def route_plan_key(topology: Topology, flow_set: FlowSet, router: str,
     the simulation configuration) takes part, and neither do numpy / scipy
     versions: a cached optimal plan stays optimal under any solver build.
     """
-    return _sha256(_canonical({
-        "schema": PLAN_SCHEMA_VERSION,
-        "topology": topology_fingerprint(topology),
-        "flows": flow_set_fingerprint(flow_set),
-        "router": router,
-        "options": options,
-        "faults": faults,
-    }))
+    return _splice({
+        "schema": _canonical(PLAN_SCHEMA_VERSION),
+        "topology": _kept_fragment(topology_fingerprint, topology),
+        "flows": _kept_fragment(flow_set_fingerprint, flow_set),
+        "router": _canonical(router),
+        "options": _canonical(options),
+        "faults": _canonical(faults),
+    })

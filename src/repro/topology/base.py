@@ -30,7 +30,9 @@ class Topology(ABC):
     :meth:`_add_channel` during construction and implement the coordinate /
     direction queries.  Channels are always added in pairs by convention
     (both directions of a physical bidirectional wire), although nothing in
-    the base class enforces it.
+    the base class enforces it.  :meth:`_add_channel` and
+    :meth:`_remove_channel` are the only mutators; both drop the canonical
+    key fragment :mod:`repro.runner.fingerprint` keeps on the topology.
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -41,6 +43,7 @@ class Topology(ABC):
         self._channel_set: set[Channel] = set()
         self._out: Dict[int, List[Channel]] = {n: [] for n in range(num_nodes)}
         self._in: Dict[int, List[Channel]] = {n: [] for n in range(num_nodes)}
+        self._key_fragment: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -56,6 +59,7 @@ class Topology(ABC):
         self._channels.append(channel)
         self._out[src].append(channel)
         self._in[dst].append(channel)
+        self._key_fragment = None
         return channel
 
     def _add_bidirectional(self, a: int, b: int) -> Tuple[Channel, Channel]:
@@ -70,6 +74,7 @@ class Topology(ABC):
         self._channels.remove(channel)
         self._out[channel.src].remove(channel)
         self._in[channel.dst].remove(channel)
+        self._key_fragment = None
 
     def without_channels(self, channels: Iterable[Channel]) -> "Topology":
         """A degraded copy of this topology with *channels* removed.

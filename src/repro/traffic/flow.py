@@ -77,7 +77,9 @@ class FlowSet:
 
     The order of flows matters for the Dijkstra-based selector (flows are
     routed one at a time in order), so the collection preserves insertion
-    order and exposes deterministic sorting helpers.
+    order and exposes deterministic sorting helpers.  :meth:`add` is the only
+    mutator; it drops the canonical key fragment
+    :mod:`repro.runner.fingerprint` keeps on the set.
     """
 
     def __init__(self, flows: Iterable[Flow] = (), name: str = "") -> None:
@@ -86,6 +88,7 @@ class FlowSet:
         #: name -> flow; names are unique, so membership and lookup by name
         #: need no scan of the list
         self._by_name: Dict[str, Flow] = {}
+        self._key_fragment: Optional[str] = None
         for flow in flows:
             self.add(flow)
 
@@ -102,6 +105,7 @@ class FlowSet:
             raise TrafficError(f"duplicate flow name: {flow.name}")
         self._flows.append(flow)
         self._by_name[flow.name] = flow
+        self._key_fragment = None
         return flow
 
     def add_flow(self, source: int, destination: int, demand: float,

@@ -3,32 +3,34 @@
 :func:`~repro.runner.fingerprint.simulation_cache_key` and
 :func:`~repro.runner.fingerprint.batch_group_key` build their SHA-256 input
 by joining per-input fragments (topology, flow set, route set, boundaries,
-fault schedule, configuration), each rendered once per ``sweep_many`` call,
-instead of serialising one whole payload per point.  Every cache directory
-in existence was filled under the whole-payload construction, so this file
-pins the equivalence from four sides:
+fault schedule, configuration) — the big three kept on the topology, flow
+set and route set until one of their mutators runs — instead of serialising
+one whole payload per point.  Every cache directory in existence was filled under the
+whole-payload construction, so this file pins the equivalence from four
+sides:
 
 (a) a hypothesis campaign against the **oracle** — the whole-payload
     construction as it stood before the splice, kept here (and only here)
     verbatim — over topologies, routers, every configuration field, rates,
-    boundaries and fault schedules, with and without a shared memo;
-(b) literal digests recorded at the parent commit
+    boundaries and fault schedules, each key asked for twice (rendered,
+    then kept);
+(b) literal digests recorded before the splice
     (``golden/simulation_point_keys.json``);
-(c) a render count: one ``sweep_many`` renders each shared input once;
-(d) the memo's scope: it lives for one call, sees mutations between calls,
-    is indexed by identity but agrees across equal objects, and leaves no
-    attribute behind on the objects it indexed.
+(c) a render count: the topology, flow set and route set are rendered
+    once however many keys and sweeps use them;
+(d) kept fragments follow their sources: every mutator moves the key to
+    the oracle's key of a freshly built equal object, a route set's
+    algorithm is fixed at construction, and equal-but-distinct objects
+    share a key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import gc
 import hashlib
 import json
 import os
-import weakref
 from pathlib import Path
 
 import networkx as nx
@@ -44,7 +46,9 @@ from repro.runner import ExperimentRunner, ResultCache, SweepSpec
 from repro.runner import fingerprint
 from repro.runner.fingerprint import (
     CACHE_SCHEMA_VERSION,
+    PLAN_SCHEMA_VERSION,
     batch_group_key,
+    route_plan_key,
     simulation_cache_key,
 )
 from repro.simulator import SimulationConfig
@@ -210,23 +214,38 @@ class TestSplicedKeysEqualTheWholePayloadDigest:
               suppress_health_check=[HealthCheck.too_slow])
     def test_point_and_group_keys_match_the_oracle(self, sweep):
         topology, route_set, boundaries, schedule, points = sweep
-        memo = {}
         for config, rate in points:
             expected = oracle_cache_key(topology, route_set, config, rate,
                                         boundaries, schedule)
-            assert simulation_cache_key(
-                topology, route_set, config, rate, boundaries,
-                fault_schedule=schedule) == expected
-            assert simulation_cache_key(
-                topology, route_set, config, rate, boundaries,
-                fault_schedule=schedule, memo=memo) == expected
             group = oracle_group_key(topology, route_set, config,
                                      boundaries, schedule)
-            assert batch_group_key(topology, route_set, config, boundaries,
-                                   fault_schedule=schedule) == group
-            assert batch_group_key(topology, route_set, config, boundaries,
-                                   fault_schedule=schedule,
-                                   memo=memo) == group
+            for _ in range(2):  # rendered (or not yet), then kept
+                assert simulation_cache_key(
+                    topology, route_set, config, rate, boundaries,
+                    fault_schedule=schedule) == expected
+                assert batch_group_key(topology, route_set, config,
+                                       boundaries,
+                                       fault_schedule=schedule) == group
+
+    def test_route_plan_keys_are_the_whole_payload_digest(self):
+        for name in ("dor", "torus", "ring"):
+            topology, route_set, _ = _subjects()[name]
+            options = {"seed": 3, "strategies": ["north-last"]}
+            for _ in range(2):  # rendered, then kept
+                assert route_plan_key(topology, route_set.flow_set, name,
+                                      options, "link:5-6") == \
+                    _oracle_digest({
+                        "schema": PLAN_SCHEMA_VERSION,
+                        "topology": _oracle_payload(
+                            topology, route_set, QUICK.simulation, None,
+                            None)["topology"],
+                        "flows": [(flow.name, flow.source, flow.destination,
+                                   float(flow.demand))
+                                  for flow in route_set.flow_set],
+                        "router": name,
+                        "options": options,
+                        "faults": "link:5-6",
+                    })
 
     def test_a_non_empty_schedule_reaches_both_keys(self):
         topology, route_set, _ = _subjects()["dor"]
@@ -241,7 +260,7 @@ class TestSplicedKeysEqualTheWholePayloadDigest:
 
 
 # ----------------------------------------------------------------------
-# (b) literal digests recorded at the parent commit
+# (b) literal digests recorded before the splice
 # ----------------------------------------------------------------------
 def _pinned_keys() -> dict:
     topology = parse_topology("mesh4x4")
@@ -292,7 +311,7 @@ class TestKeysRecordedAtTheParentCommit:
 
 
 # ----------------------------------------------------------------------
-# (c) one sweep_many renders each shared input once
+# (c) the big shared inputs are rendered once
 # ----------------------------------------------------------------------
 TINY = SimulationConfig(num_vcs=2, buffer_depth=4, packet_size_flits=4,
                         warmup_cycles=20, measurement_cycles=60)
@@ -321,51 +340,124 @@ def _vc_sweep(backend="fast"):
             for vcs in (1, 2, 4, 8)}
 
 
-class TestOneSweepRendersEachSharedInputOnce:
+def _rendered_once(renders, configs):
+    """The big fragments were rendered once; the configuration (a dozen
+    fields, cheap) once per key asked for."""
+    return renders == {"topology_fingerprint": 1,
+                       "flow_set_fingerprint": 1,
+                       "route_set_fingerprint": 1,
+                       "config_fingerprint": configs}
+
+
+class TestTheBigSharedInputsAreRenderedOnce:
     def test_four_vc_counts_by_three_rates(self, tmp_path, renders):
         runner = ExperimentRunner(workers=1, cache=str(tmp_path))
         runner.sweep_many(_vc_sweep())
         assert runner.last_report.points_total == 12
-        assert renders == {"topology_fingerprint": 1,
-                           "flow_set_fingerprint": 1,
-                           "route_set_fingerprint": 1,
-                           "config_fingerprint": 4}
+        assert _rendered_once(renders, 12)
 
-    def test_group_keys_share_the_point_keys_memo(self, tmp_path, renders):
+    def test_group_keys_share_the_point_keys_fragments(self, tmp_path,
+                                                       renders):
         pytest.importorskip("numpy")
         runner = ExperimentRunner(workers=1, cache=str(tmp_path))
         runner.sweep_many(_vc_sweep(backend="batch"))
         assert runner.last_report.batch_groups == 1
-        # four point-key configurations plus their four group-key
-        # remainders; the big fragments are not rendered again
-        assert renders == {"topology_fingerprint": 1,
-                           "flow_set_fingerprint": 1,
-                           "route_set_fingerprint": 1,
-                           "config_fingerprint": 8}
+        # twelve point keys plus twelve group keys
+        assert _rendered_once(renders, 24)
 
-    def test_a_standalone_call_renders_everything(self, renders):
+    def test_standalone_calls_render_each_input_once(self, renders):
         spec = next(iter(_vc_sweep().values()))
-        for rate in (0.5, 1.0):
+        for rate in (0.5, 1.0, 2.0):
             simulation_cache_key(spec.topology, spec.route_set, spec.config,
                                  rate)
-        assert set(renders.values()) == {2}
+        assert _rendered_once(renders, 3)
+
+    def test_the_next_sweep_renders_nothing_again(self, tmp_path, renders):
+        """A saturation search calls ``sweep_many`` once per round on the
+        same planned inputs: only the first round renders them."""
+        runner = ExperimentRunner(workers=1, cache=str(tmp_path))
+        specs = _vc_sweep()
+        for _ in range(3):
+            runner.sweep_many(specs)
+        assert _rendered_once(renders, 3 * 12)
 
 
 # ----------------------------------------------------------------------
-# (d) the memo's scope
+# (d) kept fragments follow their sources
 # ----------------------------------------------------------------------
-class TestMemoScope:
+def _pair_subject(algorithm="hand", routed=2, extra_flow=False,
+                  extra_channel=False, removed_channel=False):
+    """A mesh, a flow set and a route set built from scratch.  The flags
+    build, in one go, what a mutator turns the default subject into."""
+    mesh = Mesh2D(4)
+    if extra_channel:
+        mesh._add_channel(0, 5)
+    if removed_channel:
+        mesh._remove_channel(mesh.channel(9, 10))
+    flows = FlowSet(name="pair")
+    routes = RouteSet(mesh, flows, algorithm=algorithm)
+    paths = [(0, 3, [0, 1, 2, 3]), (12, 4, [12, 8, 4])]
+    for index, (source, destination, path) in enumerate(paths):
+        flow = flows.add_flow(source, destination, 1.0)
+        if index < routed:
+            routes.add_node_path(flow, path)
+    if extra_flow:
+        flows.add_flow(5, 7, 2.0)
+    return mesh, flows, routes
+
+
+class TestKeptFragmentsFollowTheirSources:
     @staticmethod
-    def _subject():
-        mesh = Mesh2D(4)
-        flows = FlowSet(name="pair")
-        routes = RouteSet(mesh, flows, algorithm="hand")
-        routes.add_node_path(flows.add_flow(0, 3, 1.0), [0, 1, 2, 3])
-        routes.add_node_path(flows.add_flow(12, 4, 1.0), [12, 8, 4])
-        return mesh, flows, routes
+    def _key(mesh, routes):
+        return simulation_cache_key(mesh, routes, TINY, 1.0)
+
+    @staticmethod
+    def _oracle(mesh, routes):
+        return oracle_cache_key(mesh, routes, TINY, 1.0)
+
+    def test_route_set_add(self):
+        mesh, flows, routes = _pair_subject(routed=1)
+        before = self._key(mesh, routes)
+        routes.add_node_path(flows[1], [12, 8, 4])
+        fresh_mesh, _, fresh_routes = _pair_subject(routed=2)
+        assert self._key(mesh, routes) == \
+            self._oracle(fresh_mesh, fresh_routes) != before
+
+    def test_flow_set_add(self):
+        mesh, flows, routes = _pair_subject()
+        before = self._key(mesh, routes)
+        flows.add_flow(5, 7, 2.0)
+        fresh_mesh, _, fresh_routes = _pair_subject(extra_flow=True)
+        assert self._key(mesh, routes) == \
+            self._oracle(fresh_mesh, fresh_routes) != before
+
+    def test_topology_add_channel(self):
+        mesh, _, routes = _pair_subject()
+        before = self._key(mesh, routes)
+        mesh._add_channel(0, 5)
+        fresh_mesh, _, fresh_routes = _pair_subject(extra_channel=True)
+        assert self._key(mesh, routes) == \
+            self._oracle(fresh_mesh, fresh_routes) != before
+
+    def test_topology_remove_channel_on_a_degraded_copy(self):
+        """``without_channels`` copies the topology, kept fragment
+        included; the removal on the copy must drop it."""
+        mesh, _, routes = _pair_subject()
+        before = self._key(mesh, routes)
+        degraded = mesh.without_channels([mesh.channel(9, 10)])
+        fresh_mesh, _, fresh_routes = _pair_subject(removed_channel=True)
+        assert self._key(degraded, routes) == \
+            self._oracle(fresh_mesh, fresh_routes) != before
+        assert self._key(mesh, routes) == before
+
+    def test_a_route_sets_algorithm_is_fixed_at_construction(self):
+        _, _, routes = _pair_subject()
+        with pytest.raises(AttributeError):
+            routes.algorithm = "renamed"
+        assert routes.algorithm == "hand"
 
     def test_mutations_between_calls_change_the_keys(self, tmp_path):
-        mesh, flows, routes = self._subject()
+        mesh, flows, routes = _pair_subject()
         cache = ResultCache(tmp_path)
         runner = ExperimentRunner(workers=1, cache=cache)
         runner.sweep(mesh, routes, TINY, [1.0])
@@ -373,11 +465,11 @@ class TestMemoScope:
         first = set(cache.keys())
         assert first == {simulation_cache_key(mesh, routes, TINY, 1.0)}
 
-        routes.algorithm = "renamed"  # what BSOR does after construction
-        runner.sweep(mesh, routes, TINY, [1.0])
+        renamed = _pair_subject(algorithm="renamed")[2]
+        runner.sweep(mesh, renamed, TINY, [1.0])
         assert runner.last_report.points_simulated == 1
         second = set(cache.keys()) - first
-        assert second == {simulation_cache_key(mesh, routes, TINY, 1.0)}
+        assert second == {simulation_cache_key(mesh, renamed, TINY, 1.0)}
 
         routes.add_node_path(flows.add_flow(5, 7, 2.0), [5, 6, 7])
         runner.sweep(mesh, routes, TINY, [1.0])
@@ -392,28 +484,12 @@ class TestMemoScope:
         runner = ExperimentRunner(workers=1, cache=cache)
         specs = {}
         for name in ("a", "b"):
-            mesh, _, routes = self._subject()
+            mesh, _, routes = _pair_subject()
             specs[name] = SweepSpec(mesh, routes, TINY, [1.0])
         assert specs["a"].route_set is not specs["b"].route_set
         results = runner.sweep_many(specs)
         assert len(list(cache.keys())) == 1
         assert results["a"].statistics == results["b"].statistics
-        mesh, _, routes = self._subject()
+        mesh, _, routes = _pair_subject()
         runner.sweep(mesh, routes, dataclasses.replace(TINY), [1.0])
         assert runner.last_report.cache_hits == 1
-
-    def test_nothing_is_left_on_the_indexed_objects(self, tmp_path):
-        mesh, flows, routes = self._subject()
-        before = [set(vars(thing)) for thing in (mesh, flows, routes)]
-        runner = ExperimentRunner(workers=1, cache=str(tmp_path))
-        runner.sweep(mesh, routes, TINY, [0.5, 1.0])
-        assert [set(vars(thing)) for thing in (mesh, flows, routes)] == before
-
-    def test_the_memo_does_not_outlive_the_call(self, tmp_path):
-        mesh, flows, routes = self._subject()
-        runner = ExperimentRunner(workers=1, cache=str(tmp_path))
-        runner.sweep(mesh, routes, TINY, [1.0])
-        alive = weakref.ref(routes)
-        del mesh, flows, routes
-        gc.collect()
-        assert alive() is None, "the runner still references the route set"

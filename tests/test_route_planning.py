@@ -51,15 +51,17 @@ from repro.planning import (
     router_for,
 )
 from repro.progress import CollectingObserver
-from repro.routing.base import RoutingAlgorithm
+from repro.routing.base import RouteSet, RoutingAlgorithm
 from repro.routing.bsor.dijkstra import DijkstraSelector
 from repro.routing.bsor.framework import CDGStrategy
 from repro.routing.bsor.milp import MILPSelector
-from repro.routing.deadlock import DeadlockReport
+from repro.routing.deadlock import DeadlockReport, analyze_virtual_networks
 from repro.routing.registry import available_routers
 from repro.runner.cache import ResultCache
 from repro.runner.engine import ExperimentRunner
 from repro.runner.fingerprint import (
+    PLAN_SCHEMA_VERSION,
+    resource_hop,
     route_set_fingerprint,
     simulation_cache_key,
     topology_fingerprint,
@@ -572,6 +574,26 @@ def _stored_plan(directory):
     return path, json.loads(path.read_text())
 
 
+def _ranks_of(payload):
+    """A deep copy of a stored plan's rank table, to damage."""
+    return json.loads(json.dumps(payload["plan"]["ranks"]))
+
+
+def _with_ranks(payload, ranks):
+    return {**payload, "plan": {**payload["plan"], "ranks": ranks}}
+
+
+def _certificate(topology, flow_set, routes, boundaries=None):
+    """The rank table a plan of *routes* (stored layout) is stored with."""
+    route_set = RouteSet(topology, flow_set)
+    for name, hops in routes.items():
+        route_set.add_node_path(flow_set.by_name(name),
+                                [hops[0][0]] + [hop[1] for hop in hops])
+    report = analyze_virtual_networks(route_set, boundaries or {})
+    return [[[*resource_hop(resource), rank]
+             for resource, rank in table.items()] for table in report.ranks]
+
+
 class TestALoadedPlanIsNeverTrusted:
     def _replan(self, tmp_path, damage, router="dor", faults=None,
                 flow_set=None):
@@ -682,6 +704,117 @@ class TestALoadedPlanIsNeverTrusted:
 
         self._replan(tmp_path / "faulted", damage, faults=faults)
 
+    # -- the certificate: a stored plan's proof of deadlock freedom --------
+    def test_an_entry_from_before_the_certificate(self, tmp_path):
+        def schema_one(payload):
+            plan = {field: value for field, value in payload["plan"].items()
+                    if field != "ranks"}
+            return {**payload, "plan": {**plan, "schema": 1}}
+
+        assert PLAN_SCHEMA_VERSION == 2
+        self._replan(tmp_path, schema_one)
+
+    def test_missing_ranks(self, tmp_path):
+        def damage(payload):
+            plan = dict(payload["plan"])
+            del plan["ranks"]
+            return {**payload, "plan": plan}
+
+        self._replan(tmp_path, damage)
+
+    @pytest.mark.parametrize("rank", ["3", True, 1.0, None],
+                             ids=["string", "bool", "float", "null"])
+    def test_a_rank_that_is_not_an_int(self, tmp_path, rank):
+        def damage(payload):
+            ranks = _ranks_of(payload)
+            ranks[0][0][3] = rank
+            return _with_ranks(payload, ranks)
+
+        self._replan(tmp_path, damage)
+
+    def test_a_used_hop_without_a_rank(self, tmp_path):
+        def damage(payload):
+            ranks = _ranks_of(payload)
+            del ranks[0][len(ranks[0]) // 2]
+            return _with_ranks(payload, ranks)
+
+        self._replan(tmp_path, damage)
+
+    def test_one_hop_ranked_twice(self, tmp_path):
+        """The lowest-ranked hop listed again under a lower rank: either
+        rank alone would still prove the set acyclic, but a table that
+        says two things about one hop is not a certificate."""
+        def damage(payload):
+            ranks = _ranks_of(payload)
+            lowest = min(ranks[0], key=lambda entry: entry[3])
+            ranks[0].append([*lowest[:3], lowest[3] - 1])
+            return _with_ranks(payload, ranks)
+
+        self._replan(tmp_path, damage)
+
+    def test_consecutive_hops_with_equal_ranks(self, tmp_path):
+        def damage(payload):
+            ranks = _ranks_of(payload)
+            table = {tuple(entry[:3]): entry for entry in ranks[0]}
+            hops = next(hops for hops in payload["plan"]["routes"].values()
+                        if len(hops) > 1)
+            table[tuple(hops[1])][3] = table[tuple(hops[0])][3]
+            return _with_ranks(payload, ranks)
+
+        self._replan(tmp_path, damage)
+
+    def test_increasing_ranks_on_hops_that_are_not_chained(self, tmp_path):
+        """A well-ranked route that jumps from 0->1 to 2->3.  ``Route``
+        refuses the unchained path while the plan is rebuilt, before the
+        certificate is checked; ``certifies``' own chain check is exercised
+        by ``tests/invariants/test_invariant_certificate.py``."""
+        def damage(payload):
+            routes = dict(payload["plan"]["routes"])
+            name = next(iter(routes))
+            routes[name] = [[0, 1, -1], [2, 3, -1]]
+            ranks = [[[0, 1, -1, 0], [2, 3, -1, 1]]
+                     + [entry for entry in _ranks_of(payload)[0]
+                        if entry[:3] not in ([0, 1, -1], [2, 3, -1])]]
+            return _with_ranks({**payload, "plan": {**payload["plan"],
+                                                    "routes": routes}},
+                               ranks)
+
+        self._replan(tmp_path, damage)
+
+    @pytest.mark.parametrize("forgery", ["monotone-until-the-last",
+                                         "one-rank-per-occurrence"])
+    def test_a_cyclic_route_set_with_ranks_edited_to_look_increasing(
+            self, tmp_path, forgery):
+        """The four routes of one square chase each other.  No rank table
+        can make all four climb; a forger either leaves one edge falling
+        or ranks the same hop twice."""
+        ring = [(0, 1, 5), (1, 5, 4), (5, 4, 0), (4, 0, 1)]
+        flow_set = FlowSet.from_tuples(
+            [(source, destination, 1.0) for source, _, destination in ring],
+            name="square")
+        cyclic = {flow.name: [[a, b, -1], [b, c, -1]]
+                  for flow, (a, b, c) in zip(flow_set, ring)}
+        if forgery == "monotone-until-the-last":
+            forged = [[a, b, -1, rank] for rank, (a, b, _) in enumerate(ring)]
+        else:
+            forged = [entry for rank, hops in enumerate(cyclic.values())
+                      for entry in ([*hops[0], 2 * rank],
+                                    [*hops[1], 2 * rank + 1])]
+
+        def damage(payload):
+            return _with_ranks({**payload, "plan": {**payload["plan"],
+                                                    "routes": cyclic}},
+                               [forged])
+
+        self._replan(tmp_path, damage, flow_set=flow_set)
+
+    def test_an_entry_cut_short_inside_its_ranks(self, tmp_path):
+        def damage(payload):
+            text = json.dumps(payload)
+            return text[:text.index('"ranks"') + 20]
+
+        self._replan(tmp_path, damage)
+
     def test_route_set_with_a_dependence_cycle(self, tmp_path):
         """Four well-formed routes chasing each other round one square of
         the mesh: every hop is a channel, every route a chain from its
@@ -699,13 +832,16 @@ class TestALoadedPlanIsNeverTrusted:
                                         "routes": cyclic}}
 
         self._replan(tmp_path, damage, flow_set=flow_set)
-        # the same document is a hit as soon as the cycle is gone
+        # the same document is a hit as soon as the cycle is gone (and the
+        # ranks are the ones that prove it)
         acyclic = dict(cyclic, f4=[[4, 5, -1], [5, 1, -1]])
         topology = parse_topology("mesh4x4")
         cache = ResultCache(tmp_path)
         path, payload = _stored_plan(tmp_path)
         path.write_text(json.dumps(
-            {**payload, "plan": {**payload["plan"], "routes": acyclic}}))
+            {**payload, "plan": {**payload["plan"], "routes": acyclic,
+                                 "ranks": _certificate(topology, flow_set,
+                                                       acyclic)}}))
         plan = plan_routes("dor", topology, flow_set, QUICK, cache=cache)
         assert plan.cached
         assert route_set_fingerprint(plan.route_set)["routes"] == acyclic

@@ -48,10 +48,11 @@
 #   make docs       - regenerate docs/api/*.md, docs/routing-guide.md and
 #                     docs/workloads-guide.md
 #   make docs-check - fail when the generated docs are stale
-#   make check      - test + smoke + smoke-cli + bench + docs-check + links,
-#                     the gate CI applies (its fast job runs these with
-#                     test-fast, its full job runs bench and adds the slow
-#                     tests and the coverage floor)
+#   make check      - test + smoke + smoke-cli + report-smoke +
+#                     serve-smoke + bench + docs-check + links, the gate CI
+#                     applies (its fast job runs these with test-fast, its
+#                     full job runs bench and adds the slow tests and the
+#                     coverage floor)
 
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
@@ -126,7 +127,7 @@ docs:
 docs-check:
 	$(PYTHON) scripts/gen_api_docs.py --check
 
-check: test smoke smoke-cli bench docs-check links
+check: test smoke smoke-cli report-smoke serve-smoke bench docs-check links
 
 clean-cache:
 	$(PYTHON) -m repro cache clear

@@ -5,7 +5,8 @@ routes that achieve a network throughput of approximately 70% greater than
 other routing algorithms, at a comparable average packet latency."
 """
 
-from bench_utils import bench_config, emit, improvement_summary, is_full_scale
+from bench_utils import (bench_config, bench_runner, emit,
+                         improvement_summary, is_full_scale)
 
 from repro.experiments import render_figure, run_figure
 
@@ -13,7 +14,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_1_transpose(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-1", config), rounds=1, iterations=1,
+        run_figure, args=("6-1", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-1 (transpose)", render_figure("6-1", results))
 

@@ -7,7 +7,7 @@ ROMM) overtake the non-minimal schemes — i.e. this is where the paper itself
 says BSOR's effectiveness "can no longer be guaranteed".
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -18,7 +18,9 @@ def test_figure_6_10_transpose_50pct(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-10", config),
-        kwargs=dict(routers=ROUTERS), rounds=1, iterations=1,
+        kwargs=dict(routers=ROUTERS,
+                    runner=bench_runner()),
+        rounds=1, iterations=1,
     )
     emit("Figure 6-10(a) transpose, 50% variation", render_figure("6-10", results))
     saturation = results.reduce("throughput", max, "display_name")
@@ -33,7 +35,7 @@ def test_figure_6_10_h264_50pct(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-10", config),
-        kwargs=dict(workload="h264", routers=ROUTERS),
+        kwargs=dict(workload="h264", routers=ROUTERS, runner=bench_runner()),
         rounds=1, iterations=1,
     )
     emit("Figure 6-10(b) H.264, 50% variation", render_figure("6-10", results))

@@ -5,7 +5,7 @@ Paper claims: XY-ordered, YX-ordered and BSOR-MILP share the same data points
 Valiant saturate earlier and exhibit instability beyond saturation.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -13,7 +13,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_2_bit_complement(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-2", config), rounds=1, iterations=1,
+        run_figure, args=("6-2", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-2 (bit-complement)", render_figure("6-2", results))
 

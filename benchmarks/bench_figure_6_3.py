@@ -5,7 +5,8 @@ ROMM, 175 for Valiant) and the highest saturation throughput; BSOR-Dijkstra
 edges out BSOR-MILP at high injection rates despite the equal MCL.
 """
 
-from bench_utils import bench_config, emit, improvement_summary, is_full_scale
+from bench_utils import (bench_config, bench_runner, emit,
+                         improvement_summary, is_full_scale)
 
 from repro.experiments import render_figure, run_figure
 
@@ -13,7 +14,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_3_shuffle(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-3", config), rounds=1, iterations=1,
+        run_figure, args=("6-3", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-3 (shuffle)", render_figure("6-3", results))
 

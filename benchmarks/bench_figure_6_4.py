@@ -11,7 +11,7 @@ library's compact block placement DOR is closer to optimal, so the *gap*
 is smaller while the ordering (BSOR <= every baseline) is preserved.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -19,7 +19,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_4_h264(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-4", config), rounds=1, iterations=1,
+        run_figure, args=("6-4", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-4 (H.264 decoder)", render_figure("6-4", results))
 

@@ -6,7 +6,8 @@ average packet latency."  The corresponding MCLs (Table 6.3) are 62.73 for
 BSOR-MILP versus 95.04-146.38 for the baselines.
 """
 
-from bench_utils import bench_config, emit, improvement_summary, is_full_scale
+from bench_utils import (bench_config, bench_runner, emit,
+                         improvement_summary, is_full_scale)
 
 from repro.experiments import render_figure, run_figure
 
@@ -14,7 +15,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_5_performance_modeling(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-5", config), rounds=1, iterations=1,
+        run_figure, args=("6-5", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-5 (performance modeling)", render_figure("6-5", results))
 

@@ -7,7 +7,7 @@ BSOR-MILP, in MB/s; this library's flow table is in MBit/s, so the same
 optimum reads 58.72).
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -15,7 +15,8 @@ from repro.experiments import render_figure, run_figure
 def test_figure_6_6_transmitter(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
-        run_figure, args=("6-6", config), rounds=1, iterations=1,
+        run_figure, args=("6-6", config),
+        kwargs=dict(runner=bench_runner()), rounds=1, iterations=1,
     )
     emit("Figure 6-6 (802.11a/g transmitter)", render_figure("6-6", results))
 

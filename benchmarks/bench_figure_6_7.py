@@ -7,7 +7,7 @@ impact"; BSOR stays ahead of the other schemes at every VC count.  The paper
 shows transpose and the H.264 decoder; other workloads behave the same.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -18,7 +18,7 @@ def test_figure_6_7_transpose_vc_sweep(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-7", config),
-        kwargs=dict(vcs=(1, 2, 4, 8), routers=ROUTERS),
+        kwargs=dict(vcs=(1, 2, 4, 8), routers=ROUTERS, runner=bench_runner()),
         rounds=1, iterations=1,
     )
     emit("Figure 6-7 (transpose, VC sweep)", render_figure("6-7", results))
@@ -49,7 +49,8 @@ def test_figure_6_7_h264_vc_sweep(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-7", config),
-        kwargs=dict(workload="h264", vcs=(2, 4), routers=ROUTERS),
+        kwargs=dict(workload="h264", vcs=(2, 4), routers=ROUTERS,
+                    runner=bench_runner()),
         rounds=1, iterations=1,
     )
     emit("Figure 6-7 (H.264, VC sweep)", render_figure("6-7", results))

@@ -6,7 +6,7 @@ absorb the demand spikes.  Routes are computed from the *nominal* estimates;
 only the run-time injection rates vary.
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -17,7 +17,9 @@ def test_figure_6_8_transpose_10pct(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-8", config),
-        kwargs=dict(routers=ROUTERS), rounds=1, iterations=1,
+        kwargs=dict(routers=ROUTERS,
+                    runner=bench_runner()),
+        rounds=1, iterations=1,
     )
     emit("Figure 6-8(a) transpose, 10% variation", render_figure("6-8", results))
     saturation = results.reduce("throughput", max, "display_name")
@@ -31,7 +33,7 @@ def test_figure_6_8_h264_10pct(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-8", config),
-        kwargs=dict(workload="h264", routers=ROUTERS),
+        kwargs=dict(workload="h264", routers=ROUTERS, runner=bench_runner()),
         rounds=1, iterations=1,
     )
     emit("Figure 6-8(b) H.264, 10% variation", render_figure("6-8", results))

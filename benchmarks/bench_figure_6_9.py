@@ -5,7 +5,7 @@ variation case.  BSOR algorithms show the least performance degradation in
 presence of run-time bandwidth variations at low injection rates."
 """
 
-from bench_utils import bench_config, emit, is_full_scale
+from bench_utils import bench_config, bench_runner, emit, is_full_scale
 
 from repro.experiments import render_figure, run_figure
 
@@ -14,7 +14,8 @@ def test_figure_6_9_transpose_25pct(benchmark):
     config = bench_config()
     results = benchmark.pedantic(
         run_figure, args=("6-9", config),
-        kwargs=dict(routers=["dor", "yx", "bsor-dijkstra"]),
+        kwargs=dict(routers=["dor", "yx", "bsor-dijkstra"],
+                    runner=bench_runner()),
         rounds=1, iterations=1,
     )
     emit("Figure 6-9(a) transpose, 25% variation",
@@ -33,7 +34,8 @@ def test_figure_6_9_degradation_is_bounded(benchmark):
 
     def run():
         # Figure 6-1 is the same transpose sweep without variation
-        return [run_figure(number, config, routers=["bsor-dijkstra"])
+        return [run_figure(number, config, routers=["bsor-dijkstra"],
+                           runner=bench_runner())
                 for number in ("6-1", "6-9")]
 
     nominal, varied = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -29,6 +29,7 @@ from typing import Dict
 
 from repro.experiments import ExperimentConfig
 from repro.planning import parse_topology, pattern_flow_set
+from repro.runner import ExperimentRunner
 
 #: Worker processes used by the benchmark harness when $REPRO_WORKERS is
 #: not set (the acceptance target is a >= 2x figure-sweep speedup at 4).
@@ -67,21 +68,21 @@ def bench_backend():
 
 
 def bench_config() -> ExperimentConfig:
-    """The experiment configuration selected by REPRO_BENCH_PROFILE.
-
-    The returned configuration carries the benchmark harness's runner
-    settings (parallel workers, result cache) and the simulator backend
-    chosen by ``REPRO_BENCH_BACKEND``, so every figure/table call site
-    inherits them without further plumbing.
-    """
+    """The experiment configuration selected by REPRO_BENCH_PROFILE, on the
+    simulator backend chosen by ``REPRO_BENCH_BACKEND``."""
     profile = os.environ.get("REPRO_BENCH_PROFILE", "default")
     config = ExperimentConfig.from_profile(profile)
-    config = config.with_runner(workers=bench_workers(),
-                                use_cache=bench_cache_enabled())
     backend = bench_backend()
     if backend:
         config = config.with_backend(backend)
     return config
+
+
+def bench_runner() -> ExperimentRunner:
+    """The benchmark harness's experiment runner: :func:`bench_workers`
+    processes and the result cache unless ``REPRO_BENCH_CACHE`` is off."""
+    return ExperimentRunner(workers=bench_workers(),
+                            cache=bench_cache_enabled())
 
 
 def bench_workload(workload: str, config: ExperimentConfig):

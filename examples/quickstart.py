@@ -20,10 +20,11 @@ from repro import (
     YXRouting,
     transpose,
 )
-from repro.routing import analyze_route_set, analyze_two_phase
+from repro.routing import analyze_virtual_networks
 from repro.metrics import load_report
 from repro.routing.bsor import full_strategy_set
-from repro.simulator import SimulationConfig, sweep_algorithm
+from repro.simulator import (SimulationConfig, phase_boundaries_for,
+                             sweep_algorithm)
 
 
 def main() -> None:
@@ -49,14 +50,13 @@ def main() -> None:
     print(f"{'algorithm':>14}  {'MCL (MB/s)':>10}  {'avg hops':>8}  deadlock-free")
     for algorithm in algorithms:
         routes = algorithm.compute_routes(mesh, flows)
-        if isinstance(algorithm, (ROMMRouting, ValiantRouting)):
-            # two-phase algorithms are deadlock free only with one virtual
-            # network per phase (two VCs), which is how they are simulated
-            report = analyze_two_phase(routes, algorithm.intermediates)
-            verdict = f"{report.deadlock_free} (2 VCs, one per phase)"
-        else:
-            report = analyze_route_set(routes)
-            verdict = str(report.deadlock_free)
+        # two-phase algorithms are deadlock free only with one virtual
+        # network per phase (two VCs), which is how they are simulated
+        boundaries = phase_boundaries_for(algorithm, routes)
+        report = analyze_virtual_networks(routes, boundaries)
+        verdict = str(report.deadlock_free)
+        if boundaries:
+            verdict += " (2 VCs, one per phase)"
         route_sets[algorithm.name] = routes
         print(f"{algorithm.name:>14}  {routes.max_channel_load():>10g}  "
               f"{routes.average_hop_count():>8.2f}  {verdict}")

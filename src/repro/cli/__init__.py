@@ -167,15 +167,13 @@ def _dispatch_execution(args: argparse.Namespace, observer) -> int:
                              "(info, stats or clear)")
         print(run_cache(args))
         return EXIT_OK
-    config = experiment_config(args)
+    config, runner = experiment_config(args)
     if args.command == "profile":
         print(run_profile(args, config))
         return EXIT_OK
 
-    from ..runner.engine import runner_for
-
     started = time.time()
-    runner = runner_for(config, observer=observer)
+    runner.observer = observer
     if args.command == "figure":
         output = run_figure(args, config, runner)
     elif args.command == "table":

@@ -126,8 +126,8 @@ def config_overrides(args: argparse.Namespace) -> dict:
 
 
 def experiment_config(args: argparse.Namespace):
-    """The :class:`ExperimentConfig` of a subcommand without a study file:
-    the shared options over the default execution policy."""
+    """The ``(ExperimentConfig, ExperimentRunner)`` of a subcommand without
+    a study file: the shared options over the default execution policy."""
     from ..study.execute import resolve_config
     from ..study.spec import Study
 

@@ -1,8 +1,8 @@
 """The figure / table / sweep / cache / profile subcommands.
 
 Each command receives the :class:`~repro.experiments.config.ExperimentConfig`
-the shared option set resolves to (:func:`repro.cli.common.experiment_config`)
-and drives the parallel :class:`~repro.runner.engine.ExperimentRunner`;
+and the parallel :class:`~repro.runner.engine.ExperimentRunner` the shared
+option set resolves to (:func:`repro.cli.common.experiment_config`);
 ``figure`` and ``sweep`` are in-code scenarios of the study engine.
 """
 

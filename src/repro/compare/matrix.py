@@ -38,7 +38,7 @@ from ..planning import (  # parse_topology / pattern_flow_set: re-exported
     pattern_flow_set,
     plan_matrix,
 )
-from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
+from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec
 from ..study.resultset import ResultSet
 from .saturation import SaturationCriteria, SaturationSearch
 
@@ -61,13 +61,13 @@ class CompareMatrix:
     Parameters
     ----------
     config:
-        Experiment scale (mesh demands, simulator cycle counts, seed,
-        worker/cache settings).  Defaults to :class:`ExperimentConfig`.
+        Experiment scale (mesh demands, simulator cycle counts, seed).
+        Defaults to :class:`ExperimentConfig`.
     criteria:
         Saturation predicate and search range shared by every cell.
     runner:
-        An existing :class:`ExperimentRunner`; built from *config* when
-        omitted.
+        An existing :class:`ExperimentRunner` (worker/cache settings);
+        a serial, uncached ``ExperimentRunner()`` when omitted.
     observer:
         A :class:`~repro.progress.ProgressObserver` receiving the typed
         progress-event stream (attached to the runner — every round of
@@ -80,7 +80,7 @@ class CompareMatrix:
                  observer=None) -> None:
         self.config = config or ExperimentConfig()
         self.criteria = criteria or SaturationCriteria()
-        self.runner = runner or runner_for(self.config)
+        self.runner = runner or ExperimentRunner()
         if observer is not None:
             self.runner.observer = observer
 

@@ -5,10 +5,10 @@ the study engine; tables are route plans (:data:`TABLES`, :func:`run_table`)
 walked by :mod:`repro.planning`.  Both return tagged
 :class:`~repro.study.resultset.ResultSet` rows and have a ``render_*``
 function for the text the paper prints.  A figure takes an optional
-``runner`` (an :class:`repro.runner.ExperimentRunner`; without one it builds
-one from the configuration's ``workers`` / ``use_cache`` / ``cache_dir``
-fields, which default to the serial, uncached seed behaviour); a table takes
-the runner's ``cache``.
+``runner`` (an :class:`repro.runner.ExperimentRunner`; without one the
+points run serially and uncached); a table takes the runner's ``cache``.
+The :class:`ExperimentConfig` holds only what decides a result — how a run
+executes is the runner's.
 """
 
 from .config import SYNTHETIC_FLOW_DEMAND, ExperimentConfig

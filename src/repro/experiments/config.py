@@ -28,18 +28,23 @@ PROFILES = ("quick", "default", "paper")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of a reproduction run."""
+    """Parameters of a reproduction run: every field decides a result.
+
+    How a run executes — worker processes, the result cache, the execution
+    backend — is the runner's business (:class:`~repro.runner.engine.
+    ExperimentRunner`, built by :func:`repro.study.execute.resolve_config`);
+    the random seed and the VC count live in :attr:`simulation` alone.
+    """
 
     #: mesh edge length (the paper uses 8).
     mesh_size: int = 8
     #: per-flow demand of the synthetic patterns (MB/s).
     synthetic_demand: float = SYNTHETIC_FLOW_DEMAND
-    #: virtual channels per port for the figure sweeps (the paper uses 2 for
-    #: the main comparisons).
-    num_vcs: int = 2
     #: offered aggregate injection rates (packets/cycle) for the sweeps.
     offered_rates: Tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
-    #: simulator run-length parameters.
+    #: simulator parameters: run lengths, virtual channels per port (the
+    #: paper uses 2 for the main comparisons) and the random seed shared by
+    #: ROMM / Valiant / O1TURN, application placement and injection.
     simulation: SimulationConfig = field(
         default_factory=lambda: SimulationConfig(
             num_vcs=2, warmup_cycles=500, measurement_cycles=2500
@@ -51,35 +56,14 @@ class ExperimentConfig:
     milp_time_limit: Optional[float] = 30.0
     #: explore the full 12 + 3 CDG set (True) or the 5-column paper set.
     explore_full_cdg_set: bool = False
-    #: random seed shared by ROMM / Valiant / ad hoc CDGs / injection.
-    seed: int = 0
     #: mapping strategy for application task graphs onto the topology.
     #: ``None`` means the workload's own ``default_mapping`` (``"block"``
     #: for the paper's three applications, their original placement).
     mapping_strategy: Optional[str] = None
-    #: worker processes for the experiment runner (1 = serial, the seed
-    #: behaviour; 0 = auto via $REPRO_WORKERS or the CPU count).
-    workers: int = 1
-    #: consult / populate the content-addressed result cache.
-    use_cache: bool = False
-    #: cache directory (None = $REPRO_CACHE_DIR or ~/.cache/repro-bsor).
-    cache_dir: Optional[str] = None
-    #: shared second-tier cache directory the local cache reads through to
-    #: (None = $REPRO_SHARED_CACHE_DIR or no shared tier).  Not part of any
-    #: simulation fingerprint — where results are stored never changes them.
-    shared_cache_dir: Optional[str] = None
-    #: execution backend for cache-miss points (None = "local"; "queue"
-    #: drains through a shared work-queue directory).
-    execution: Optional[str] = None
-    #: queue directory for the "queue" execution backend
-    #: (None = $REPRO_QUEUE_DIR).
-    queue_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mesh_size < 2:
             raise ExperimentError(f"mesh size must be >= 2: {self.mesh_size}")
-        if self.workers < 0:
-            raise ExperimentError(f"workers must be >= 0: {self.workers}")
         if self.synthetic_demand <= 0:
             raise ExperimentError(
                 f"synthetic demand must be positive: {self.synthetic_demand}"
@@ -91,9 +75,12 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------
     def with_vcs(self, num_vcs: int) -> "ExperimentConfig":
-        return replace(
-            self, num_vcs=num_vcs, simulation=self.simulation.with_vcs(num_vcs)
-        )
+        return replace(self, simulation=self.simulation.with_vcs(num_vcs))
+
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        """A copy whose one seed — routers, placement, injection — is
+        *seed*."""
+        return replace(self, simulation=replace(self.simulation, seed=seed))
 
     def with_variation(self, fraction: float) -> "ExperimentConfig":
         return replace(self, simulation=self.simulation.with_variation(fraction))
@@ -108,19 +95,6 @@ class ExperimentConfig:
 
     def with_rates(self, rates: Sequence[float]) -> "ExperimentConfig":
         return replace(self, offered_rates=tuple(rates))
-
-    def with_runner(self, workers: Optional[int] = None,
-                    use_cache: Optional[bool] = None,
-                    cache_dir: Optional[str] = None) -> "ExperimentConfig":
-        """A copy with different experiment-runner settings."""
-        updates = {}
-        if workers is not None:
-            updates["workers"] = workers
-        if use_cache is not None:
-            updates["use_cache"] = use_cache
-        if cache_dir is not None:
-            updates["cache_dir"] = cache_dir
-        return replace(self, **updates)
 
     @classmethod
     def from_profile(cls, profile: str, **overrides) -> "ExperimentConfig":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ExperimentError
-from ..runner.engine import runner_for
+from ..runner.engine import ExperimentRunner
 from ..study.execute import run_scenario
 from ..study.resultset import ResultSet
 from ..study.spec import Scenario
@@ -128,8 +128,8 @@ def run_figure(number: str, config: Optional[ExperimentConfig] = None,
     *workload* chooses the traffic of Figures 6-7 .. 6-10 (default
     transpose) and is an error for the fixed-workload figures; *routers*
     (registry names) and *vcs* narrow or replace the figure's own axes.
-    Without a *runner* one is built from the configuration's ``workers`` /
-    ``use_cache`` / ``cache_dir`` fields.
+    Without a *runner* the points run serially and uncached
+    (``ExperimentRunner()``).
     """
     key, figure = _lookup(number)
     if workload and figure.workload:
@@ -147,7 +147,8 @@ def run_figure(number: str, config: Optional[ExperimentConfig] = None,
         routers=tuple(routers) if routers else figure.routers,
         vcs=tuple(vcs) if vcs else figure.vcs,
     )
-    results, _ = run_scenario(scenario, config, runner or runner_for(config))
+    results, _ = run_scenario(scenario, config,
+                              runner or ExperimentRunner())
     return results
 
 

@@ -140,7 +140,7 @@ def pattern_flow_set(pattern: str, topology: Topology, config) -> FlowSet:
     if is_registered_workload(name):
         return workload_flow_set(name, topology,
                                  strategy=config.mapping_strategy,
-                                 seed=config.seed)
+                                 seed=config.simulation.seed)
     return synthetic_by_name(name, topology.num_nodes,
                              demand=config.synthetic_demand)
 
@@ -161,7 +161,7 @@ def _router_options(config, topology: Topology) -> Dict[str, object]:
     if config.explore_full_cdg_set and isinstance(topology, Mesh2D):
         strategies = _full_mesh_strategies(topology.width, topology.height)
     return {
-        "seed": config.seed,
+        "seed": config.simulation.seed,
         "strategies": strategies,
         "hop_slack": config.hop_slack,
         "milp_time_limit": config.milp_time_limit,

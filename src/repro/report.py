@@ -141,7 +141,7 @@ def occupancy_heatmap(topology_name: str, pattern: str, router: str,
         flow_set, offered_rate,
         variation_fraction=config.simulation.bandwidth_variation,
         mean_dwell_cycles=config.simulation.variation_dwell_cycles,
-        seed=config.seed,
+        seed=config.simulation.seed,
     ))
     for cycle in range(num_cycles):
         recorder.counts_for_cycle(cycle)

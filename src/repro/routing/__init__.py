@@ -25,12 +25,10 @@ from .bsor import (
 from .deadlock import (
     DeadlockReport,
     analyze_route_set,
-    analyze_two_phase,
     analyze_virtual_networks,
     certifies,
     check_deadlock_freedom,
     induced_cdg,
-    split_route_at,
 )
 from .dor import DimensionOrderRouting, XYRouting, YXRouting
 from .o1turn import O1TurnRouting
@@ -93,7 +91,6 @@ __all__ = [
     "ad_hoc_strategy",
     "all_two_turn_strategies",
     "analyze_route_set",
-    "analyze_two_phase",
     "analyze_virtual_networks",
     "available_routers",
     "bsor_dijkstra",
@@ -111,7 +108,6 @@ __all__ = [
     "render_routing_guide",
     "router_spec",
     "router_specs",
-    "split_route_at",
     "turn_model_strategy",
     "two_turn_strategy",
     "vc_escalation_strategy",

@@ -96,22 +96,6 @@ def check_deadlock_freedom(route_set: RouteSet) -> DeadlockReport:
     return report
 
 
-def split_route_at(route: Route, pivot_node: int) -> Tuple[Sequence, Sequence]:
-    """Split a route's resources at the first visit of *pivot_node*.
-
-    Returns the (first phase, second phase) resource sequences.  Raises
-    :class:`DeadlockError` when the route never passes through the node.
-    Used by the two-phase analysis below and by tests of ROMM / Valiant.
-    """
-    channels = [physical(resource) for resource in route.resources]
-    for index, channel in enumerate(channels):
-        if channel.dst == pivot_node:
-            return route.resources[: index + 1], route.resources[index + 1:]
-    raise DeadlockError(
-        f"route of flow {route.flow.name} does not pass through node {pivot_node}"
-    )
-
-
 def analyze_virtual_networks(route_set: RouteSet,
                              phase_boundaries: dict) -> DeadlockReport:
     """Deadlock analysis under the simulator's virtual-network split.
@@ -127,8 +111,10 @@ def analyze_virtual_networks(route_set: RouteSet,
 
     This is the registry-generic check: it reproduces
     :func:`analyze_route_set` for single-network algorithms (empty
-    boundaries) and :func:`analyze_two_phase` for ROMM / Valiant, and also
-    covers O1TURN, whose boundary is 0 or the full route length.  A
+    boundaries), checks ROMM / Valiant with the boundaries at their
+    intermediate nodes
+    (:func:`~repro.simulator.simulation.phase_boundaries_from_intermediates`),
+    and covers O1TURN, whose boundary is 0 or the full route length.  A
     deadlock-free report carries the topological order it was proved with
     as :attr:`DeadlockReport.ranks`.
     """
@@ -203,49 +189,3 @@ def certifies(route_set: RouteSet, phase_boundaries: Mapping[str, int],
                 below, upstream = rank, channel
     return True
 
-
-def analyze_two_phase(route_set: RouteSet,
-                      intermediates: dict) -> DeadlockReport:
-    """Deadlock analysis for two-phase algorithms (ROMM, Valiant) with 2 VCs.
-
-    Two-phase randomized algorithms are deadlock free when each phase is
-    routed with a deadlock-free sub-algorithm (DOR in our implementation)
-    *and* the two phases use disjoint virtual channels, so the dependence
-    graph decomposes into two independent virtual networks.  This function
-    checks exactly that: it splits every route at its intermediate node and
-    verifies each phase's induced CDG is acyclic on its own.
-
-    Parameters
-    ----------
-    intermediates:
-        Mapping of flow name to the intermediate node chosen for that flow.
-        Flows absent from the mapping are treated as single-phase (their
-        whole route is analysed in phase one).
-    """
-    phase_one: List[Sequence] = []
-    phase_two: List[Sequence] = []
-    for route in route_set:
-        pivot = intermediates.get(route.flow.name)
-        if pivot is None or pivot in (route.flow.source, route.flow.destination):
-            phase_one.append(route.resources)
-            continue
-        first, second = split_route_at(route, pivot)
-        if first:
-            phase_one.append(first)
-        if second:
-            phase_two.append(second)
-
-    for label, phase_routes in (("phase 1", phase_one), ("phase 2", phase_two)):
-        cdg = cdg_from_routes(route_set.topology, phase_routes, name=label)
-        cycle = cdg.find_cycle()
-        if cycle is not None:
-            return DeadlockReport(
-                deadlock_free=False,
-                cycle=cycle,
-                induced_cdg=cdg,
-                detail=f"{label} of two-phase routing has a cyclic dependence",
-            )
-    return DeadlockReport(
-        deadlock_free=True,
-        detail="each phase conforms to an acyclic CDG on its own virtual network",
-    )

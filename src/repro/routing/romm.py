@@ -10,9 +10,11 @@ balance than plain DOR on adversarial patterns.
 Following the paper's methodology (Section 6.2), the intermediate node is
 chosen **per flow**, not per packet — a flow keeps a single path, which is
 what allows MCL to be computed for ROMM in Table 6.3.  Deadlock freedom in
-the simulations relies on two virtual channels (one per phase); the
-:func:`repro.routing.deadlock.analyze_two_phase` checker verifies that
-decomposition.
+the simulations relies on two virtual channels (one per phase);
+:func:`repro.routing.deadlock.analyze_virtual_networks`, given the phase
+boundaries at the intermediate nodes
+(:func:`repro.simulator.simulation.phase_boundaries_from_intermediates`),
+verifies that decomposition.
 """
 
 from __future__ import annotations

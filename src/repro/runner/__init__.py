@@ -60,7 +60,6 @@ from .engine import (
     RunnerReport,
     SweepSpec,
     resolve_workers,
-    runner_for,
 )
 from .worker import run_worker_loop
 from .workqueue import WorkQueue
@@ -108,7 +107,6 @@ __all__ = [
     "route_set_fingerprint",
     "run_task",
     "run_worker_loop",
-    "runner_for",
     "simulation_cache_key",
     "statistics_from_dict",
     "statistics_to_dict",

@@ -124,6 +124,11 @@ def route_set_fingerprint(route_set: RouteSet) -> Dict[str, object]:
                        for route in route_set}}
 
 
+#: The :class:`SimulationConfig` fields a result depends on: all but one.
+_OUTCOME_FIELDS = frozenset(field.name for field in
+                            dataclasses.fields(SimulationConfig)) - {"backend"}
+
+
 def config_fingerprint(config: SimulationConfig) -> Dict[str, object]:
     """Every *outcome-determining* field of the configuration, by name.
 
@@ -134,9 +139,8 @@ def config_fingerprint(config: SimulationConfig) -> Dict[str, object]:
     are warm-cache hits for every other (and entries cached before the
     backend field existed stay valid).
     """
-    return {field.name: getattr(config, field.name)
-            for field in dataclasses.fields(config)
-            if field.name != "backend"}
+    return {name: value for name, value in vars(config).items()
+            if name in _OUTCOME_FIELDS}
 
 
 def _group_config(config: SimulationConfig) -> Dict[str, object]:

@@ -40,7 +40,9 @@ class SimulationConfig:
     local_bandwidth: int = 4
     #: capacity of the per-node injection (source-side) buffer in flits.
     injection_buffer_depth: int = 64
-    #: seed for the injection processes and arbitration tie-breaks.
+    #: seed for the injection processes and arbitration tie-breaks — and,
+    #: in an experiment, for the seeded routers (ROMM / Valiant / O1TURN)
+    #: and application placement (the one seed a study's ``seed:`` sets).
     seed: int = 0
     #: relative variation of flow rates at run time (0 disables the
     #: Markov-modulated variation model).

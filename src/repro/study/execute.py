@@ -21,7 +21,8 @@ Both produce tagged rows in one :class:`~repro.study.resultset.ResultSet`,
 which is what the reports render and the CLI exports.
 :func:`resolve_config` is likewise the one place CLI options and a study's
 :class:`~repro.study.spec.ExecutionPolicy` become an
-:class:`~repro.experiments.config.ExperimentConfig`.
+:class:`~repro.experiments.config.ExperimentConfig` (what decides a result)
+and an :class:`~repro.runner.engine.ExperimentRunner` (how it executes).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from ..exceptions import ReproError, StudyError
 from ..experiments.config import ExperimentConfig
 from ..planning import canonical_pattern as validate_pattern  # re-exported
 from ..planning import plan_matrix
-from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
+from ..runner.backends import resolve_execution
+from ..runner.cache import ResultCache
+from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec
 from .resultset import ResultSet, degradation
 from .spec import Scenario, Study
 
@@ -62,6 +65,9 @@ class StudyResult:
     study: Study
     results: ResultSet
     report: RunnerReport
+    #: The configuration the scenarios ran under: with their ``seed`` /
+    #: ``mapping`` overrides when every scenario has the same ones, the
+    #: study-level resolution otherwise.
     config: ExperimentConfig
     #: The profile actually executed (policy profile unless overridden).
     profile: str = "default"
@@ -132,14 +138,19 @@ def resolve_config(study: Study, *, workers: Optional[int] = None,
                    backend: Optional[str] = None,
                    profile: Optional[str] = None,
                    execution: Optional[str] = None,
-                   queue_dir: Optional[str] = None) -> ExperimentConfig:
-    """The :class:`ExperimentConfig` a study (plus overrides) asks for.
+                   queue_dir: Optional[str] = None
+                   ) -> Tuple[ExperimentConfig, ExperimentRunner]:
+    """The :class:`ExperimentConfig` a study (plus overrides) asks for, and
+    the :class:`ExperimentRunner` that executes it.
 
-    Every CLI subcommand resolves its shared options here (the ones without
-    a study file pass a default-policy study), so a misspelt backend fails
-    with the registry's did-you-mean error even when every point would be a
-    warm-cache hit, and ``--execution`` / ``--shared-cache-dir`` /
-    ``--queue-dir`` reach every command alike.
+    The profile and the backend decide the configuration; ``workers``,
+    ``cache`` / ``cache_dir`` / ``shared_cache_dir`` and ``execution`` /
+    ``queue_dir`` decide the runner alone, so no execution setting can
+    reach a cache key.  Every CLI subcommand resolves its shared options
+    here (the ones without a study file pass a default-policy study), so a
+    misspelt backend fails with the registry's did-you-mean error even when
+    every point would be a warm-cache hit, and ``--execution`` /
+    ``--shared-cache-dir`` / ``--queue-dir`` reach every command alike.
     """
     policy = study.policy
     chosen_profile = profile if profile is not None else policy.profile
@@ -147,31 +158,34 @@ def resolve_config(study: Study, *, workers: Optional[int] = None,
         config = ExperimentConfig.from_profile(chosen_profile)
     except ReproError as error:
         raise StudyError(str(error)) from error
-    config = dataclasses.replace(
-        config,
-        workers=workers if workers is not None else policy.workers,
-        use_cache=cache if cache is not None else policy.cache,
-        cache_dir=cache_dir if cache_dir is not None else policy.cache_dir,
-        shared_cache_dir=shared_cache_dir,
-        execution=execution,
-        queue_dir=queue_dir,
-    )
     chosen_backend = backend if backend is not None else policy.backend
     if chosen_backend:
         from ..simulator.backends import backend_spec
 
         config = config.with_backend(backend_spec(chosen_backend).name)
-    return config
+
+    chosen_workers = workers if workers is not None else policy.workers
+    if chosen_workers < 0:
+        raise StudyError(f"workers must be >= 0: {chosen_workers}")
+    use_cache = cache if cache is not None else policy.cache
+    result_cache = None
+    if use_cache:
+        result_cache = ResultCache(
+            cache_dir if cache_dir is not None else policy.cache_dir,
+            shared_dir=shared_cache_dir)
+    runner = ExperimentRunner(
+        workers=chosen_workers, cache=result_cache,
+        execution=resolve_execution(execution, queue_dir=queue_dir))
+    return config, runner
 
 
 def _scenario_config(scenario: Scenario,
                      config: ExperimentConfig) -> ExperimentConfig:
-    updates: Dict = {}
     if scenario.mapping is not None:
-        updates["mapping_strategy"] = scenario.mapping
+        config = dataclasses.replace(config, mapping_strategy=scenario.mapping)
     if scenario.seed is not None:
-        updates["seed"] = scenario.seed
-    return dataclasses.replace(config, **updates) if updates else config
+        config = config.with_seed(scenario.seed)
+    return config
 
 
 def _scenario_topologies(scenario: Scenario,
@@ -256,8 +270,10 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig,
                  runner: ExperimentRunner) -> Tuple[ResultSet, RunnerReport]:
     """Execute one scenario on *runner*: its tagged rows and what they cost.
 
-    *config* is the resolved execution configuration; the scenario's own
-    ``mapping`` / ``seed`` overrides are applied on top of it here.
+    *config* is the resolved configuration; the scenario's own ``mapping``
+    / ``seed`` overrides are applied on top of it here (the seed is
+    ``config.simulation.seed``, so it reaches the routers, the application
+    placement and the injection process, and every key those feed).
     """
     config = _scenario_config(scenario, config)
     if scenario.mode == "saturate":
@@ -274,27 +290,25 @@ def run_study(study: Study, *, workers: Optional[int] = None,
               profile: Optional[str] = None,
               execution: Optional[str] = None,
               queue_dir: Optional[str] = None,
-              runner: Optional[ExperimentRunner] = None,
               observer=None) -> StudyResult:
     """Validate and execute *study*; the engine behind :meth:`Study.run`.
 
-    An *observer* (:class:`~repro.progress.ProgressObserver`) is attached
-    to the runner and receives the typed progress-event stream of every
-    scenario — sweep batches and saturation rounds alike.  ``execution``
-    selects the execution backend for cache-miss points ("local" pool or
-    the distributed "queue"); ``shared_cache_dir`` layers the runner's
-    result cache over a deployment-shared directory
+    The keyword overrides take precedence over the study's execution
+    policy (:func:`resolve_config` merges them into one configuration and
+    one runner).  An *observer* (:class:`~repro.progress.ProgressObserver`)
+    is attached to the runner and receives the typed progress-event stream
+    of every scenario — sweep batches and saturation rounds alike.
+    ``execution`` selects the execution backend for cache-miss points
+    ("local" pool or the distributed "queue"); ``shared_cache_dir`` layers
+    the runner's result cache over a deployment-shared directory
     (:mod:`repro.runner.cache`).
     """
     study.validate()
-    config = resolve_config(study, workers=workers, cache=cache,
-                            cache_dir=cache_dir,
-                            shared_cache_dir=shared_cache_dir,
-                            backend=backend, profile=profile,
-                            execution=execution, queue_dir=queue_dir)
-    runner = runner or runner_for(config)
-    if observer is not None:
-        runner.observer = observer
+    config, runner = resolve_config(
+        study, workers=workers, cache=cache, cache_dir=cache_dir,
+        shared_cache_dir=shared_cache_dir, backend=backend, profile=profile,
+        execution=execution, queue_dir=queue_dir)
+    runner.observer = observer
     report = RunnerReport(workers=runner.workers)
     results = ResultSet([])
     for scenario in study.scenarios:
@@ -302,10 +316,11 @@ def run_study(study: Study, *, workers: Optional[int] = None,
                                                          runner)
         results = results.merged(scenario_results)
         report.merge(scenario_report)
+    ran = {_scenario_config(scenario, config) for scenario in study.scenarios}
     return StudyResult(
         study=study,
         results=results,
         report=report,
-        config=config,
+        config=ran.pop() if len(ran) == 1 else config,
         profile=profile if profile is not None else study.policy.profile,
     )

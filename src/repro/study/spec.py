@@ -630,7 +630,7 @@ class Study:
             profile: Optional[str] = None,
             execution: Optional[str] = None,
             queue_dir: Optional[str] = None,
-            runner=None, observer=None):
+            observer=None):
         """Execute every scenario; returns a
         :class:`~repro.study.execute.StudyResult`.
 
@@ -650,7 +650,7 @@ class Study:
                          shared_cache_dir=shared_cache_dir,
                          backend=backend, profile=profile,
                          execution=execution, queue_dir=queue_dir,
-                         runner=runner, observer=observer)
+                         observer=observer)
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:

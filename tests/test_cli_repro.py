@@ -100,6 +100,16 @@ class TestExitCodes:
         assert code == 1
         assert "did you mean 'fast'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--rates", "0.5"],
+        ["run", str(EXAMPLES / "smoke.yaml")],
+    ], ids=lambda command: command[0])
+    def test_a_negative_worker_count_is_one(self, command, capsys):
+        code = repro_main([*command, "--workers", "-1", "--no-cache",
+                           "--profile", "quick"])
+        assert code == 1
+        assert "workers must be >= 0" in capsys.readouterr().err
+
 
 class TestListSubcommand:
     @pytest.mark.parametrize("kind, needle", [

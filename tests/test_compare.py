@@ -14,16 +14,17 @@ from repro.compare import (
 from repro.cli import main as repro_main
 from repro.exceptions import ExperimentError, TrafficError
 from repro.experiments import ExperimentConfig
+from repro.runner import ExperimentRunner
 from repro.topology import Mesh2D, Ring, Torus2D
 
 QUICK = ExperimentConfig.quick()
 CRITERIA = SaturationCriteria(min_rate=0.25, max_rate=4.0, resolution=0.5)
 
 
-def compare(patterns, routers, config=QUICK):
+def compare(patterns, routers, config=QUICK, runner=None):
     """``(rows, report)`` of one quick 4x4-mesh comparison."""
-    return CompareMatrix(config=config, criteria=CRITERIA).run(
-        ["mesh4x4"], patterns, routers)
+    return CompareMatrix(config=config, criteria=CRITERIA,
+                         runner=runner).run(["mesh4x4"], patterns, routers)
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +222,12 @@ class TestCompareMatrix:
             matrix.run(["mesh4x4"], ["transpose"], ["not-a-router"])
 
     def test_cached_rerun_skips_simulation(self, tmp_path):
-        config = QUICK.with_runner(use_cache=True,
-                                   cache_dir=str(tmp_path))
-        cold, cold_report = compare(["transpose"], ["dor"], config)
+        def cached():
+            return ExperimentRunner(cache=str(tmp_path))
+
+        cold, cold_report = compare(["transpose"], ["dor"], runner=cached())
         assert cold_report.points_simulated == cold_report.points_total
-        warm, warm_report = compare(["transpose"], ["dor"], config)
+        warm, warm_report = compare(["transpose"], ["dor"], runner=cached())
         assert warm_report.points_simulated == 0
         assert warm_report.cache_hits == warm_report.points_total
         assert warm == cold

@@ -26,7 +26,7 @@ from repro.workloads import (
 
 
 def _quick_config() -> ExperimentConfig:
-    return ExperimentConfig.quick(use_cache=False)
+    return ExperimentConfig.quick()
 
 
 def test_pattern_flow_set_resolves_registry_workloads():
@@ -54,7 +54,7 @@ def test_per_workload_default_mapping_is_honored():
     mesh = parse_topology("mesh8x8")
     via_compare = pattern_flow_set("map-reduce", mesh, config)
     via_registry_default = registry_flow_set("map-reduce", mesh,
-                                             seed=config.seed)
+                                             seed=config.simulation.seed)
     assert [flow.pair for flow in via_compare] == \
         [flow.pair for flow in via_registry_default]
     # an explicit strategy still overrides the workload default
@@ -143,7 +143,7 @@ def test_bsor_routes_are_derived_from_the_app_flow_graph():
     strategy = config.mapping_strategy or \
         workload_spec("decoder-pipeline").default_mapping
     mapped = graph.mapped_onto(plan.topology, strategy=strategy,
-                               seed=config.seed)
+                               seed=config.simulation.seed)
     # the route set BSOR computed covers exactly the application's flows,
     # with the application's bandwidth demands
     routed = {route.flow.name: route.flow for route in plan.route_set}

@@ -35,7 +35,6 @@ class TestExperimentConfig:
 
     def test_with_vcs_and_variation(self):
         config = ExperimentConfig().with_vcs(4)
-        assert config.num_vcs == 4
         assert config.simulation.num_vcs == 4
         varied = config.with_variation(0.25)
         assert varied.simulation.bandwidth_variation == 0.25

@@ -10,8 +10,6 @@ fault axis with its degradation report.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.compare.matrix import CompareMatrix, parse_topology
@@ -366,8 +364,7 @@ class TestStudyFaultsAxis:
 # the comparison matrix's fault axis
 # ----------------------------------------------------------------------
 def _quick_config() -> ExperimentConfig:
-    return dataclasses.replace(
-        ExperimentConfig.from_profile("quick"), workers=1, use_cache=False)
+    return ExperimentConfig.from_profile("quick")
 
 
 QUICK_CRITERIA = SaturationCriteria(min_rate=0.25, max_rate=0.5,

@@ -213,18 +213,15 @@ class TestRunnerWiring:
     """The engines emit the documented sequences through a real runner."""
 
     def _runner(self, tmp_path, observer, backend=None):
-        import dataclasses
-
         from repro.experiments.config import ExperimentConfig
-        from repro.runner.engine import runner_for
+        from repro.runner.engine import ExperimentRunner
 
-        config = dataclasses.replace(
-            ExperimentConfig.from_profile("quick"),
-            workers=1, use_cache=True, cache_dir=str(tmp_path / "cache"),
-        )
+        config = ExperimentConfig.from_profile("quick")
         if backend:
             config = config.with_backend(backend)
-        return runner_for(config, observer=observer), config
+        runner = ExperimentRunner(workers=1, cache=str(tmp_path / "cache"),
+                                  observer=observer)
+        return runner, config
 
     def _spec(self, config, rates):
         from repro.routing.registry import create_router

@@ -232,7 +232,7 @@ def test_paper_applications_keep_their_flow_sets(label):
 
     application, topology, mapping = label.split("/")
     config = dataclasses.replace(
-        QUICK, seed=0,
+        QUICK.with_seed(0),
         mapping_strategy=None if mapping == "default" else mapping)
     flow_set = pattern_flow_set(application, parse_topology(topology), config)
     text = json.dumps(flow_set_fingerprint(flow_set), separators=(",", ":"))
@@ -443,17 +443,17 @@ class TestPlanKey:
         return plan_routes(router, topology, flow_set or default_flows,
                            config, faults, cache=cache).cached
 
-    @pytest.mark.parametrize("change", [
-        {"workers": 4}, {"use_cache": True}, {"cache_dir": "/elsewhere"},
-        {"shared_cache_dir": "/shared"}, {"execution": "queue"},
-        {"queue_dir": "/queue"}, {"offered_rates": (9.0,)},
-        {"mesh_size": 8}, {"num_vcs": 4},
-        {"seed": 7},  # bsor-milp's factory takes no seed
-    ], ids=lambda change: next(iter(change)))
+    @pytest.mark.parametrize("config", [
+        pytest.param(dataclasses.replace(QUICK, offered_rates=(9.0,)),
+                     id="offered_rates"),
+        pytest.param(dataclasses.replace(QUICK, mesh_size=8), id="mesh_size"),
+        pytest.param(QUICK.with_vcs(4), id="num_vcs"),
+        # bsor-milp's factory takes no seed
+        pytest.param(QUICK.with_seed(7), id="seed"),
+    ])
     def test_how_a_plan_is_simulated_is_not_in_the_key(self, tmp_path,
-                                                       change):
-        assert self._cached_under(tmp_path,
-                                  dataclasses.replace(QUICK, **change))
+                                                       config):
+        assert self._cached_under(tmp_path, config)
         assert self._cached_under(tmp_path / "backend",
                                   QUICK.with_backend("reference"))
 
@@ -466,7 +466,7 @@ class TestPlanKey:
                                       dataclasses.replace(QUICK, **change))
 
     def test_the_seed_is_for_the_routers_that_take_one(self, tmp_path):
-        reseeded = dataclasses.replace(QUICK, seed=7)
+        reseeded = QUICK.with_seed(7)
         for router, keyed in (("romm", True), ("valiant", True),
                               ("o1turn", True), ("dor", False),
                               ("bsor-dijkstra", False)):
@@ -852,7 +852,7 @@ class TestALoadedPlanIsNeverTrusted:
         when they cycle in a single network."""
         topology, flow_set = _mesh4_transpose()
         for seed in range(20):
-            config = dataclasses.replace(QUICK, seed=seed)
+            config = QUICK.with_seed(seed)
             plan = plan_routes("valiant", topology, flow_set, config)
             if not repro.faults.analyze_virtual_networks(
                     plan.route_set, {}).deadlock_free:
@@ -947,10 +947,9 @@ class TestWarmMeansZeroSolves:
     def test_warm_compare_matrix_is_byte_identical_and_plans_nothing(
             self, tmp_path, monkeypatch):
         def run(observer):
-            config = dataclasses.replace(QUICK, use_cache=True,
-                                         cache_dir=str(tmp_path))
             matrix = CompareMatrix(
-                config=config, observer=observer,
+                config=QUICK, runner=ExperimentRunner(cache=str(tmp_path)),
+                observer=observer,
                 criteria=SaturationCriteria.bounded(0.5, 2.5, 1.0))
             rows, report = matrix.run(
                 ["mesh4x4"], ["transpose"],

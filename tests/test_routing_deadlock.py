@@ -4,16 +4,15 @@ import pytest
 
 from repro.exceptions import DeadlockError
 from repro.routing import (
-    Route,
     RouteSet,
     analyze_route_set,
-    analyze_two_phase,
+    analyze_virtual_networks,
     check_deadlock_freedom,
     induced_cdg,
-    split_route_at,
 )
+from repro.simulator.simulation import phase_boundaries_from_intermediates
 from repro.topology import Mesh2D, Ring
-from repro.traffic import Flow, FlowSet
+from repro.traffic import FlowSet
 
 
 @pytest.fixture
@@ -68,23 +67,6 @@ class TestAnalysis:
         assert cdg.num_edges == 2
 
 
-class TestSplitRoute:
-    def test_split_at_intermediate(self, mesh3):
-        flow = Flow(0, 8, 1.0, name="f1")
-        route = Route(flow, tuple(
-            mesh3.channel(a, b) for a, b in [(0, 1), (1, 2), (2, 5), (5, 8)]
-        ))
-        first, second = split_route_at(route, 2)
-        assert len(first) == 2
-        assert len(second) == 2
-
-    def test_split_at_absent_node(self, mesh3):
-        flow = Flow(0, 2, 1.0, name="f1")
-        route = Route(flow, (mesh3.channel(0, 1), mesh3.channel(1, 2)))
-        with pytest.raises(DeadlockError):
-            split_route_at(route, 7)
-
-
 class TestTwoPhaseAnalysis:
     def test_phases_analysed_independently(self, mesh3):
         """A route set whose one-network CDG has a cycle can still be
@@ -109,9 +91,12 @@ class TestTwoPhaseAnalysis:
         single_network = analyze_route_set(routes)
         assert not single_network.deadlock_free
 
-        two_phase = analyze_two_phase(routes, intermediates)
+        two_phase = analyze_virtual_networks(
+            routes, phase_boundaries_from_intermediates(routes, intermediates))
         assert two_phase.deadlock_free
 
     def test_missing_intermediates_treated_as_single_phase(self, safe_mesh_routes):
-        report = analyze_two_phase(safe_mesh_routes, {})
+        report = analyze_virtual_networks(
+            safe_mesh_routes,
+            phase_boundaries_from_intermediates(safe_mesh_routes, {}))
         assert report.deadlock_free

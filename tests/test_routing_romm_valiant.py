@@ -7,8 +7,9 @@ from repro.routing import (
     O1TurnRouting,
     ROMMRouting,
     ValiantRouting,
-    analyze_two_phase,
+    analyze_virtual_networks,
 )
+from repro.simulator.simulation import phase_boundaries_from_intermediates
 from repro.topology import Mesh2D
 from repro.traffic import FlowSet, transpose, uniform_random
 
@@ -48,7 +49,9 @@ class TestROMM:
     def test_two_phase_deadlock_analysis(self, mesh4, transpose4):
         algorithm = ROMMRouting(seed=1)
         routes = algorithm.compute_routes(mesh4, transpose4)
-        report = analyze_two_phase(routes, algorithm.intermediates)
+        report = analyze_virtual_networks(
+            routes, phase_boundaries_from_intermediates(
+                routes, algorithm.intermediates))
         assert report.deadlock_free
 
     def test_invalid_phase_order(self):
@@ -86,7 +89,9 @@ class TestValiant:
     def test_two_phase_deadlock_analysis(self, mesh4, transpose4):
         algorithm = ValiantRouting(seed=1)
         routes = algorithm.compute_routes(mesh4, transpose4)
-        report = analyze_two_phase(routes, algorithm.intermediates)
+        report = analyze_virtual_networks(
+            routes, phase_boundaries_from_intermediates(
+                routes, algorithm.intermediates))
         assert report.deadlock_free
 
     def test_reproducible_with_seed(self, mesh4, transpose4):

@@ -34,11 +34,12 @@
 #                     a tracked speedup more than 20% below its best
 #                     recorded value fails the job (scripts/bench_trend.py)
 #   make report-smoke - run the smoke study to JSON and render it as the
-#                     single-file HTML report (pivots + channel-occupancy
-#                     heatmap), then do the same with a faulted
-#                     `compare --format json` document (saturation summary
-#                     + degradation table), to prove the report path end
-#                     to end
+#                     single-file HTML report (pivots + the channel-load
+#                     heatmap of its plan), then do the same with a
+#                     faulted `compare --format json` document (saturation
+#                     summary + degradation table + a heatmap column per
+#                     router and fault set, the degraded plans included),
+#                     to prove the report path end to end
 #   make serve-smoke - start a real `python -m repro serve` subprocess on
 #                     an ephemeral port, submit the smoke study cold,
 #                     resubmit it warm (must complete entirely from the
@@ -102,17 +103,18 @@ report-smoke:
 	$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast \
 		--no-cache --format json --output /tmp/repro-report-smoke.json \
 		--progress quiet
-	$(PYTHON) -m repro report /tmp/repro-report-smoke.json \
-		--cycles 128 --buckets 16 \
+	$(PYTHON) -m repro --no-cache report /tmp/repro-report-smoke.json \
 		--output /tmp/repro-report-smoke.html
-	@grep -q "channel occupancy" /tmp/repro-report-smoke.html
+	@grep -q "channel load</h2>" /tmp/repro-report-smoke.html
 	$(PYTHON) -m repro compare --profile quick --topology mesh4x4 \
 		--patterns transpose --routers dor,bsor-dijkstra \
 		--faults "none;link:5-6" --no-cache --progress quiet \
 		--format json --output /tmp/repro-report-smoke-compare.json
-	$(PYTHON) -m repro report /tmp/repro-report-smoke-compare.json \
-		--no-heatmap --output /tmp/repro-report-smoke-compare.html
+	$(PYTHON) -m repro --no-cache report /tmp/repro-report-smoke-compare.json \
+		--output /tmp/repro-report-smoke-compare.html
 	@grep -q "Degradation under faults" /tmp/repro-report-smoke-compare.html
+	@grep -q "<th class='col'>bsor-dijkstra / link:5-6</th>" \
+		/tmp/repro-report-smoke-compare.html
 	@echo "report-smoke: ok"
 
 serve-smoke:

@@ -9,8 +9,8 @@ pipeline of layers, each importable on its own:
   profiled applications, and run-time bandwidth variation models;
 * :mod:`repro.workloads` — the application-aware workload plane:
   :class:`AppGraph` task graphs with mesh/torus placement, a workload
-  registry (``decoder-pipeline``, ``fft-butterfly``, ...), injection-trace
-  capture with bit-identical replay, and bursty/hotspot modulation;
+  registry (``decoder-pipeline``, ``fft-butterfly``, ...) every
+  ``patterns:`` / ``--workload`` name is looked up in first;
 * :mod:`repro.cdg` / :mod:`repro.flowgraph` — acyclic channel-dependence
   graphs (turn models, ad hoc cycle breaking, VC expansion) and the flow
   networks derived from them;
@@ -158,15 +158,9 @@ from .simulator import (
 )
 from .workloads import (
     AppGraph,
-    BurstyInjection,
-    HotspotInjection,
-    InjectionTrace,
-    TraceInjectionProcess,
     available_workloads,
-    capture_simulation,
     create_workload,
     register_workload,
-    replay_simulation,
     workload_spec,
 )
 from .topology import Channel, Direction, Mesh2D, Ring, Topology, Torus2D, VirtualChannel
@@ -189,7 +183,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AppGraph",
     "BSORRouting",
-    "BurstyInjection",
     "CompareMatrix",
     "CDGError",
     "Channel",
@@ -209,8 +202,6 @@ __all__ = [
     "Flow",
     "FlowGraph",
     "FlowSet",
-    "HotspotInjection",
-    "InjectionTrace",
     "LinkFault",
     "MILPSelector",
     "Mesh2D",
@@ -244,7 +235,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "Torus2D",
-    "TraceInjectionProcess",
     "TrafficError",
     "TurnModel",
     "UnroutableFlowError",
@@ -261,7 +251,6 @@ __all__ = [
     "bit_complement",
     "bsor_dijkstra",
     "bsor_milp",
-    "capture_simulation",
     "check_deadlock_freedom",
     "create_router",
     "create_simulator",
@@ -277,7 +266,6 @@ __all__ = [
     "register_backend",
     "register_router",
     "register_workload",
-    "replay_simulation",
     "route_with_faults",
     "router_spec",
     "run_study",

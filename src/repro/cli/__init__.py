@@ -125,10 +125,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "validate":
         return run_validate_command(args)
-    if args.command == "report":
-        return run_report_command(args)
 
     apply_common_defaults(args)
+    if args.command == "report":
+        return run_report_command(args)
     # one observer per invocation: progress events go to stderr (a live
     # tty line, jsonl, or nothing) and are closed before returning so a
     # TtyObserver's in-place line never lingers under later output

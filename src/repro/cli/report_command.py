@@ -3,8 +3,10 @@
 ``python -m repro report results.json`` renders a saved result set (a
 ``repro run --format json`` study document or a bare row array) into the
 self-contained HTML page built by :mod:`repro.report`: latency and
-throughput pivots plus the channel-occupancy heatmap reconstructed from
-the injection-trace layer.
+throughput pivots plus the channel-load heatmap of the plans behind the
+rows.  The shared ``--profile`` / ``--cache-dir`` / ``--shared-cache-dir``
+/ ``--no-cache`` options (given before ``report``) override the embedded
+study's execution policy for planning them, as they do for ``run``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .common import config_overrides
 
 
 def add_report_options(parser: argparse.ArgumentParser) -> None:
@@ -25,30 +29,16 @@ def add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--title", default=None,
                         help="report title (default: derived from the "
                              "input file name)")
-    parser.add_argument("--cycles", type=int, default=256,
-                        help="injection-trace cycles behind the occupancy "
-                             "heatmap (default: %(default)s)")
-    parser.add_argument("--buckets", type=int, default=32,
-                        help="time buckets of the heatmap "
-                             "(default: %(default)s)")
-    parser.add_argument("--rate", type=float, default=None,
-                        help="offered rate to trace for the heatmap "
-                             "(default: the median rate in the results)")
     parser.add_argument("--no-heatmap", action="store_true",
-                        help="skip the channel-occupancy heatmap")
+                        help="skip the channel-load heatmap")
 
 
 def run_report_command(args: argparse.Namespace) -> int:
     from ..report import build_report
 
-    document = build_report(
-        args.results,
-        title=args.title,
-        num_cycles=args.cycles,
-        buckets=args.buckets,
-        offered_rate=args.rate,
-        with_heatmap=not args.no_heatmap,
-    )
+    document = build_report(args.results, title=args.title,
+                            with_heatmap=not args.no_heatmap,
+                            **config_overrides(args))
     if args.output == "-":
         sys.stdout.write(document)
         return 0

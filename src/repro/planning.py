@@ -173,9 +173,9 @@ def router_for(name: str, config, topology: Topology) -> RoutingAlgorithm:
 
     The one place an :class:`~repro.experiments.config.ExperimentConfig`
     turns into router options: each factory picks what it understands from
-    ``seed`` (ROMM / Valiant / O1TURN) and ``strategies`` / ``hop_slack`` /
-    ``milp_time_limit`` (BSOR).  *topology* is the intact one the CDG
-    strategies are chosen for.
+    ``seed`` (ROMM / Valiant / O1TURN), ``strategies`` (both BSOR
+    selectors) and ``hop_slack`` / ``milp_time_limit`` (BSOR-MILP alone).
+    *topology* is the intact one the CDG strategies are chosen for.
     """
     return router_spec(name).create(**_router_options(config, topology))
 

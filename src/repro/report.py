@@ -12,15 +12,18 @@ self-contained HTML page, every table written by
 * **saturation summaries** — one row per router for saturate-mode rows,
   and the :func:`~repro.study.resultset.degradation` table when they ran
   under faults;
-* **channel-occupancy heatmap** — a channels x time matrix fed from the
-  existing injection-trace layer (:mod:`repro.workloads.trace`): the
-  scenario's topology, pattern and routes are reconstructed from the row
-  tags, the injection process is drawn through a
-  :class:`~repro.workloads.trace.RecordingInjection`, and every injected
-  packet's flits are attributed to each channel along its route.  No
-  simulator run is needed — the heatmap shows *offered* occupancy, which
-  is precisely the quantity BSOR's bandwidth-sensitive route selection
-  balances.
+* **channel-load heatmap** — a channels x plans matrix: one column per
+  (scenario, router, fault set) of the first (topology, pattern) group,
+  the exact static load :meth:`~repro.routing.base.RouteSet.channel_loads`
+  of the plan behind the rows.  Each column is planned the way the study
+  ran it — its embedded spec resolved through
+  :func:`~repro.study.execute.resolve_config`, the scenario's seed and
+  mapping, the row's fault set — through
+  :func:`~repro.planning.plan_routes` and the runner's plan cache, so a
+  warm report solves nothing, and a column whose peak or average hop
+  count is not what its rows record is left out with a note.  No
+  simulator run is needed: the channel load is what BSOR's
+  bandwidth-sensitive route selection balances.
 
 Everything is inlined (styles, colors, data), so the report is one file
 that can be attached to an issue or archived next to the result JSON.  The
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +58,9 @@ INK = "#0b0b0b"
 INK_SECONDARY = "#52514e"
 INK_MUTED = "#898781"
 HAIRLINE = "#e1e0d9"
+
+#: The most heatmap columns one report draws; the rest are named in a note.
+MAX_HEATMAP_COLUMNS = 16
 
 
 # ----------------------------------------------------------------------
@@ -88,143 +95,173 @@ def load_result_rows(path: str) -> Tuple[ResultSet, Dict]:
 
 
 # ----------------------------------------------------------------------
-# the channel-occupancy heatmap (injection-trace layer, no simulator)
+# the channel-load heatmap (the plans behind the rows, no simulator)
 # ----------------------------------------------------------------------
 @dataclass
 class OccupancyHeatmap:
-    """A channels x time matrix of offered flit occupancy."""
+    """One plan's static channel load: a column of the report's heatmap.
+
+    ``loads[i]`` is the summed demand of every flow routed over channel
+    ``channel_labels[i]`` (:meth:`~repro.routing.base.RouteSet.channel_loads`)
+    for each channel at least one route uses, so the column's maximum is
+    the plan's maximum channel load, the quantity BSOR minimises.
+    """
 
     topology: str
     pattern: str
     router: str
-    offered_rate: float
-    num_cycles: int
-    buckets: int
-    channel_labels: List[str]
-    #: ``matrix[channel index][bucket]`` = flits offered to the channel
-    #: during the bucket's cycle window.
-    matrix: List[List[int]] = field(default_factory=list)
-    total_packets: int = 0
+    faults: str
+    channel_labels: List[str] = field(default_factory=list)
+    loads: List[float] = field(default_factory=list)
+    #: the plan's average hop count, which rows record next to its peak
+    average_hops: float = 0.0
+    #: the scenario of the rows, named only where several share a table
+    scenario: Optional[str] = None
 
     @property
-    def cycles_per_bucket(self) -> int:
-        return max(1, self.num_cycles // self.buckets)
+    def label(self) -> str:
+        prefix = f"{self.scenario}: " if self.scenario else ""
+        return f"{prefix}{self.router} / {self.faults}"
 
-    def max_value(self) -> int:
-        return max((value for row in self.matrix for value in row), default=0)
+    def max_value(self) -> float:
+        return max(self.loads, default=0.0)
 
 
 def occupancy_heatmap(topology_name: str, pattern: str, router: str,
-                      offered_rate: float, num_cycles: int = 256,
-                      buckets: int = 32, config=None) -> OccupancyHeatmap:
-    """Compute the offered channel occupancy of one scenario cell.
+                      offered_rate: Optional[float] = None, config=None,
+                      faults=None, cache=None) -> OccupancyHeatmap:
+    """The static channel load of one planned cell.
 
-    Reconstructs the topology, flow set and the router's route set from
-    the same vocabularies the comparison matrix uses, then draws the
-    injection process through a :class:`RecordingInjection` for
-    *num_cycles* cycles and attributes each injected packet's flits to
-    every channel along its flow's route, bucketed by injection cycle.
-    Pure trace-layer arithmetic: the simulator never runs.
+    Plans *router* for *pattern* on *topology_name* under *config* (the
+    default profile when ``None``) and *faults* through
+    :func:`~repro.planning.plan_routes`, answered from *cache* (a
+    :class:`~repro.runner.cache.ResultCache`) when it holds the plan, and
+    reads the planned route set's per-channel load.  The load is static:
+    it does not depend on *offered_rate*, which is accepted for callers
+    that pass one.
     """
     from .experiments.config import ExperimentConfig
+    from .faults import FaultSet
     from .planning import parse_topology, pattern_flow_set, plan_routes
-    from .simulator.injection import make_injection_process
-    from .workloads.trace import RecordingInjection
 
     config = config or ExperimentConfig()
     topology = parse_topology(topology_name)
     flow_set = pattern_flow_set(pattern, topology, config)
-    plan = plan_routes(router, topology, flow_set, config)
-    route_set = plan.route_set
-
-    recorder = RecordingInjection(make_injection_process(
-        flow_set, offered_rate,
-        variation_fraction=config.simulation.bandwidth_variation,
-        mean_dwell_cycles=config.simulation.variation_dwell_cycles,
-        seed=config.simulation.seed,
-    ))
-    for cycle in range(num_cycles):
-        recorder.counts_for_cycle(cycle)
-    trace = recorder.trace(num_cycles=num_cycles, workload=pattern)
-
-    # channel rows: every channel at least one route uses, in label order
-    used = sorted(
-        {channel for route in route_set.routes for channel in route.channels},
-        key=topology.channel_label,
-    )
-    index_of = {channel: index for index, channel in enumerate(used)}
-    flow_channels = [route_set.route_by_name(name).channels
-                     for name in trace.flow_names]
-    flits = config.simulation.packet_size_flits
-    buckets = max(1, min(buckets, num_cycles))
-    matrix = [[0] * buckets for _ in used]
-    for cycle, row in trace.counts.items():
-        bucket = min(cycle * buckets // num_cycles, buckets - 1)
-        for flow_index, count in row:
-            for channel in flow_channels[flow_index]:
-                matrix[index_of[channel]][bucket] += count * flits
+    fault_set = FaultSet.from_spec(faults)
+    plan = plan_routes(router, topology, flow_set, config, fault_set,
+                       cache=cache)
+    loads = plan.route_set.channel_loads()
+    used = sorted(loads, key=plan.topology.channel_label)
     return OccupancyHeatmap(
         topology=topology_name,
         pattern=pattern,
         router=plan.spec.name,
-        offered_rate=offered_rate,
-        num_cycles=num_cycles,
-        buckets=buckets,
-        channel_labels=[topology.channel_label(channel) for channel in used],
-        matrix=matrix,
-        total_packets=trace.total_packets(),
+        faults=fault_set.label(),
+        channel_labels=[plan.topology.channel_label(channel)
+                        for channel in used],
+        loads=[loads[channel] for channel in used],
+        average_hops=plan.route_set.average_hop_count(),
     )
 
 
-def heatmaps_for(results: ResultSet, num_cycles: int = 256,
-                 buckets: int = 32, offered_rate: Optional[float] = None,
-                 max_heatmaps: int = 4,
-                 ) -> Tuple[List[OccupancyHeatmap], List[str]]:
-    """The heatmaps a result set's first scenario group supports.
+def _disagreement(heatmap: OccupancyHeatmap,
+                  rows: Sequence[Dict]) -> Optional[str]:
+    """Why *rows* did not come from *heatmap*'s plan; ``None`` if they did.
 
-    Picks the first (topology, pattern) group and renders one heatmap per
-    router in it (capped at *max_heatmaps*, noting what was dropped) so
-    the channel-balance difference between routers — the paper's central
-    claim — is visible side by side.  Returns ``(heatmaps, notes)``;
-    reconstruction failures degrade to a note instead of failing the
-    whole report.
+    Every row's recorded ``max_channel_load`` and ``average_hops`` must be
+    the plan's: two route sets can share a peak and still differ.
     """
-    notes: List[str] = []
+    planned = {"maximum channel load": ("max_channel_load",
+                                        heatmap.max_value()),
+               "average hop count": ("average_hops", heatmap.average_hops)}
+    for row in rows:
+        for what, (column, value) in planned.items():
+            recorded = row.get(column)
+            if isinstance(recorded, (int, float)) \
+                    and not math.isclose(recorded, value):
+                return (f"{heatmap.label} not drawn: its plan's {what} is "
+                        f"{value:g} and its rows record {recorded:g}, so "
+                        f"they ran under other options (e.g. another "
+                        f"--profile) than the report planned with")
+    return None
+
+
+def heatmaps_for(results: ResultSet, study=None, **overrides
+                 ) -> Tuple[List[OccupancyHeatmap], List[str]]:
+    """The channel-load columns of a result set's first scenario group.
+
+    Picks the first (topology, pattern) group and plans one column per
+    (scenario, router, fault set) in it, capped at
+    :data:`MAX_HEATMAP_COLUMNS` with a note naming what was dropped, so the
+    channel balance of the routers — the paper's central claim — is
+    visible side by side.  Each column is planned the way its rows were:
+    the configuration comes from *study* (the document's embedded spec; a
+    default-policy study when ``None``) through
+    :func:`~repro.study.execute.resolve_config` with the *overrides*
+    (``profile=``, ``cache_dir=``, ...), plus the row scenario's ``seed`` /
+    ``mapping``, and the plan is looked up in the runner's cache.  Returns
+    ``(heatmaps, notes)``: a study that does not load, a column that cannot
+    be planned, or one whose plan is not the one its rows record (planned
+    under other options than the study ran with) becomes a note instead of
+    failing the whole report.
+    """
+    from .study.execute import resolve_config, scenario_config
+    from .study.spec import Study
+
     rows = results.rows
     if not rows:
-        return [], ["no result rows; nothing to reconstruct"]
+        return [], ["no result rows; nothing to plan"]
+    try:
+        spec = Study("report") if study is None else Study.from_dict(study)
+        config, runner = resolve_config(spec, **overrides)
+    except ReproError as error:
+        return [], [f"no channel-load heatmap: the document's study does "
+                    f"not load ({type(error).__name__}: {error})"]
+    scenarios = {scenario.name: scenario for scenario in spec.scenarios}
+    default_topology = f"mesh{config.mesh_size}x{config.mesh_size}"
     first = rows[0]
-    topology = first.get("topology") or "mesh8x8"
+    topology = first.get("topology") or default_topology
     pattern = first.get("pattern") or first.get("workload") or "transpose"
-    group = [row for row in rows
-             if (row.get("topology") or "mesh8x8") == topology
-             and (row.get("pattern") or row.get("workload")) == pattern]
-    routers: List[str] = []
-    for row in group:
+    # the rows of each (scenario, router, fault set) column, in row order
+    columns: Dict[Tuple[Optional[str], str, str], List[Dict]] = {}
+    for row in rows:
         name = row.get("router") or row.get("algorithm")
-        if name and name not in routers:
-            routers.append(name)
-    if not routers:
+        if name and (row.get("topology") or default_topology) == topology \
+                and (row.get("pattern") or row.get("workload")) == pattern:
+            columns.setdefault((row.get("scenario"), name,
+                                row.get("faults") or "none"), []).append(row)
+    if not columns:
         return [], [f"rows for {topology}/{pattern} carry no router tag; "
-                    f"skipping the occupancy heatmap"]
-    if len(routers) > max_heatmaps:
-        notes.append(f"{len(routers) - max_heatmaps} more router(s) not "
-                     f"shown: {', '.join(routers[max_heatmaps:])}")
-        routers = routers[:max_heatmaps]
-    if offered_rate is None:
-        rates = sorted({row.get("offered_rate") for row in group
-                        if isinstance(row.get("offered_rate"), (int, float))})
-        offered_rate = rates[len(rates) // 2] if rates else 2.0
+                    f"skipping the channel-load heatmap"]
+    several = len({scenario for scenario, _, _ in columns}) > 1
+    notes: List[str] = []
+    if len(columns) > MAX_HEATMAP_COLUMNS:
+        dropped = [f"{scenario}: {router} / {faults}" if several
+                   else f"{router} / {faults}"
+                   for scenario, router, faults
+                   in list(columns)[MAX_HEATMAP_COLUMNS:]]
+        notes.append(f"{len(dropped)} more column(s) not shown: "
+                     f"{', '.join(dropped)}")
     heatmaps: List[OccupancyHeatmap] = []
-    for router in routers:
+    for (scenario, router, faults), column in \
+            list(columns.items())[:MAX_HEATMAP_COLUMNS]:
         try:
-            heatmaps.append(occupancy_heatmap(
-                topology, pattern, router, offered_rate,
-                num_cycles=num_cycles, buckets=buckets,
-            ))
+            heatmap = occupancy_heatmap(
+                topology, pattern, router,
+                config=config if scenario not in scenarios
+                else scenario_config(scenarios[scenario], config),
+                faults=faults, cache=runner.cache)
         except ReproError as error:
-            notes.append(f"no heatmap for {router} on {topology}/{pattern}: "
-                         f"{error}")
+            notes.append(f"no heatmap column for {router} / {faults} on "
+                         f"{topology}/{pattern}: {error}")
+            continue
+        if several:
+            heatmap.scenario = scenario
+        disagreement = _disagreement(heatmap, column)
+        if disagreement is not None:
+            notes.append(disagreement)
+            continue
+        heatmaps.append(heatmap)
     return heatmaps, notes
 
 
@@ -244,31 +281,32 @@ def _ramp_color(value: float, maximum: float) -> str:
     return SEQUENTIAL_RAMP[index]
 
 
-def _render_heatmap(heatmap: OccupancyHeatmap) -> str:
-    maximum = heatmap.max_value()
-    per = heatmap.cycles_per_bucket
+def _render_heatmap(heatmaps: Sequence[OccupancyHeatmap]) -> str:
+    """One channels x plans table: a column per heatmap, one color scale."""
+    first = heatmaps[0]
+    maximum = max(heatmap.max_value() for heatmap in heatmaps)
+    labels = sorted({label for heatmap in heatmaps
+                     for label in heatmap.channel_labels})
+    columns = [dict(zip(heatmap.channel_labels, heatmap.loads))
+               for heatmap in heatmaps]
     parts = [
         "<div class='heatmap-block'>",
-        f"<h3>{_esc(heatmap.router)} on {_esc(heatmap.topology)} / "
-        f"{_esc(heatmap.pattern)}</h3>",
-        f"<p class='note'>offered flits per channel per {per}-cycle window "
-        f"at rate {heatmap.offered_rate:g} packets/cycle; "
-        f"{heatmap.total_packets} packets over {heatmap.num_cycles} cycles "
-        f"(injection trace only, no simulation). Peak window: "
-        f"{maximum} flits.</p>",
+        f"<h3>{_esc(first.topology)} / {_esc(first.pattern)}</h3>",
+        f"<p class='note'>summed flow demand per channel of each plan "
+        f"(router / fault set); a column's peak is its maximum channel "
+        f"load. Peak: {maximum:g}.</p>",
         "<table class='heatmap'><thead><tr><th>channel</th>",
     ]
-    for bucket in range(heatmap.buckets):
-        parts.append(f"<th class='t'>{bucket * per}</th>")
+    for heatmap in heatmaps:
+        parts.append(f"<th class='col'>{_esc(heatmap.label)}</th>")
     parts.append("</tr></thead><tbody>")
-    for label, row in zip(heatmap.channel_labels, heatmap.matrix):
+    for label in labels:
         parts.append(f"<tr><th>{_esc(label)}</th>")
-        for bucket, value in enumerate(row):
-            color = _ramp_color(value, maximum)
-            start = bucket * per
-            tooltip = (f"{label}: {value} flits in cycles "
-                       f"{start}-{start + per - 1}")
-            parts.append(f"<td class='cell' style='background:{color}' "
+        for heatmap, loads in zip(heatmaps, columns):
+            value = loads.get(label, 0.0)
+            tooltip = f"{label} under {heatmap.label}: {value:g}"
+            parts.append(f"<td class='cell' "
+                         f"style='background:{_ramp_color(value, maximum)}' "
                          f"title='{_esc(tooltip)}'></td>")
         parts.append("</tr>")
     parts.append("</tbody></table>")
@@ -277,13 +315,15 @@ def _render_heatmap(heatmap: OccupancyHeatmap) -> str:
     for color in SEQUENTIAL_RAMP:
         parts.append(f"<span class='swatch' style='background:{color}'>"
                      f"</span>")
-    parts.append(f"<span>{maximum} flits</span></div>")
+    parts.append(f"<span>{maximum:g}</span></div>")
     parts.append("<details><summary>table view</summary>")
-    starts = [str(bucket * per) for bucket in range(heatmap.buckets)]
+    names = [heatmap.label for heatmap in heatmaps]
     parts.append(ResultSet(
-        [{"channel": label, **dict(zip(starts, row))}
-         for label, row in zip(heatmap.channel_labels, heatmap.matrix)],
-        columns=["channel"] + starts,
+        [{"channel": label,
+          **{name: loads.get(label, 0.0)
+             for name, loads in zip(names, columns)}}
+         for label in labels],
+        columns=["channel"] + names,
     ).to_html())
     parts.append("</details></div>")
     return "".join(parts)
@@ -391,13 +431,13 @@ th, td {{
 }}
 th {{ color: {INK_SECONDARY}; font-weight: 600; }}
 td {{ font-variant-numeric: tabular-nums; }}
-table.heatmap th.t {{
+table.heatmap th.col {{
   font-size: 0.6rem; color: {INK_MUTED}; padding: 0.1rem 0.15rem;
-  border: none;
+  border: none; max-width: 6rem; vertical-align: bottom;
 }}
 table.heatmap th {{ border: none; text-align: left; font-size: 0.7rem; }}
 table.heatmap td.cell {{
-  width: 14px; height: 14px; padding: 0; border: 1px solid {SURFACE};
+  width: 3rem; height: 14px; padding: 0; border: 1px solid {SURFACE};
 }}
 table.heatmap td.cell:hover {{ outline: 2px solid {INK}; }}
 .legend {{
@@ -415,7 +455,9 @@ def render_report(results: ResultSet, title: str = "repro run report",
                   heatmaps: Sequence[OccupancyHeatmap] = (),
                   notes: Sequence[str] = ()) -> str:
     """Render rows (plus optional heatmaps) as one self-contained page."""
-    study = (metadata or {}).get("study") or {}
+    study = (metadata or {}).get("study")
+    if not isinstance(study, dict):
+        study = {}  # a bare row array, or a study that is not a spec
     subtitle_bits = [f"{len(results)} result row(s)"]
     if source:
         subtitle_bits.append(f"from {source}")
@@ -430,13 +472,13 @@ def render_report(results: ResultSet, title: str = "repro run report",
     body.extend(_sweep_sections(results))
     body.extend(_saturate_sections(results))
     if heatmaps:
-        body.append("<section><h2>channel occupancy</h2>"
-                    "<p class='note'>Offered flit load per channel over "
-                    "time, reconstructed from the injection-trace layer — "
-                    "lower, flatter rows mean better channel balance, "
-                    "which is what BSOR's bandwidth-sensitive route "
-                    "selection optimizes.</p>")
-        body.extend(_render_heatmap(heatmap) for heatmap in heatmaps)
+        body.append("<section><h2>channel load</h2>"
+                    "<p class='note'>The static load of every channel "
+                    "under the route plan behind the rows — a lower, "
+                    "flatter column means better channel balance, which "
+                    "is what BSOR's bandwidth-sensitive route selection "
+                    "optimizes.</p>")
+        body.append(_render_heatmap(heatmaps))
         body.append("</section>")
     for note in notes:
         body.append(f"<p class='note'>note: {_esc(note)}</p>")
@@ -448,17 +490,20 @@ def render_report(results: ResultSet, title: str = "repro run report",
 
 
 def build_report(path: str, title: Optional[str] = None,
-                 num_cycles: int = 256, buckets: int = 32,
-                 offered_rate: Optional[float] = None,
-                 with_heatmap: bool = True) -> str:
-    """Load a result file and render the full HTML report for it."""
+                 with_heatmap: bool = True, **overrides) -> str:
+    """Load a result file and render the full HTML report for it.
+
+    *overrides* are :func:`~repro.study.execute.resolve_config` keywords
+    (``profile=``, ``cache=``, ``cache_dir=``, ...) for planning the
+    channel-load heatmap; they take precedence over the embedded study's
+    execution policy, as they do for ``repro run``.
+    """
     results, metadata = load_result_rows(path)
     heatmaps: List[OccupancyHeatmap] = []
     notes: List[str] = []
     if with_heatmap:
-        heatmaps, notes = heatmaps_for(results, num_cycles=num_cycles,
-                                       buckets=buckets,
-                                       offered_rate=offered_rate)
+        heatmaps, notes = heatmaps_for(results, metadata.get("study"),
+                                       **overrides)
     return render_report(
         results,
         title=title or f"repro report: {os.path.basename(path)}",
@@ -471,6 +516,7 @@ def build_report(path: str, title: Optional[str] = None,
 
 __all__ = [
     "SEQUENTIAL_RAMP",
+    "MAX_HEATMAP_COLUMNS",
     "OccupancyHeatmap",
     "load_result_rows",
     "occupancy_heatmap",

@@ -195,8 +195,9 @@ class BSORRouting(RoutingAlgorithm):
         physical channels (dynamic VC allocation at run time); >1 statically
         allocates a VC per hop.
     hop_slack:
-        Extra hops beyond minimal allowed to each flow (MILP) or a bias on
-        the Dijkstra weight towards short paths (larger ``m_constant``).
+        Extra hops beyond minimal allowed to each flow by the MILP
+        selector; the Dijkstra selector has no hop bound and ignores it
+        (a larger ``m_constant`` is what favours its short paths).
     capacities:
         Optional channel capacities forwarded to the flow graphs.
     milp_time_limit:

@@ -277,10 +277,12 @@ def _make_bsor_milp(*, strategies=None, hop_slack: int = 2,
         "selection proceeds."
     ),
 )
-def _make_bsor_dijkstra(*, strategies=None, hop_slack: int = 2,
+def _make_bsor_dijkstra(*, strategies=None,
                         num_vcs: int = 1) -> RoutingAlgorithm:
+    # no hop_slack: the Dijkstra selector has no hop bound, and an option
+    # the factory takes is part of the plan key
     return BSORRouting(selector="dijkstra", strategies=strategies,
-                       hop_slack=hop_slack, num_vcs=num_vcs)
+                       num_vcs=num_vcs)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The simulator-backend registry: every kernel behind one named factory.
 
 The simulator is the system's innermost loop — every sweep point of every
-figure, saturation search and workload replay runs through it — so the
+figure and saturation search runs through it — so the
 kernel executing a run is a first-class, **pluggable** choice, exactly like
 the routing algorithm is in :mod:`repro.routing.registry` (whose design this
 module mirrors: canonical slugs, aliases, duplicate rejection, did-you-mean
@@ -144,9 +144,9 @@ def create_simulator(topology: Topology, route_set: RouteSet,
 
     The backend is resolved from the explicit *backend* argument when given,
     otherwise from ``config.backend``; either accepts any registered name or
-    alias.  This is the single construction point the simulation driver,
-    the trace capture/replay helpers and the profiling CLI all go through,
-    so ``SimulationConfig.backend`` selects the kernel everywhere at once.
+    alias.  This is the single construction point the simulation driver
+    and the profiling CLI both go through, so ``SimulationConfig.backend``
+    selects the kernel everywhere at once.
     An optional non-empty *fault_schedule* arms mid-run link failures.
     """
     spec = backend_spec(backend if backend is not None else config.backend)

@@ -30,8 +30,8 @@ order-independence) plus one more: for plain Bernoulli injection the
 per-cycle random draws are bulk-precomputed by transplanting the Python
 ``random.Random`` Mersenne-Twister state into ``numpy.random.RandomState``
 — both generate doubles from the same MT19937 words, so the vectorized
-stream is bit-for-bit the scalar stream.  Modulated, trace-replay and
-recording injection processes keep drawing through the shared scalar path.
+stream is bit-for-bit the scalar stream.  Modulated injection processes
+keep drawing through the shared scalar path.
 
 Faults are masked per lane: a :class:`~repro.faults.FailureSchedule` kills
 flows lane-locally (fail-stop with flit loss, as the scalar kernels), and a
@@ -404,9 +404,9 @@ class BatchSimulator:
         Python ``random.Random`` MT19937 state is transplanted into a
         ``numpy.random.RandomState`` (both turn the same 624 key words into
         the same 53-bit doubles), so the bulk stream is bit-for-bit the
-        stream the scalar kernels consume.  Any other process — modulated,
-        trace replay, recording wrappers — draws through the scalar
-        ``injection_events`` path, one cycle at a time.
+        stream the scalar kernels consume.  Any other process (the
+        modulated one) draws through the scalar ``injection_events`` path,
+        one cycle at a time.
         """
         self._plans = []
         for lane, injection in enumerate(self.injections):

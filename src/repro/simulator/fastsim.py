@@ -41,8 +41,8 @@ randomness, drawn in the same order), which is what makes the two kernels
 produce field-for-field identical :class:`SimulationStatistics` and
 ``flit_audit`` ledgers — asserted by ``tests/test_backend_differential.py``
 across every registered router, meshes, tori, synthetic and application
-workloads, and trace replays.  Two ordering details carry the proof: the
-contender *count* feeds the round-robin modulus, so the persistent lists
+workloads, and degraded topologies.  Two ordering details carry the proof:
+the contender *count* feeds the round-robin modulus, so the persistent lists
 contain exactly the contenders the reference kernel would collect (network
 buffers in flat-index order, then the per-node injection rotations); and a
 single-flow node's rotation pointer is never observable (any value modulo

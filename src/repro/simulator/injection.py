@@ -81,9 +81,9 @@ class InjectionProcess:
         """Sparse form of :meth:`counts_for_cycle`: ``(flow index, count)``
         pairs for the flows that inject this cycle, in flow-set order.
 
-        The default derives from :meth:`counts_for_cycle`, so wrappers that
-        intercept the dense call (e.g. the trace recorder) keep observing
-        every draw; subclasses override it when they can produce the sparse
+        The default derives from :meth:`counts_for_cycle`, so a subclass
+        that only defines the dense call gets the sparse one for free;
+        subclasses override it when they can produce the sparse
         form directly with the *same* random-draw sequence — the fast
         simulator backend consumes this, and bit-identity across backends
         requires the stream to be unchanged.

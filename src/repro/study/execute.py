@@ -179,8 +179,9 @@ def resolve_config(study: Study, *, workers: Optional[int] = None,
     return config, runner
 
 
-def _scenario_config(scenario: Scenario,
-                     config: ExperimentConfig) -> ExperimentConfig:
+def scenario_config(scenario: Scenario,
+                    config: ExperimentConfig) -> ExperimentConfig:
+    """*config* under *scenario*'s own ``mapping`` / ``seed`` overrides."""
     if scenario.mapping is not None:
         config = dataclasses.replace(config, mapping_strategy=scenario.mapping)
     if scenario.seed is not None:
@@ -275,7 +276,7 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig,
     ``config.simulation.seed``, so it reaches the routers, the application
     placement and the injection process, and every key those feed).
     """
-    config = _scenario_config(scenario, config)
+    config = scenario_config(scenario, config)
     if scenario.mode == "saturate":
         return _run_saturate_scenario(scenario, config, runner)
     rows, report = _run_sweep_scenario(scenario, config, runner)
@@ -316,7 +317,7 @@ def run_study(study: Study, *, workers: Optional[int] = None,
                                                          runner)
         results = results.merged(scenario_results)
         report.merge(scenario_report)
-    ran = {_scenario_config(scenario, config) for scenario in study.scenarios}
+    ran = {scenario_config(scenario, config) for scenario in study.scenarios}
     return StudyResult(
         study=study,
         results=results,

@@ -1,4 +1,4 @@
-"""Application-aware workloads: task graphs, trace replay, modulation.
+"""Application-aware workloads: task graphs and their registry.
 
 This package is the workload plane of the reproduction — everything that
 decides *what* traffic the routers are evaluated on:
@@ -11,12 +11,7 @@ decides *what* traffic the routers are evaluated on:
   ``hotspot-server``, plus the paper's three profiled applications);
 * :mod:`repro.workloads.registry` — registry-style discovery mirroring
   :mod:`repro.routing.registry`; drives the comparison engine's
-  ``--workloads`` axis and the generated ``docs/workloads-guide.md``;
-* :mod:`repro.workloads.trace` — injection-trace capture
-  (:func:`capture_simulation`) and bit-identical replay
-  (:func:`replay_simulation`, :class:`TraceInjectionProcess`);
-* :mod:`repro.workloads.modulation` — bursty (on/off Markov) and hotspot
-  injection modulation usable around any pattern.
+  ``--workloads`` axis and the generated ``docs/workloads-guide.md``.
 """
 
 from .appgraph import MAPPING_STRATEGIES, AppGraph, AppTask
@@ -29,7 +24,6 @@ from .library import (
     perf_modeling_app,
     transmitter_app,
 )
-from .modulation import BurstyInjection, HotspotInjection, modulated_process
 from .registry import (
     WorkloadSpec,
     available_workloads,
@@ -41,26 +35,13 @@ from .registry import (
     workload_spec,
     workload_specs,
 )
-from .trace import (
-    InjectionTrace,
-    RecordingInjection,
-    TraceInjectionProcess,
-    capture_simulation,
-    replay_simulation,
-)
 
 __all__ = [
     "AppGraph",
     "AppTask",
-    "BurstyInjection",
-    "HotspotInjection",
-    "InjectionTrace",
     "MAPPING_STRATEGIES",
-    "RecordingInjection",
-    "TraceInjectionProcess",
     "WorkloadSpec",
     "available_workloads",
-    "capture_simulation",
     "create_workload",
     "decoder_pipeline",
     "fft_butterfly",
@@ -68,11 +49,9 @@ __all__ = [
     "hotspot_server",
     "is_registered_workload",
     "map_reduce",
-    "modulated_process",
     "perf_modeling_app",
     "register_workload",
     "render_workloads_guide",
-    "replay_simulation",
     "transmitter_app",
     "workload_flow_set",
     "workload_spec",

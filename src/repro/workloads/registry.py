@@ -119,7 +119,7 @@ def render_workloads_guide() -> str:
         "(`python -m repro compare --workloads ...`) and this guide are "
         "both driven by that registry, so the table below is always the "
         "full set.  See `docs/tutorial.md` for defining your own "
-        "`AppGraph` and for capturing / replaying injection traces.",
+        "`AppGraph`.",
         "",
         "| Name | Aliases | Tasks | Flows | Default mapping | Summary |",
         "| --- | --- | --- | --- | --- | --- |",

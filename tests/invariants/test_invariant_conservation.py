@@ -18,11 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.routing.registry import create_router
 from repro.simulator import NetworkSimulator, SimulationConfig
-from repro.simulator.injection import make_injection_process
+from repro.simulator.injection import (
+    ModulatedInjection,
+    make_injection_process,
+)
 from repro.simulator.simulation import phase_boundaries_for
 from repro.topology import Mesh2D
 from repro.traffic import synthetic_by_name
-from repro.workloads import BurstyInjection, workload_flow_set
+from repro.workloads import workload_flow_set
 
 
 def _simulator(router_name: str, flows, mesh, offered_rate: float,
@@ -81,8 +84,14 @@ def test_flit_conservation_under_source_drops_and_overload(drop):
 def test_flit_conservation_with_bursty_workload_injection():
     mesh = Mesh2D(4)
     flows = workload_flow_set("decoder-pipeline", mesh)
+
+    def bursty(flow_set, offered_rate, seed):
+        # each flow's rate swings between about 0x and 2x its demand share
+        return ModulatedInjection(flow_set, offered_rate, 1.0,
+                                  mean_dwell_cycles=40, seed=seed)
+
     simulator = _simulator("bsor-dijkstra", flows, mesh, offered_rate=2.0,
-                           seed=7, injection_cls=BurstyInjection)
+                           seed=7, injection_cls=bursty)
     for stop in (13, 57, 250, 700):
         while simulator.cycle < stop:
             simulator.step()

@@ -478,6 +478,13 @@ class TestPlanKey:
         longer = dataclasses.replace(QUICK, milp_time_limit=20.0)
         assert self._cached_under(tmp_path, longer, router="bsor-dijkstra")
 
+    def test_the_hop_slack_is_for_the_router_that_takes_it(self, tmp_path):
+        # Dijkstra has no hop bound: a changed slack is the same plan
+        slacker = dataclasses.replace(QUICK, hop_slack=0)
+        assert not self._cached_under(tmp_path / "milp", slacker)
+        assert self._cached_under(tmp_path / "dijkstra", slacker,
+                                  router="bsor-dijkstra")
+
     def test_router_faults_demand_and_flow_order_are(self, tmp_path):
         topology, flow_set = _mesh4_transpose()
         flows = list(flow_set)
@@ -1045,19 +1052,17 @@ class TestEveryFrontEndPlansOnTheSameStrategySet:
         from repro.report import occupancy_heatmap
 
         heatmap = occupancy_heatmap("mesh4x4", "transpose", "bsor-dijkstra",
-                                    1.0, num_cycles=32, buckets=4,
-                                    config=FULL)
+                                    1.0, config=FULL)
         topology = expected.topology
-        used = {channel for route in expected.routes
-                for channel in route.channels}
-        assert heatmap.channel_labels == [
-            topology.channel_label(channel)
-            for channel in sorted(used, key=topology.channel_label)]
+        loads = expected.channel_loads()
+        used = sorted(loads, key=topology.channel_label)
+        assert heatmap.channel_labels == [topology.channel_label(channel)
+                                          for channel in used]
+        assert heatmap.loads == [loads[channel] for channel in used]
         paper = occupancy_heatmap("mesh4x4", "transpose", "bsor-dijkstra",
-                                  1.0, num_cycles=32, buckets=4,
-                                  config=QUICK)
-        assert (heatmap.channel_labels, heatmap.matrix) != \
-            (paper.channel_labels, paper.matrix)
+                                  1.0, config=QUICK)
+        assert (heatmap.channel_labels, heatmap.loads) != \
+            (paper.channel_labels, paper.loads)
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,9 @@
 #                     resubmit it warm (must complete entirely from the
 #                     result cache, byte-identical document), and shut the
 #                     server down cleanly (scripts/serve_smoke.py)
+#   make reach      - list, per module, the function lines of src/repro
+#                     that no front door enters (scripts/reach.py; several
+#                     minutes, so not part of check)
 #   make links      - fail on broken relative links in README.md / docs/
 #   make docs       - regenerate docs/api/*.md, docs/routing-guide.md and
 #                     docs/workloads-guide.md
@@ -61,7 +64,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 #: Minimum line coverage (percent) the full CI job enforces.
 COVERAGE_FLOOR ?= 75
 
-.PHONY: test test-fast test-faults coverage smoke smoke-cli bench bench-smoke bench-trend report-smoke serve-smoke links docs docs-check check clean-cache
+.PHONY: test test-fast test-faults coverage smoke smoke-cli bench bench-smoke bench-trend report-smoke serve-smoke reach links docs docs-check check clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -119,6 +122,9 @@ report-smoke:
 
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
+
+reach:
+	$(PYTHON) scripts/reach.py
 
 links:
 	$(PYTHON) scripts/check_links.py

@@ -27,9 +27,10 @@ pipeline of layers, each importable on its own:
   saturation-throughput search over a (topology x pattern x router)
   matrix, driven by the routing registry and the runner (the engine of
   ``saturate`` scenarios and ``python -m repro compare``);
-* :mod:`repro.experiments` / :mod:`repro.metrics` — the figure and table
-  of tables that regenerate the evaluation chapter (figures are sweep
-  scenarios, tables are route plans), and the statistics containers;
+* :mod:`repro.experiments` / :mod:`repro.metrics` — the figures and
+  tables that regenerate the evaluation chapter (figures are sweep
+  scenarios, tables are route plans), the channel-load report and the
+  simulation statistics containers;
 * :mod:`repro.study` — the declarative front door: serializable
   :class:`Study` specs (YAML/JSON or fluent Python) executed through one
   path into a tagged, queryable :class:`ResultSet` — the one result
@@ -108,13 +109,12 @@ from .compare import (
     SaturationSearch,
     find_saturation,
 )
-from .flowgraph import ChannelCapacities, FlowGraph
+from .flowgraph import FlowGraph
 from .metrics import (
     SimulationStatistics,
     SweepCurve,
     SweepPoint,
     load_report,
-    maximum_channel_load,
 )
 from .routing import (
     BSORRouting,
@@ -130,8 +130,6 @@ from .routing import (
     XYRouting,
     YXRouting,
     available_routers,
-    bsor_dijkstra,
-    bsor_milp,
     check_deadlock_freedom,
     create_router,
     paper_strategies,
@@ -186,7 +184,6 @@ __all__ = [
     "CompareMatrix",
     "CDGError",
     "Channel",
-    "ChannelCapacities",
     "ChannelDependenceGraph",
     "CyclicCDGError",
     "DeadlockError",
@@ -249,8 +246,6 @@ __all__ = [
     "application_by_name",
     "backend_spec",
     "bit_complement",
-    "bsor_dijkstra",
-    "bsor_milp",
     "check_deadlock_freedom",
     "create_router",
     "create_simulator",
@@ -260,7 +255,6 @@ __all__ = [
     "h264_decoder",
     "load_report",
     "map_onto_mesh",
-    "maximum_channel_load",
     "paper_strategies",
     "performance_modeling",
     "register_backend",

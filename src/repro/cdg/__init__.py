@@ -1,12 +1,6 @@
 """Channel-dependence-graph construction and cycle breaking."""
 
-from .acyclic import (
-    break_cycles_up_down,
-    ad_hoc_cdg,
-    break_cycles_dfs,
-    break_cycles_randomly,
-    minimum_removal_lower_bound,
-)
+from .acyclic import ad_hoc_cdg, break_cycles_up_down
 from .cdg import (
     ChannelDependenceGraph,
     Resource,
@@ -41,14 +35,11 @@ __all__ = [
     "ad_hoc_cdg",
     "allowed_turns",
     "apply_turn_model",
-    "break_cycles_dfs",
     "break_cycles_up_down",
-    "break_cycles_randomly",
     "cdg_from_routes",
     "dependence_count_by_turn",
     "dor_cdg",
     "expanded_cdg",
-    "minimum_removal_lower_bound",
     "prohibited_edges",
     "prohibited_turns",
     "route_vc_profile",

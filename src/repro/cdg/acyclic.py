@@ -1,4 +1,4 @@
-"""Ad hoc / random cycle breaking for channel dependence graphs.
+"""Ad hoc cycle breaking for channel dependence graphs.
 
 Besides the systematic turn models, the paper breaks CDG cycles "in an ad hoc
 or random fashion" (Figure 3-4): typically more dependence edges have to be
@@ -8,114 +8,18 @@ include two ad hoc CDGs ("Ad Hoc 1" and "Ad Hoc 2") alongside the turn-model
 ones, and for several workloads an ad hoc CDG attains the overall minimum
 MCL.
 
-Two strategies are provided:
-
-* :func:`break_cycles_randomly` — repeatedly find a cycle and delete a random
-  edge of it.  Simple and faithful to "random fashion", but may remove more
-  edges than necessary.
-* :func:`break_cycles_dfs` — run a depth-first search from a randomised
-  vertex order and delete every back edge.  Deterministic for a given seed,
-  usually close to a minimal feedback arc set in practice.
-
-Both accept a seed so that "Ad Hoc 1" and "Ad Hoc 2" are reproducible.
+The ad hoc CDGs come from :func:`break_cycles_up_down`: a seeded up*/down*
+ordering of the nodes, which keeps every node pair routable.  The seed makes
+"Ad Hoc 1" and "Ad Hoc 2" reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..exceptions import CDGError
 from ..topology.base import Topology
-from .cdg import ChannelDependenceGraph, Resource
-
-
-def break_cycles_randomly(cdg: ChannelDependenceGraph, seed: Optional[int] = None,
-                          in_place: bool = False,
-                          max_iterations: Optional[int] = None) -> ChannelDependenceGraph:
-    """Break every cycle by repeatedly deleting a random edge of some cycle.
-
-    Parameters
-    ----------
-    seed:
-        Seed of the random choice of which cycle edge to delete.
-    max_iterations:
-        Safety bound on the number of deletions; defaults to the number of
-        edges (which always suffices, since each deletion removes an edge).
-    """
-    result = cdg if in_place else cdg.copy(name=f"{cdg.name}/adhoc-random-{seed}")
-    rng = random.Random(seed)
-    limit = max_iterations if max_iterations is not None else result.num_edges
-    iterations = 0
-    while True:
-        cycle = result.find_cycle()
-        if cycle is None:
-            return result
-        if iterations >= limit:
-            raise CDGError(
-                f"cycle breaking did not converge within {limit} deletions"
-            )
-        # networkx returns cycle edges either as (u, v) or (u, v, direction);
-        # normalise to the (u, v) pair before deleting.
-        raw = rng.choice(cycle)
-        upstream, downstream = raw[0], raw[1]
-        result.remove_edge(upstream, downstream)
-        iterations += 1
-
-
-def break_cycles_dfs(cdg: ChannelDependenceGraph, seed: Optional[int] = None,
-                     in_place: bool = False) -> ChannelDependenceGraph:
-    """Break cycles by deleting the back edges of a randomised DFS.
-
-    A depth-first search that never follows an edge into a vertex currently
-    on the DFS stack visits every vertex; the skipped ("back") edges form a
-    feedback arc set, so deleting them leaves an acyclic graph.  Randomising
-    the vertex and successor order with *seed* yields different ad hoc CDGs.
-    """
-    result = cdg if in_place else cdg.copy(name=f"{cdg.name}/adhoc-dfs-{seed}")
-    rng = random.Random(seed)
-    graph = result.graph
-
-    vertices: List[Resource] = list(graph.nodes)
-    rng.shuffle(vertices)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {vertex: WHITE for vertex in vertices}
-    back_edges: List[Tuple[Resource, Resource]] = []
-
-    for root in vertices:
-        if color[root] != WHITE:
-            continue
-        # Iterative DFS with an explicit stack of (vertex, iterator) frames to
-        # avoid Python recursion limits on large CDGs (an 8x8 mesh with 8 VCs
-        # has 1792 vertices).
-        successors = list(graph.successors(root))
-        rng.shuffle(successors)
-        stack: List[Tuple[Resource, List[Resource], int]] = [(root, successors, 0)]
-        color[root] = GRAY
-        while stack:
-            vertex, succ, index = stack.pop()
-            advanced = False
-            while index < len(succ):
-                nxt = succ[index]
-                index += 1
-                if color[nxt] == GRAY:
-                    back_edges.append((vertex, nxt))
-                    continue
-                if color[nxt] == WHITE:
-                    stack.append((vertex, succ, index))
-                    color[nxt] = GRAY
-                    nxt_succ = list(graph.successors(nxt))
-                    rng.shuffle(nxt_succ)
-                    stack.append((nxt, nxt_succ, 0))
-                    advanced = True
-                    break
-            if not advanced and index >= len(succ):
-                color[vertex] = BLACK
-
-    result.remove_edges(back_edges)
-    result.require_acyclic()
-    return result
+from .cdg import ChannelDependenceGraph
 
 
 def break_cycles_up_down(cdg: ChannelDependenceGraph, seed: Optional[int] = None,
@@ -135,10 +39,9 @@ def break_cycles_up_down(cdg: ChannelDependenceGraph, seed: Optional[int] = None
       path up to the root followed by the tree path down to the destination
       only ever uses up channels before down channels.
 
-    This is the library's default "ad hoc / random" cycle breaking — unlike
-    a raw feedback-arc-set removal it never disconnects a source/destination
-    pair, while still removing more dependence edges than a turn model
-    (matching the paper's observation about ad hoc CDGs).
+    Unlike a raw feedback-arc-set removal it never disconnects a
+    source/destination pair, while still removing more dependence edges than
+    a turn model (matching the paper's observation about ad hoc CDGs).
     """
     from ..topology.links import physical
 
@@ -165,41 +68,16 @@ def break_cycles_up_down(cdg: ChannelDependenceGraph, seed: Optional[int] = None
     return result
 
 
-def ad_hoc_cdg(topology: Topology, seed: int, num_vcs: int = 1,
-               strategy: str = "up-down") -> ChannelDependenceGraph:
-    """Build an ad hoc acyclic CDG of *topology* directly.
+def ad_hoc_cdg(topology: Topology, seed: int,
+               num_vcs: int = 1) -> ChannelDependenceGraph:
+    """Build an ad hoc acyclic CDG of *topology* by up*/down* cycle breaking.
 
-    Parameters
-    ----------
-    seed:
-        Seed controlling which edges are sacrificed; "Ad Hoc 1" and
-        "Ad Hoc 2" of the experiment harness are seeds 1 and 2.
-    strategy:
-        ``"up-down"`` (default; guarantees every node pair stays routable),
-        ``"dfs"`` or ``"random"``.
+    *seed* controls which edges are sacrificed; "Ad Hoc 1" and "Ad Hoc 2"
+    of the experiment harness are seeds 1 and 2.
     """
     base = ChannelDependenceGraph.from_topology(
         topology, num_vcs=num_vcs, name=f"adhoc-{seed}"
     )
-    if strategy == "up-down":
-        acyclic = break_cycles_up_down(base, seed=seed, in_place=True)
-    elif strategy == "dfs":
-        acyclic = break_cycles_dfs(base, seed=seed, in_place=True)
-    elif strategy == "random":
-        acyclic = break_cycles_randomly(base, seed=seed, in_place=True)
-    else:
-        raise CDGError(f"unknown cycle-breaking strategy {strategy!r}")
+    acyclic = break_cycles_up_down(base, seed=seed, in_place=True)
     acyclic.name = f"adhoc-{seed}"
-    acyclic.require_acyclic()
     return acyclic
-
-
-def minimum_removal_lower_bound(cdg: ChannelDependenceGraph) -> int:
-    """A lower bound on how many edges any cycle-breaking must remove.
-
-    Each non-trivial strongly connected component needs at least one edge
-    removed, so the number of such components bounds the removal count from
-    below.  Used in tests to confirm that the turn models are close to
-    minimal on small meshes.
-    """
-    return len(cdg.strongly_connected_components())

@@ -23,14 +23,14 @@ selectors treat them uniformly.  A route selected on any of them implies a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..exceptions import CDGError
 from ..topology.base import Topology
 from ..topology.links import VirtualChannel, virtual_index
-from .acyclic import ad_hoc_cdg, break_cycles_dfs
+from .acyclic import ad_hoc_cdg
 from .cdg import ChannelDependenceGraph, Resource
-from .turn_model import TurnModel, apply_turn_model, prohibited_turns
+from .turn_model import TurnModel, apply_turn_model
 
 
 def expanded_cdg(topology: Topology, num_vcs: int) -> ChannelDependenceGraph:
@@ -78,8 +78,9 @@ def virtual_network_cdg(topology: Topology,
     ----------
     strategies:
         One entry per virtual network.  Each entry is either a
-        :class:`TurnModel` or an integer seed for an ad hoc DFS cycle
-        breaking.  The number of entries is the number of virtual channels.
+        :class:`TurnModel` or an integer seed for an ad hoc (up*/down*)
+        cycle breaking.  The number of entries is the number of virtual
+        channels.
 
     The returned CDG has a vertex for every (channel, vc) pair, and the only
     dependence edges are *within* a virtual network (same vc index), each

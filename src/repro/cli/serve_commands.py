@@ -154,7 +154,6 @@ def run_submit_command(args: argparse.Namespace) -> int:
             results=ResultSet(payload["rows"]),
             report=None,
             config=None,
-            profile=payload["study"].get("profile", "default"),
         )
         print(result.to_csv() if args.format == "csv"
               else result.render_markdown())

@@ -163,7 +163,7 @@ def run_compare_command(args: argparse.Namespace) -> int:
         min_rate=args.min_rate,
         max_rate=args.max_rate,
         resolution=args.resolution,
-    ).with_policy(profile=args.profile)
+    )
     return _run_and_report(study, args)
 
 

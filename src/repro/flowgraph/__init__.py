@@ -1,7 +1,6 @@
 """Flow-graph derivation from acyclic channel dependence graphs."""
 
 from .flowgraph import (
-    ChannelCapacities,
     FlowGraph,
     FlowVertex,
     Terminal,
@@ -9,7 +8,6 @@ from .flowgraph import (
 )
 
 __all__ = [
-    "ChannelCapacities",
     "FlowGraph",
     "FlowVertex",
     "Terminal",

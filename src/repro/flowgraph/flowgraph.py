@@ -15,15 +15,15 @@ A path from a source terminal to a sink terminal therefore corresponds to a
 sequence of consecutive channels that conforms to ``D_A`` — so any route
 read off ``G_A`` is deadlock free by construction.
 
-Capacities live on the channel vertices (each flow-graph edge inherits the
-capacity of the vertex it is *incident on*, as in the paper), and the
-Dijkstra selector maintains residual capacities there.
+The Dijkstra selector keeps residual capacities on the channel vertices
+(each flow-graph edge is weighted by the vertex it is *incident on*, as in
+the paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -56,47 +56,6 @@ class Terminal:
 FlowVertex = Union[Channel, VirtualChannel, Terminal]
 
 
-class ChannelCapacities:
-    """Per-physical-channel capacities with a configurable default.
-
-    The capacity of a virtual channel is the capacity of its physical
-    channel: bandwidth is a property of the wire, not of the buffer lane.
-    A default of ``None`` means "uncapacitated" (the MILP then omits the
-    capacity constraints, matching the pure MCL-minimisation use of the
-    framework where demands may exceed nominal link bandwidth).
-    """
-
-    def __init__(self, default: Optional[float] = None,
-                 overrides: Optional[Dict[Channel, float]] = None) -> None:
-        if default is not None and default <= 0:
-            raise RoutingError(f"default capacity must be positive: {default}")
-        self.default = default
-        self._overrides: Dict[Channel, float] = dict(overrides or {})
-        for channel, value in self._overrides.items():
-            if value <= 0:
-                raise RoutingError(
-                    f"capacity of {channel} must be positive: {value}"
-                )
-
-    def capacity_of(self, resource: Resource) -> Optional[float]:
-        """The capacity of a channel resource (``None`` = unlimited)."""
-        channel = physical(resource)
-        if channel in self._overrides:
-            return self._overrides[channel]
-        return self.default
-
-    def set_capacity(self, channel: Channel, value: float) -> None:
-        if value <= 0:
-            raise RoutingError(f"capacity must be positive: {value}")
-        self._overrides[channel] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ChannelCapacities(default={self.default}, "
-            f"overrides={len(self._overrides)})"
-        )
-
-
 class FlowGraph:
     """The flow network ``G_A`` derived from an acyclic CDG ``D_A``.
 
@@ -106,14 +65,11 @@ class FlowGraph:
         The acyclic channel dependence graph the routes must conform to.
         A cyclic CDG is rejected because routes selected on it would not be
         deadlock free.
-    capacities:
-        Optional per-channel capacities (see :class:`ChannelCapacities`).
     require_acyclic:
         Set to False only in tests that deliberately exercise cyclic graphs.
     """
 
     def __init__(self, cdg: ChannelDependenceGraph,
-                 capacities: Optional[ChannelCapacities] = None,
                  require_acyclic: bool = True) -> None:
         if require_acyclic and not cdg.is_acyclic():
             raise CDGError(
@@ -122,7 +78,6 @@ class FlowGraph:
             )
         self.cdg = cdg
         self.topology = cdg.topology
-        self.capacities = capacities or ChannelCapacities()
         self._graph = nx.DiGraph()
         self._graph.add_nodes_from(cdg.vertices)
         self._graph.add_edges_from(cdg.edges)
@@ -214,9 +169,6 @@ class FlowGraph:
 
     def edges(self) -> List[Tuple[FlowVertex, FlowVertex]]:
         return list(self._graph.edges)
-
-    def capacity_of(self, resource: Resource) -> Optional[float]:
-        return self.capacities.capacity_of(resource)
 
     # ------------------------------------------------------------------
     # path utilities

@@ -2,44 +2,22 @@
 
 from .channel_load import (
     ChannelLoadReport,
-    average_path_length,
-    average_turns,
-    channel_loads,
-    load_matrix,
     load_report,
-    locality,
-    maximum_channel_load,
-    non_minimal_fraction,
-    path_stretch,
     recompute_mcl_with_demands,
 )
 from .statistics import (
-    LatencySample,
-    RunningStatistics,
     SimulationStatistics,
     SweepCurve,
     SweepPoint,
     percentile,
-    relative_improvement,
 )
 
 __all__ = [
     "ChannelLoadReport",
-    "LatencySample",
-    "RunningStatistics",
     "SimulationStatistics",
     "SweepCurve",
     "SweepPoint",
-    "average_path_length",
-    "average_turns",
-    "channel_loads",
-    "load_matrix",
     "load_report",
-    "locality",
-    "maximum_channel_load",
-    "non_minimal_fraction",
-    "path_stretch",
     "percentile",
     "recompute_mcl_with_demands",
-    "relative_improvement",
 ]

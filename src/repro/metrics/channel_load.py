@@ -3,21 +3,20 @@
 The maximum channel load (MCL, Definition 3) is the cost function BSOR
 minimises: the load of the single most loaded link bounds the saturation
 throughput of the whole network, so lowering it raises the achievable
-application throughput.  This module computes MCL and several companion
-statistics the paper's discussion section mentions (average load, number of
-near-critical links, locality of routes) for any route set, so baseline and
-BSOR route sets can be compared on equal footing (Table 6.3).
+application throughput.  This module reports MCL and the companion
+load statistics the paper's discussion section mentions (average load,
+number of near-critical links, load imbalance) for any route set, so
+baseline and BSOR route sets can be compared on equal footing (Table 6.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..routing.base import RouteSet
 from ..topology.base import Topology
 from ..topology.links import Channel
-from ..topology.mesh import Mesh2D
 
 
 @dataclass
@@ -49,16 +48,6 @@ class ChannelLoadReport:
             f"load imbalance (Gini) = {self.gini:.3f}",
         ]
         return "\n".join(lines)
-
-
-def channel_loads(route_set: RouteSet) -> Dict[Channel, float]:
-    """Demand-weighted load of every physical channel used by a route set."""
-    return route_set.channel_loads()
-
-
-def maximum_channel_load(route_set: RouteSet) -> float:
-    """The MCL of a route set (Definition 3)."""
-    return route_set.max_channel_load()
 
 
 def _gini_coefficient(values: Sequence[float]) -> float:
@@ -104,16 +93,6 @@ def load_report(route_set: RouteSet,
     )
 
 
-def load_matrix(route_set: RouteSet) -> List[Tuple[str, float]]:
-    """Channel label / load pairs sorted by decreasing load (for reports)."""
-    topology = route_set.topology
-    loads = route_set.channel_loads()
-    rows = [(topology.channel_label(channel), load)
-            for channel, load in loads.items()]
-    rows.sort(key=lambda row: (-row[1], row[0]))
-    return rows
-
-
 def recompute_mcl_with_demands(route_set: RouteSet,
                                demands: Dict[str, float]) -> float:
     """MCL of existing routes under *different* per-flow demands.
@@ -128,66 +107,3 @@ def recompute_mcl_with_demands(route_set: RouteSet,
         for channel in route.channels:
             loads[channel] = loads.get(channel, 0.0) + demand
     return max(loads.values(), default=0.0)
-
-
-# ----------------------------------------------------------------------
-# path quality metrics
-# ----------------------------------------------------------------------
-def average_path_length(route_set: RouteSet) -> float:
-    """Mean hop count over all routes."""
-    return route_set.average_hop_count()
-
-
-def path_stretch(route_set: RouteSet) -> float:
-    """Mean ratio of route length to the minimal possible length."""
-    topology = route_set.topology
-    ratios = []
-    for route in route_set:
-        minimal = topology.shortest_path_length(
-            route.flow.source, route.flow.destination
-        )
-        if minimal > 0:
-            ratios.append(route.hop_count / minimal)
-    return sum(ratios) / len(ratios) if ratios else 1.0
-
-
-def non_minimal_fraction(route_set: RouteSet) -> float:
-    """Fraction of routes that are longer than minimal."""
-    topology = route_set.topology
-    routes = route_set.routes
-    if not routes:
-        return 0.0
-    non_minimal = sum(0 if route.is_minimal(topology) else 1 for route in routes)
-    return non_minimal / len(routes)
-
-
-def locality(route_set: RouteSet) -> float:
-    """Fraction of route hops that stay inside the minimal quadrant.
-
-    "Locality describes the degree to which the path assigned to a flow goes
-    outside the minimum quadrant formed by the source and destination pair"
-    (Section 6.2.4); 1.0 means every hop stays inside it.
-    """
-    topology = route_set.topology
-    if not isinstance(topology, Mesh2D):
-        return 1.0
-    inside = 0
-    total = 0
-    for route in route_set:
-        quadrant = set(topology.minimal_quadrant(
-            route.flow.source, route.flow.destination
-        ))
-        for node in route.node_path:
-            total += 1
-            if node in quadrant:
-                inside += 1
-    return inside / total if total else 1.0
-
-
-def average_turns(route_set: RouteSet) -> float:
-    """Mean number of 90-degree turns per route (discussion, Section 6.3)."""
-    topology = route_set.topology
-    routes = route_set.routes
-    if not routes:
-        return 0.0
-    return sum(route.turn_count(topology) for route in routes) / len(routes)

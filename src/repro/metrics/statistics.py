@@ -9,81 +9,15 @@ Chapter 6 plots:
 * **average latency** — cycles from injection of a packet's head flit to
   reception of its tail flit, averaged over delivered packets.
 
-This module holds the small, simulator-agnostic statistic containers plus a
-few generic helpers (saturation detection, percentile latency) used by the
-experiment harness and the tests.
+This module holds the small, simulator-agnostic statistic containers and
+the percentile helper the experiment harness uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-
-@dataclass
-class LatencySample:
-    """Latency of one delivered packet."""
-
-    flow_name: str
-    injected_cycle: int
-    delivered_cycle: int
-
-    @property
-    def latency(self) -> int:
-        return self.delivered_cycle - self.injected_cycle
-
-
-class RunningStatistics:
-    """Streaming mean / min / max / variance without storing every sample."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def standard_deviation(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStatistics") -> None:
-        """Fold another accumulator into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -211,46 +145,6 @@ class SweepCurve:
     def saturation_throughput(self) -> float:
         """The highest throughput observed along the sweep."""
         return max(self.throughputs, default=0.0)
-
-    def saturation_point(self, latency_threshold: Optional[float] = None,
-                         delivery_threshold: float = 0.95) -> Optional[float]:
-        """Offered rate at which the network saturates.
-
-        Saturation is declared when the delivery ratio drops below
-        ``delivery_threshold`` (the network stops absorbing the offered
-        load) or, when a latency threshold is supplied, when the average
-        latency exceeds it.  Returns ``None`` when the sweep never
-        saturates.
-        """
-        for point in self.points:
-            if point.delivery_ratio < delivery_threshold:
-                return point.offered_rate
-            if latency_threshold is not None and \
-                    point.average_latency > latency_threshold:
-                return point.offered_rate
-        return None
-
-    def is_stable(self, tolerance: float = 0.15) -> bool:
-        """Whether throughput never collapses after saturation.
-
-        "A routing algorithm is stable if its throughput remains constant
-        even as the traffic load is increased beyond the network saturation
-        point" (Section 6.2.2).  We allow a relative dip of *tolerance*
-        below the peak before declaring instability.
-        """
-        peak = 0.0
-        for point in self.points:
-            peak = max(peak, point.throughput)
-            if peak > 0 and point.throughput < (1.0 - tolerance) * peak:
-                return False
-        return True
-
-
-def relative_improvement(value: float, baseline: float) -> float:
-    """``(value - baseline) / baseline``; 0 when the baseline is zero."""
-    if baseline == 0:
-        return 0.0
-    return (value - baseline) / baseline
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:

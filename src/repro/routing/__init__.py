@@ -11,11 +11,7 @@ from .bsor import (
     ResidualCapacityWeight,
     ad_hoc_strategy,
     all_two_turn_strategies,
-    bsor_dijkstra,
-    bsor_milp,
-    dijkstra_route_set,
     full_strategy_set,
-    milp_route_set,
     paper_strategies,
     turn_model_strategy,
     two_turn_strategy,
@@ -93,15 +89,11 @@ __all__ = [
     "analyze_route_set",
     "analyze_virtual_networks",
     "available_routers",
-    "bsor_dijkstra",
-    "bsor_milp",
     "certifies",
     "check_deadlock_freedom",
     "create_router",
-    "dijkstra_route_set",
     "full_strategy_set",
     "induced_cdg",
-    "milp_route_set",
     "normalize_router_name",
     "paper_strategies",
     "register_router",

@@ -8,11 +8,10 @@ Public entry points:
   from a set of :class:`CDGStrategy` recipes, select routes on each with a
   selector, keep the best (lowest MCL, ties by average hops); per-CDG
   results are recorded as :class:`ExplorationEntry` rows (Tables 6.1/6.2);
-* :class:`MILPSelector` / :func:`milp_route_set` — the exact mixed-integer
-  formulation over demand-indexed flow variables;
-* :class:`DijkstraSelector` / :func:`dijkstra_route_set` — the greedy
-  incremental selector with :class:`ResidualCapacityWeight` edge weights;
-* :func:`bsor_milp` / :func:`bsor_dijkstra` — one-call constructors;
+* :class:`MILPSelector` — the exact mixed-integer formulation over
+  demand-indexed flow variables, minimising the maximum channel load;
+* :class:`DijkstraSelector` — the greedy incremental selector with
+  :class:`ResidualCapacityWeight` edge weights;
 * strategy factories — :func:`paper_strategies` (the five CDGs of Tables
   6.1/6.2), :func:`full_strategy_set` (the 12 + 3 exploration set),
   :func:`turn_model_strategy`, :func:`ad_hoc_strategy`,
@@ -20,15 +19,13 @@ Public entry points:
   :func:`virtual_network_strategy`.
 """
 
-from .dijkstra import DijkstraSelector, dijkstra_route_set
+from .dijkstra import DijkstraSelector
 from .framework import (
     BSORRouting,
     CDGStrategy,
     ExplorationEntry,
     ad_hoc_strategy,
     all_two_turn_strategies,
-    bsor_dijkstra,
-    bsor_milp,
     full_strategy_set,
     paper_strategies,
     turn_model_strategy,
@@ -36,7 +33,7 @@ from .framework import (
     vc_escalation_strategy,
     virtual_network_strategy,
 )
-from .milp import MILPSelector, MILPSolution, milp_route_set
+from .milp import MILPSelector, MILPSolution
 from .weights import ResidualCapacityWeight, minimal_hop_weight
 
 __all__ = [
@@ -49,11 +46,7 @@ __all__ = [
     "ResidualCapacityWeight",
     "ad_hoc_strategy",
     "all_two_turn_strategies",
-    "bsor_dijkstra",
-    "bsor_milp",
-    "dijkstra_route_set",
     "full_strategy_set",
-    "milp_route_set",
     "minimal_hop_weight",
     "paper_strategies",
     "turn_model_strategy",

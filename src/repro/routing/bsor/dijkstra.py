@@ -137,22 +137,3 @@ class DijkstraSelector:
             replacement = self.route_single_flow(flow, weight)
             weight.commit_route(replacement, flow.demand)
             selected[flow.name] = replacement
-
-
-def dijkstra_route_set(flow_graph: FlowGraph, flow_set: FlowSet,
-                       order: str = "given",
-                       m_constant: Optional[float] = None,
-                       default_capacity: Optional[float] = None,
-                       vc_flow_penalty: float = 0.0,
-                       refine_passes: int = 0) -> RouteSet:
-    """One-call convenience wrapper around :class:`DijkstraSelector`."""
-    weight = ResidualCapacityWeight(
-        flow_set,
-        default_capacity=default_capacity,
-        m_constant=m_constant,
-        vc_flow_penalty=vc_flow_penalty,
-    )
-    selector = DijkstraSelector(
-        flow_graph, weight=weight, order=order, refine_passes=refine_passes
-    )
-    return selector.select_routes(flow_set)

@@ -20,8 +20,8 @@ both strategy sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ...cdg.acyclic import ad_hoc_cdg
 from ...cdg.cdg import ChannelDependenceGraph
@@ -38,7 +38,7 @@ from ...exceptions import (
     SolverError,
     UnroutableFlowError,
 )
-from ...flowgraph.flowgraph import ChannelCapacities, FlowGraph
+from ...flowgraph.flowgraph import FlowGraph
 from ...topology.base import Topology
 from ...topology.directions import CLOCKWISE_TURNS, COUNTERCLOCKWISE_TURNS, Turn
 from ...traffic.flow import FlowSet
@@ -75,7 +75,8 @@ def turn_model_strategy(model: TurnModel) -> CDGStrategy:
 
 
 def ad_hoc_strategy(seed: int) -> CDGStrategy:
-    """Strategy breaking cycles ad hoc with a DFS seeded by *seed*."""
+    """Strategy breaking cycles ad hoc with an up*/down* ordering seeded by
+    *seed*."""
     return CDGStrategy(
         name=f"ad-hoc-{seed}",
         builder=lambda topology, num_vcs: ad_hoc_cdg(
@@ -198,8 +199,6 @@ class BSORRouting(RoutingAlgorithm):
         Extra hops beyond minimal allowed to each flow by the MILP
         selector; the Dijkstra selector has no hop bound and ignores it
         (a larger ``m_constant`` is what favours its short paths).
-    capacities:
-        Optional channel capacities forwarded to the flow graphs.
     milp_time_limit:
         Per-CDG time limit (seconds) for the MILP selector.
     dijkstra_order / refine_passes / vc_flow_penalty / m_constant:
@@ -211,9 +210,7 @@ class BSORRouting(RoutingAlgorithm):
                  strategies: Optional[Sequence[CDGStrategy]] = None,
                  num_vcs: int = 1,
                  hop_slack: int = 2,
-                 capacities: Optional[ChannelCapacities] = None,
                  milp_time_limit: Optional[float] = None,
-                 milp_objective: str = "min-mcl",
                  dijkstra_order: str = "demand-descending",
                  refine_passes: int = 1,
                  vc_flow_penalty: float = 1e-6,
@@ -229,9 +226,7 @@ class BSORRouting(RoutingAlgorithm):
             paper_strategies()
         self.num_vcs = num_vcs
         self.hop_slack = hop_slack
-        self.capacities = capacities
         self.milp_time_limit = milp_time_limit
-        self.milp_objective = milp_objective
         self.dijkstra_order = dijkstra_order
         self.refine_passes = refine_passes
         self.vc_flow_penalty = vc_flow_penalty
@@ -243,13 +238,12 @@ class BSORRouting(RoutingAlgorithm):
     # ------------------------------------------------------------------
     def _selector_on(self, cdg: ChannelDependenceGraph, flow_set: FlowSet):
         """The configured route selector over the flow graph of *cdg*."""
-        flow_graph = FlowGraph(cdg, capacities=self.capacities)
+        flow_graph = FlowGraph(cdg)
         flow_graph.add_flow_terminals(flow_set)
         if self.selector == "milp":
             return MILPSelector(
                 flow_graph,
                 hop_slack=self.hop_slack,
-                objective=self.milp_objective,
                 time_limit=self.milp_time_limit,
             )
         weight = ResidualCapacityWeight(
@@ -328,15 +322,3 @@ class BSORRouting(RoutingAlgorithm):
         if not successful:
             raise RoutingError("no successful exploration entry; run explore() first")
         return min(successful, key=lambda entry: (entry.mcl, entry.average_hops))
-
-
-def bsor_milp(strategies: Optional[Sequence[CDGStrategy]] = None,
-              **kwargs) -> BSORRouting:
-    """Shorthand constructor for the MILP-based BSOR instantiation."""
-    return BSORRouting(selector="milp", strategies=strategies, **kwargs)
-
-
-def bsor_dijkstra(strategies: Optional[Sequence[CDGStrategy]] = None,
-                  **kwargs) -> BSORRouting:
-    """Shorthand constructor for the Dijkstra-based BSOR instantiation."""
-    return BSORRouting(selector="dijkstra", strategies=strategies, **kwargs)

@@ -31,8 +31,8 @@ a path respecting the flow's hop bound get a variable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -92,43 +92,24 @@ class MILPSelector:
         Extra hops allowed beyond each flow's minimal conforming hop count.
         0 forces minimal routes; the paper's default exploration allows
         non-minimal routes, so the selector defaults to 2.
-    objective:
-        ``"min-mcl"`` (default) minimises the maximum channel load in demand
-        units; ``"min-flow-count"`` minimises the maximum number of flows
-        sharing a link (the bandwidth-free alternative of Section 7.2);
-        ``"min-total-load"`` minimises the sum of channel loads (an ablation
-        objective, equivalent to demand-weighted total hop count).
     hop_penalty:
         Weight of the secondary term that prefers shorter paths among
-        solutions of equal objective value.  ``None`` picks a value small
+        solutions of equal maximum channel load.  ``None`` picks a value small
         enough not to perturb the primary objective.
     time_limit:
         Solver wall-clock limit in seconds (``None`` = no limit).
-    respect_capacities:
-        When True, per-channel capacity constraints from the flow graph's
-        :class:`ChannelCapacities` are added (channels with ``None``
-        capacity stay unconstrained).
     """
 
     def __init__(self, flow_graph: FlowGraph,
                  hop_slack: int = 2,
-                 objective: str = "min-mcl",
                  hop_penalty: Optional[float] = None,
-                 time_limit: Optional[float] = None,
-                 respect_capacities: bool = False) -> None:
+                 time_limit: Optional[float] = None) -> None:
         if hop_slack < 0:
             raise SolverError(f"hop slack must be non-negative: {hop_slack}")
-        if objective not in ("min-mcl", "min-flow-count", "min-total-load"):
-            raise SolverError(
-                f"unknown objective {objective!r}; expected 'min-mcl', "
-                f"'min-flow-count' or 'min-total-load'"
-            )
         self.flow_graph = flow_graph
         self.hop_slack = hop_slack
-        self.objective = objective
         self.hop_penalty = hop_penalty
         self.time_limit = time_limit
-        self.respect_capacities = respect_capacities
         #: Filled by :meth:`select_routes` with solver diagnostics.
         self.last_solution: Optional[MILPSolution] = None
 
@@ -165,12 +146,6 @@ class MILPSelector:
             if du + 1 + dv <= allowed_edges:
                 admissible.append((u, v))
         return admissible
-
-    def _effective_demand(self, flow: Flow) -> float:
-        """Demand used in the load constraints, per the chosen objective."""
-        if self.objective == "min-flow-count":
-            return 1.0
-        return flow.demand
 
     # ------------------------------------------------------------------
     # model construction
@@ -229,33 +204,23 @@ class MILPSelector:
                 upper.append(balance)
                 row += 1
 
-        # --- per-channel load vs. U (and optional capacities) ----------------
+        # --- per-channel load vs. U ------------------------------------------
         channel_terms: Dict[Channel, List[Tuple[int, float]]] = {}
         for fidx, flow in enumerate(flows):
-            demand = self._effective_demand(flow)
             for edge in admissible[fidx]:
                 head = edge[1]
                 if isinstance(head, Terminal):
                     continue
-                channel = physical(head)
-                channel_terms.setdefault(channel, []).append(
-                    (var_index[(fidx, edge)], demand)
+                channel_terms.setdefault(physical(head), []).append(
+                    (var_index[(fidx, edge)], flow.demand)
                 )
-        for channel, terms in channel_terms.items():
+        for terms in channel_terms.values():
             for col, coefficient in terms:
                 add_entry(row, col, coefficient)
             add_entry(row, 0, -1.0)  # ... - U <= 0
             lower.append(-np.inf)
             upper.append(0.0)
             row += 1
-            if self.respect_capacities:
-                capacity = self.flow_graph.capacity_of(channel)
-                if capacity is not None:
-                    for col, coefficient in terms:
-                        add_entry(row, col, coefficient)
-                    lower.append(-np.inf)
-                    upper.append(float(capacity))
-                    row += 1
 
         # --- hop bounds -------------------------------------------------------
         for fidx, flow in enumerate(flows):
@@ -293,17 +258,12 @@ class MILPSelector:
             epsilon = self.hop_penalty
         else:
             # Small enough that the accumulated hop penalty over every flow
-            # can never trade against a real change of the primary objective.
+            # can never trade against a real change of the maximum load.
             epsilon = 0.001 * min_demand / max(num_vars, 1)
-        if self.objective in ("min-mcl", "min-flow-count"):
-            objective[0] = 1.0
-            for (fidx, edge), col in var_index.items():
-                if not isinstance(edge[1], Terminal):
-                    objective[col] = epsilon
-        else:  # min-total-load
-            for (fidx, edge), col in var_index.items():
-                if not isinstance(edge[1], Terminal):
-                    objective[col] = self._effective_demand(flows[fidx])
+        objective[0] = 1.0
+        for (fidx, edge), col in var_index.items():
+            if not isinstance(edge[1], Terminal):
+                objective[col] = epsilon
 
         integrality = np.ones(num_vars)
         integrality[0] = 0  # U is continuous
@@ -399,14 +359,3 @@ class MILPSelector:
             wall_seconds=wall_seconds,
         )
         return route_set
-
-
-def milp_route_set(flow_graph: FlowGraph, flow_set: FlowSet,
-                   hop_slack: int = 2, objective: str = "min-mcl",
-                   time_limit: Optional[float] = None) -> RouteSet:
-    """One-call convenience wrapper around :class:`MILPSelector`."""
-    selector = MILPSelector(
-        flow_graph, hop_slack=hop_slack, objective=objective,
-        time_limit=time_limit,
-    )
-    return selector.select_routes(flow_set)

@@ -62,6 +62,8 @@ SATURATE_COLUMNS = (
 class StudyResult:
     """Everything one :meth:`Study.run` produced."""
 
+    #: The study as executed: its policy names the profile that ran, so
+    #: the embedded spec re-runs to these rows.
     study: Study
     results: ResultSet
     report: RunnerReport
@@ -69,8 +71,6 @@ class StudyResult:
     #: ``mapping`` overrides when every scenario has the same ones, the
     #: study-level resolution otherwise.
     config: ExperimentConfig
-    #: The profile actually executed (policy profile unless overridden).
-    profile: str = "default"
 
     # ------------------------------------------------------------------
     def render_markdown(self) -> str:
@@ -83,7 +83,7 @@ class StudyResult:
         lines: List[str] = [f"# Study: {self.study.name}", ""]
         if self.study.description:
             lines.extend([self.study.description, ""])
-        lines.append(f"Profile `{self.config_profile()}`, "
+        lines.append(f"Profile `{self.study.policy.profile}`, "
                      f"{len(self.study.scenarios)} scenario(s), "
                      f"{len(self.results)} result row(s).")
         for (scenario, mode, topology, pattern), group in \
@@ -113,9 +113,6 @@ class StudyResult:
                           degraded.to_markdown()])
         lines.append("")
         return "\n".join(lines)
-
-    def config_profile(self) -> str:
-        return self.profile
 
     def to_json(self, indent: int = 2) -> str:
         """Study spec + result rows as one JSON document."""
@@ -305,9 +302,14 @@ def run_study(study: Study, *, workers: Optional[int] = None,
     (:mod:`repro.runner.cache`).
     """
     study.validate()
+    if profile is not None:
+        # record the profile that runs, on a copy: the caller's study
+        # keeps its own policy
+        study = Study(study.name, study.description, study.scenarios,
+                      study.policy).with_policy(profile=profile)
     config, runner = resolve_config(
         study, workers=workers, cache=cache, cache_dir=cache_dir,
-        shared_cache_dir=shared_cache_dir, backend=backend, profile=profile,
+        shared_cache_dir=shared_cache_dir, backend=backend,
         execution=execution, queue_dir=queue_dir)
     runner.observer = observer
     report = RunnerReport(workers=runner.workers)
@@ -323,5 +325,4 @@ def run_study(study: Study, *, workers: Optional[int] = None,
         results=results,
         report=report,
         config=ran.pop() if len(ran) == 1 else config,
-        profile=profile if profile is not None else study.policy.profile,
     )

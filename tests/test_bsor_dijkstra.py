@@ -6,7 +6,6 @@ from repro.cdg import TurnModel, turn_model_cdg
 from repro.exceptions import RoutingError, UnroutableFlowError
 from repro.flowgraph import FlowGraph
 from repro.routing import DijkstraSelector, ResidualCapacityWeight, check_deadlock_freedom
-from repro.routing.bsor import dijkstra_route_set
 from repro.topology import Mesh2D
 from repro.traffic import FlowSet, transpose
 
@@ -50,7 +49,7 @@ class TestBasicSelection:
 
         flows = FlowSet.from_tuples([(0, 8, 10.0), (1, 8, 10.0), (2, 8, 10.0)])
         graph = make_flow_graph(mesh3, flows)
-        bsor = dijkstra_route_set(graph, flows)
+        bsor = DijkstraSelector(graph).select_routes(flows)
         xy = XYRouting().compute_routes(mesh3, flows)
         assert bsor.max_channel_load() <= xy.max_channel_load()
 
@@ -93,12 +92,16 @@ class TestRefinement:
 class TestMultiVC:
     def test_static_vc_allocation(self, mesh4, transpose4):
         graph = make_flow_graph(mesh4, transpose4, num_vcs=2)
-        routes = dijkstra_route_set(graph, transpose4, vc_flow_penalty=1e-3)
+        weight = ResidualCapacityWeight(transpose4, vc_flow_penalty=1e-3)
+        selector = DijkstraSelector(graph, weight=weight)
+        routes = selector.select_routes(transpose4)
         assert routes.is_statically_vc_allocated()
 
     def test_flows_spread_across_vcs(self, mesh4, transpose4):
         graph = make_flow_graph(mesh4, transpose4, num_vcs=2)
-        routes = dijkstra_route_set(graph, transpose4, vc_flow_penalty=1e-3)
+        weight = ResidualCapacityWeight(transpose4, vc_flow_penalty=1e-3)
+        selector = DijkstraSelector(graph, weight=weight)
+        routes = selector.select_routes(transpose4)
         used_vcs = {vc for route in routes for vc in route.vc_indices}
         assert used_vcs == {0, 1}
 

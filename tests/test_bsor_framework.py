@@ -7,8 +7,6 @@ from repro.routing import (
     BSORRouting,
     XYRouting,
     YXRouting,
-    bsor_dijkstra,
-    bsor_milp,
     check_deadlock_freedom,
     paper_strategies,
 )
@@ -161,10 +159,6 @@ class TestFrameworkExploration:
     def test_invalid_vc_count(self):
         with pytest.raises(RoutingError):
             BSORRouting(num_vcs=0)
-
-    def test_shorthand_constructors(self):
-        assert bsor_milp().name == "BSOR-MILP"
-        assert bsor_dijkstra().name == "BSOR-Dijkstra"
 
 
 class TestBSOREndToEnd:

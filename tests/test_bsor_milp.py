@@ -4,17 +4,15 @@ import pytest
 
 from repro.cdg import TurnModel, ad_hoc_cdg, turn_model_cdg
 from repro.exceptions import SolverError
-from repro.flowgraph import ChannelCapacities, FlowGraph
+from repro.flowgraph import FlowGraph
 from repro.routing import MILPSelector, XYRouting, check_deadlock_freedom
-from repro.routing.bsor import milp_route_set
 from repro.topology import Mesh2D
 from repro.traffic import FlowSet, transpose
 
 
-def make_flow_graph(mesh, flows, model=TurnModel.WEST_FIRST, num_vcs=1,
-                    capacities=None):
+def make_flow_graph(mesh, flows, model=TurnModel.WEST_FIRST, num_vcs=1):
     cdg = turn_model_cdg(mesh, model, num_vcs=num_vcs)
-    graph = FlowGraph(cdg, capacities=capacities)
+    graph = FlowGraph(cdg)
     graph.add_flow_terminals(flows)
     return graph
 
@@ -61,8 +59,6 @@ class TestBasicSolving:
         graph = make_flow_graph(mesh3, small_flows)
         with pytest.raises(SolverError):
             MILPSelector(graph, hop_slack=-1)
-        with pytest.raises(SolverError):
-            MILPSelector(graph, objective="min-everything")
 
     def test_empty_flow_set_rejected(self, mesh3):
         graph = make_flow_graph(mesh3, FlowSet.from_tuples([(0, 1, 1.0)]))
@@ -74,9 +70,9 @@ class TestOptimality:
     def test_milp_never_worse_than_dijkstra(self, mesh4, transpose4):
         from repro.routing import DijkstraSelector
 
-        milp_routes = milp_route_set(
-            make_flow_graph(mesh4, transpose4), transpose4, time_limit=30
-        )
+        milp_routes = MILPSelector(
+            make_flow_graph(mesh4, transpose4), time_limit=30
+        ).select_routes(transpose4)
         dijkstra_routes = DijkstraSelector(
             make_flow_graph(mesh4, transpose4)
         ).select_routes(transpose4)
@@ -114,30 +110,6 @@ class TestOptimality:
             make_flow_graph(mesh3, flows), hop_slack=2
         ).select_routes(flows)
         assert relaxed.max_channel_load() <= bounded.max_channel_load()
-
-
-class TestObjectives:
-    def test_min_flow_count_objective(self, mesh3):
-        flows = FlowSet.from_tuples([(0, 8, 1.0), (1, 8, 100.0), (2, 8, 1.0)])
-        graph = make_flow_graph(mesh3, flows)
-        routes = MILPSelector(graph, objective="min-flow-count",
-                              hop_slack=2).select_routes(flows)
-        assert routes.max_flows_per_channel() <= 2
-
-    def test_min_total_load_objective_minimises_hops(self, mesh4, transpose4):
-        graph = make_flow_graph(mesh4, transpose4)
-        routes = MILPSelector(graph, objective="min-total-load",
-                              hop_slack=2).select_routes(transpose4)
-        assert all(route.is_minimal(mesh4) for route in routes)
-
-    def test_capacity_constraints_respected(self, mesh3):
-        flows = FlowSet.from_tuples([(0, 2, 6.0), (3, 5, 6.0)])
-        capacities = ChannelCapacities(default=10.0)
-        graph = make_flow_graph(mesh3, flows, capacities=capacities)
-        selector = MILPSelector(graph, respect_capacities=True, hop_slack=2)
-        routes = selector.select_routes(flows)
-        for load in routes.channel_loads().values():
-            assert load <= 10.0 + 1e-9
 
 
 class TestMultiVCAndAdHoc:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cdg import ChannelDependenceGraph, TurnModel, turn_model_cdg
 from repro.exceptions import CDGError, RoutingError
-from repro.flowgraph import ChannelCapacities, FlowGraph, Terminal, route_node_path
-from repro.topology import Channel, Mesh2D, VirtualChannel
+from repro.flowgraph import FlowGraph, Terminal, route_node_path
+from repro.topology import Mesh2D, VirtualChannel
 from repro.traffic import FlowSet
 
 
@@ -18,39 +18,6 @@ class TestTerminal:
     def test_str(self):
         assert str(Terminal(3, "source")) == "s(3)"
         assert str(Terminal(3, "sink")) == "t(3)"
-
-
-class TestChannelCapacities:
-    def test_default_none_means_uncapacitated(self):
-        capacities = ChannelCapacities()
-        assert capacities.capacity_of(Channel(0, 1)) is None
-
-    def test_default_value(self):
-        capacities = ChannelCapacities(default=10.0)
-        assert capacities.capacity_of(Channel(0, 1)) == 10.0
-
-    def test_overrides(self):
-        capacities = ChannelCapacities(default=10.0, overrides={Channel(0, 1): 2.0})
-        assert capacities.capacity_of(Channel(0, 1)) == 2.0
-        assert capacities.capacity_of(Channel(1, 2)) == 10.0
-
-    def test_virtual_channel_inherits_physical_capacity(self):
-        capacities = ChannelCapacities(default=10.0, overrides={Channel(0, 1): 2.0})
-        assert capacities.capacity_of(VirtualChannel(Channel(0, 1), 1)) == 2.0
-
-    def test_invalid_values(self):
-        with pytest.raises(RoutingError):
-            ChannelCapacities(default=0.0)
-        with pytest.raises(RoutingError):
-            ChannelCapacities(overrides={Channel(0, 1): -1.0})
-        capacities = ChannelCapacities()
-        with pytest.raises(RoutingError):
-            capacities.set_capacity(Channel(0, 1), 0)
-
-    def test_set_capacity(self):
-        capacities = ChannelCapacities()
-        capacities.set_capacity(Channel(0, 1), 5.0)
-        assert capacities.capacity_of(Channel(0, 1)) == 5.0
 
 
 class TestFlowGraphConstruction:

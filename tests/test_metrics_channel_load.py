@@ -1,22 +1,11 @@
-"""Tests for channel-load metrics (MCL, load reports, path quality)."""
+"""Tests for channel-load metrics (MCL and load reports)."""
 
 import pytest
 
-from repro.metrics import (
-    average_path_length,
-    average_turns,
-    channel_loads,
-    load_matrix,
-    load_report,
-    locality,
-    maximum_channel_load,
-    non_minimal_fraction,
-    path_stretch,
-    recompute_mcl_with_demands,
-)
-from repro.routing import RouteSet, XYRouting, ValiantRouting
-from repro.topology import Channel, Mesh2D
-from repro.traffic import FlowSet, transpose
+from repro.metrics import load_report, recompute_mcl_with_demands
+from repro.routing import RouteSet
+from repro.topology import Channel
+from repro.traffic import FlowSet
 
 
 @pytest.fixture
@@ -31,9 +20,9 @@ def simple_routes(mesh3):
 
 class TestLoads:
     def test_channel_loads_and_mcl(self, simple_routes):
-        loads = channel_loads(simple_routes)
+        loads = simple_routes.channel_loads()
         assert loads[Channel(0, 1)] == 12.0
-        assert maximum_channel_load(simple_routes) == 12.0
+        assert simple_routes.max_channel_load() == 12.0
 
     def test_load_report_fields(self, simple_routes):
         report = load_report(simple_routes)
@@ -49,12 +38,6 @@ class TestLoads:
         # channels carrying >= 6.0 load: the two at 12.0
         assert len(report.near_critical) == 2
 
-    def test_load_matrix_sorted(self, simple_routes):
-        matrix = load_matrix(simple_routes)
-        loads = [load for _, load in matrix]
-        assert loads == sorted(loads, reverse=True)
-        assert matrix[0][1] == 12.0
-
     def test_recompute_mcl_with_demands(self, simple_routes):
         new_mcl = recompute_mcl_with_demands(simple_routes, {"f1": 1.0})
         assert new_mcl == pytest.approx(5.0)
@@ -68,32 +51,3 @@ class TestLoads:
         assert report.mcl == 0.0
         assert report.bottlenecks == []
         assert report.gini == 0.0
-
-
-class TestPathQuality:
-    def test_average_path_length(self, simple_routes):
-        assert average_path_length(simple_routes) == pytest.approx(8 / 3)
-
-    def test_path_stretch_of_minimal_routes_is_one(self, mesh4, transpose4):
-        routes = XYRouting().compute_routes(mesh4, transpose4)
-        assert path_stretch(routes) == pytest.approx(1.0)
-        assert non_minimal_fraction(routes) == 0.0
-
-    def test_valiant_has_stretch_above_one(self, mesh8):
-        flows = transpose(64, demand=1.0)
-        routes = ValiantRouting(seed=1).compute_routes(mesh8, flows)
-        assert path_stretch(routes) > 1.0
-        assert non_minimal_fraction(routes) > 0.0
-
-    def test_locality_of_minimal_routes_is_one(self, mesh4, transpose4):
-        routes = XYRouting().compute_routes(mesh4, transpose4)
-        assert locality(routes) == pytest.approx(1.0)
-
-    def test_valiant_loses_locality(self, mesh8):
-        flows = transpose(64, demand=1.0)
-        routes = ValiantRouting(seed=1).compute_routes(mesh8, flows)
-        assert locality(routes) < 1.0
-
-    def test_average_turns(self, mesh4, transpose4):
-        xy = XYRouting().compute_routes(mesh4, transpose4)
-        assert 0.0 <= average_turns(xy) <= 1.0

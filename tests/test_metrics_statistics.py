@@ -3,57 +3,11 @@
 import pytest
 
 from repro.metrics import (
-    LatencySample,
-    RunningStatistics,
     SimulationStatistics,
     SweepCurve,
     SweepPoint,
     percentile,
-    relative_improvement,
 )
-
-
-class TestRunningStatistics:
-    def test_mean_min_max(self):
-        stats = RunningStatistics()
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            stats.add(value)
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.count == 4
-
-    def test_variance_and_std(self):
-        stats = RunningStatistics()
-        for value in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            stats.add(value)
-        assert stats.variance == pytest.approx(4.571, rel=1e-3)
-        assert stats.standard_deviation == pytest.approx(2.138, rel=1e-3)
-
-    def test_empty_statistics(self):
-        stats = RunningStatistics()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_merge(self):
-        a = RunningStatistics()
-        b = RunningStatistics()
-        for value in [1.0, 2.0, 3.0]:
-            a.add(value)
-        for value in [4.0, 5.0]:
-            b.add(value)
-        a.merge(b)
-        assert a.count == 5
-        assert a.mean == pytest.approx(3.0)
-        assert a.maximum == 5.0
-
-    def test_merge_into_empty(self):
-        a = RunningStatistics()
-        b = RunningStatistics()
-        b.add(2.0)
-        a.merge(b)
-        assert a.count == 1
-        assert a.mean == 2.0
 
 
 class TestSimulationStatistics:
@@ -91,10 +45,6 @@ class TestSimulationStatistics:
     def test_describe(self, stats):
         assert "throughput" in stats.describe()
 
-    def test_latency_sample(self):
-        sample = LatencySample("f1", injected_cycle=10, delivered_cycle=35)
-        assert sample.latency == 25
-
 
 class TestSweepCurve:
     @pytest.fixture
@@ -118,31 +68,8 @@ class TestSweepCurve:
     def test_saturation_throughput(self, curve):
         assert curve.saturation_throughput() == 1.6
 
-    def test_saturation_point_by_delivery(self, curve):
-        assert curve.saturation_point() == 2.0
-
-    def test_saturation_point_by_latency(self, curve):
-        assert curve.saturation_point(latency_threshold=12.0,
-                                      delivery_threshold=0.0) == 1.0
-
-    def test_no_saturation(self):
-        curve = SweepCurve(algorithm="XY", workload="x")
-        curve.add_point(SweepPoint(0.5, 0.5, 5.0, 1.0))
-        assert curve.saturation_point() is None
-
-    def test_stability(self, curve):
-        assert curve.is_stable()
-        unstable = SweepCurve(algorithm="ROMM", workload="bc")
-        unstable.add_point(SweepPoint(1.0, 1.0, 10.0, 1.0))
-        unstable.add_point(SweepPoint(2.0, 0.4, 300.0, 0.2))
-        assert not unstable.is_stable()
-
 
 class TestHelpers:
-    def test_relative_improvement(self):
-        assert relative_improvement(1.5, 1.0) == pytest.approx(0.5)
-        assert relative_improvement(1.0, 0.0) == 0.0
-
     def test_percentile(self):
         values = [1.0, 2.0, 3.0, 4.0, 5.0]
         assert percentile(values, 0.0) == 1.0

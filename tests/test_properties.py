@@ -27,7 +27,6 @@ from repro.cdg import (
     turn_model_cdg,
 )
 from repro.flowgraph import FlowGraph
-from repro.metrics import maximum_channel_load
 from repro.routing import (
     DijkstraSelector,
     XYRouting,
@@ -219,7 +218,7 @@ class TestRoutingProperties:
             for channel in route.channels:
                 loads[channel] = loads.get(channel, 0.0) + route.flow.demand
         expected = max(loads.values()) if loads else 0.0
-        assert math.isclose(maximum_channel_load(routes), expected)
+        assert math.isclose(routes.max_channel_load(), expected)
 
     @common_settings
     @given(data=st.data(), dims=mesh_dims,

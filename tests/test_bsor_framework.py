@@ -160,6 +160,10 @@ class TestFrameworkExploration:
         with pytest.raises(RoutingError):
             BSORRouting(num_vcs=0)
 
+    def test_name_follows_the_selector(self):
+        assert BSORRouting().name == "BSOR-Dijkstra"
+        assert BSORRouting(selector="milp").name == "BSOR-MILP"
+
 
 class TestBSOREndToEnd:
     def test_dijkstra_beats_or_matches_dor_on_transpose(self, mesh4, transpose4):

@@ -45,6 +45,19 @@ class TestSimulationStatistics:
     def test_describe(self, stats):
         assert "throughput" in stats.describe()
 
+    def test_describe_reports_the_figures(self, stats):
+        text = stats.describe()
+        assert "delivered=400" in text
+        assert "avg latency=20.00 cycles" in text
+
+    def test_measurement_window_is_never_empty(self):
+        stats = SimulationStatistics(
+            cycles=100, warmup_cycles=100, packets_injected=3,
+            packets_delivered=3, flits_delivered=12, total_latency=30.0,
+        )
+        assert stats.measurement_cycles == 1
+        assert stats.throughput == 3.0
+
 
 class TestSweepCurve:
     @pytest.fixture
@@ -68,6 +81,14 @@ class TestSweepCurve:
     def test_saturation_throughput(self, curve):
         assert curve.saturation_throughput() == 1.6
 
+    def test_empty_curve(self):
+        curve = SweepCurve(algorithm="XY", workload="transpose")
+        assert curve.offered_rates == curve.throughputs == curve.latencies == []
+        assert curve.saturation_throughput() == 0.0
+
+    def test_point_defaults_to_full_delivery(self):
+        assert SweepPoint(1.0, 1.0, 12.0).delivery_ratio == 1.0
+
 
 class TestHelpers:
     def test_percentile(self):
@@ -76,6 +97,10 @@ class TestHelpers:
         assert percentile(values, 1.0) == 5.0
         assert percentile(values, 0.5) == 3.0
         assert percentile(values, 0.25) == 2.0
+
+    def test_percentile_interpolates_over_sorted_values(self):
+        assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == pytest.approx(2.5)
+        assert percentile([10.0, 0.0], 0.1) == pytest.approx(1.0)
 
     def test_percentile_edge_cases(self):
         assert percentile([], 0.5) == 0.0

@@ -19,7 +19,12 @@ from ..exceptions import ExperimentError
 from ..registry import Spec
 from ..routing.registry import router_specs
 from ..runner.backends import DEFAULT_EXECUTION, execution_specs
-from ..simulator.backends import DEFAULT_BACKEND, backend_specs
+from ..simulator.backends import (
+    BATCH_BACKEND,
+    BATCH_MIN_LANE_NODES,
+    DEFAULT_BACKEND,
+    backend_specs,
+)
 from ..traffic.synthetic import available_pattern_names, pattern_specs
 from ..workloads.registry import available_workloads, workload_specs
 
@@ -35,8 +40,10 @@ class _Listing(NamedTuple):
 
 
 def _backend_markers(spec) -> str:
-    return (" [default]" if spec.name == DEFAULT_BACKEND else "") + \
-        (" [batches sweeps]" if spec.supports_batching else "")
+    marker = {DEFAULT_BACKEND: " [default]",
+              BATCH_BACKEND: " [default for wide groups]"}.get(spec.name,
+                                                                 "")
+    return marker + (" [batches sweeps]" if spec.supports_batching else "")
 
 
 _LISTINGS: Dict[str, _Listing] = {
@@ -45,7 +52,13 @@ _LISTINGS: Dict[str, _Listing] = {
                           workload_specs, widths=(18, 22)),
     "backends": _Listing(
         "registered simulator backends (all bit-identical; the choice "
-        "affects speed only):", backend_specs, markers=_backend_markers),
+        "affects speed only):", backend_specs, markers=_backend_markers,
+        footer=f"(with no backend named, each batchable group of "
+               f"cache-miss points with points x topology nodes >= "
+               f"{BATCH_MIN_LANE_NODES} runs on {BATCH_BACKEND} -- 16 points "
+               f"on a 4x4 mesh, 4 on 8x8, never 1 -- and everything "
+               f"narrower on {DEFAULT_BACKEND}; without numpy, everything "
+               f"runs on {DEFAULT_BACKEND})"),
     "patterns": _Listing(
         "synthetic traffic patterns (any power-of-two topology):",
         pattern_specs,

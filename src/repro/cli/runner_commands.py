@@ -144,11 +144,13 @@ def run_profile(args: argparse.Namespace, config) -> str:
     import pstats
 
     from ..planning import pattern_flow_set, plan_routes
-    from ..simulator.backends import backend_spec
+    from ..simulator.backends import DEFAULT_BACKEND, backend_spec
     from ..simulator.simulation import simulate_route_set
     from ..topology.mesh import Mesh2D
 
-    backend = backend_spec(args.backend or config.simulation.backend)
+    # one point is a one-point group: an unset backend runs it on fast
+    backend = backend_spec(args.backend or config.simulation.backend
+                           or DEFAULT_BACKEND)
     mesh = Mesh2D(config.mesh_size)
     flow_set = pattern_flow_set(args.workload, mesh, config)
     plan = plan_routes(args.algorithm, mesh, flow_set, config)

@@ -9,10 +9,12 @@ their injection-rate sweeps through an :class:`ExperimentRunner`, which
 * skips any point whose inputs hash to an already-cached result
   (:class:`ResultCache`, keyed by :func:`simulation_cache_key` over the
   topology, flow set, routes, simulation configuration and offered rate);
-* groups the remaining cache misses by :func:`batch_group_key` whenever the
-  selected backend supports batching (``--backend batch``), so a whole
-  sweep's points run as one vectorized call instead of N scalar runs —
-  per-point cache keys are unchanged by the grouping;
+* groups the remaining cache misses by :func:`batch_group_key` — every
+  group under ``--backend batch``, and with no backend named every group
+  at least ``batch_min_width(topology)`` points wide, when there are
+  enough of them to keep every worker busy — so a whole sweep's points
+  run as one vectorized call instead of N scalar runs; per-point cache
+  keys are unchanged by the grouping;
 * returns the exact same ``SweepResult`` objects the serial driver in
   :mod:`repro.simulator.simulation` produces, bit-identical for any worker
   count because every point is an independent, seeded, cold-start run.

@@ -69,10 +69,12 @@ class ExecutionTask:
     ``kind`` is ``"scalar"`` (payload: one ``(topology, route_set, config,
     offered_rate, phase_boundaries, fault_schedule)`` point) or ``"batch"``
     (payload: one ``(topology, route_set, points, phase_boundaries,
-    fault_schedule)`` vectorized group).  ``entries`` carries the runner's
-    pending-entry bookkeeping straight through to the ``record`` callback;
-    ``cache_keys`` lists the content-addressed key of every statistic the
-    task produces (``None`` entries when caching is off), in result order.
+    fault_schedule, kernel)`` vectorized group, *kernel* the batching
+    backend's name, so no worker resolves it from an unset configuration).
+    ``entries`` carries the runner's pending-entry bookkeeping straight
+    through to the ``record`` callback; ``cache_keys`` lists the
+    content-addressed key of every statistic the task produces (``None``
+    entries when caching is off), in result order.
     """
 
     kind: str
@@ -100,10 +102,11 @@ def run_task(kind: str, payload: tuple) -> List[SimulationStatistics]:
             phase_boundaries=boundaries, fault_schedule=faults,
         )]
     if kind == "batch":
-        topology, route_set, points, boundaries, faults = payload
+        topology, route_set, points, boundaries, faults, kernel = payload
         return simulate_route_set_batch(
             topology, route_set, points,
-            phase_boundaries=boundaries, fault_schedule=faults,
+            phase_boundaries=boundaries, backend=kernel,
+            fault_schedule=faults,
         )
     raise SimulationError(f"unknown execution task kind {kind!r}")
 

@@ -22,6 +22,7 @@ simulated in a worker process equals the same point simulated inline.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -29,7 +30,13 @@ from ..exceptions import SimulationError
 from ..metrics.statistics import SimulationStatistics, SweepCurve, SweepPoint
 from ..progress import ProgressObserver, emitter_for
 from ..routing.base import RouteSet
-from ..simulator.backends import backend_spec
+from ..simulator.backends import (
+    BATCH_BACKEND,
+    BATCH_MIN_LANE_NODES,
+    backend_spec,
+    batch_min_width,
+    batches_by_default,
+)
 from ..simulator.config import SimulationConfig
 from ..simulator.simulation import SweepResult
 from ..topology.base import Topology
@@ -60,8 +67,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _group_payload(group):
-    """One batched payload for a group of pending entries.
+def _group_payload(kernel, group):
+    """One batched payload for a group of pending entries, run on *kernel*.
 
     The group members have equal :func:`batch_group_key` fingerprints, so
     any member's topology / routes / boundaries / faults are content
@@ -69,7 +76,7 @@ def _group_payload(group):
     """
     topology, route_set, _, _, boundaries, faults = group[0][3]
     points = [(payload[2], payload[3]) for _, _, _, payload in group]
-    return (topology, route_set, points, boundaries, faults)
+    return (topology, route_set, points, boundaries, faults, kernel)
 
 
 @dataclass
@@ -274,34 +281,75 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _plan_pending(self, pending):
-        """Split cache-miss points into scalar tasks and batchable groups.
+        """Split cache-miss points into scalar points and batch tasks.
 
-        A point whose resolved backend advertises ``supports_batching``
-        joins the group of every other such point with the same
+        A point whose backend is named and advertises ``supports_batching``
+        joins the group of every other such point with the same kernel and
         :func:`batch_group_key` (same topology, routes, boundaries, faults
-        and configuration modulo the lane-variable fields); each group
-        becomes one vectorized :func:`simulate_route_set_batch` call.
-        Grouping and lane order follow the deterministic pending order and
-        content-addressed keys, never object identity, so results are
-        bit-identical for any worker count and ``PYTHONHASHSEED``.
+        and configuration modulo the lane-variable fields); each such group
+        runs whole, at any width.  A point whose backend is unset follows
+        the width rule, and only when the pending points hold at least
+        :data:`BATCH_MIN_LANE_NODES` lanes times nodes per worker — enough
+        for every worker to get a task at least that wide — does it join
+        a group at all (:func:`batches_by_default`).  A group of at least
+        :func:`batch_min_width` points runs on :data:`BATCH_BACKEND`,
+        split into no more chunks than it takes to give every worker a
+        task, each chunk still that wide; a narrower group stays scalar
+        (on ``fast``).  Returns the scalar entries in pending order and
+        ``(kernel, group key, entries)`` per batch task.  Grouping and lane
+        order follow the deterministic pending order and content-addressed
+        keys, never object identity, so results are bit-identical for any
+        worker count and ``PYTHONHASHSEED``.
         """
+        load = sum(entry[3][0].num_nodes for entry in pending)
+        by_rule = load >= BATCH_MIN_LANE_NODES * self.workers
+        tags = [self._batch_tag(entry[3], by_rule) for entry in pending]
+        widths = Counter(tags)
         scalar = []
-        groups: Dict[str, list] = {}
-        for entry in pending:
-            topology, route_set, config, _, boundaries, faults = entry[3]
+        found: Dict[tuple, list] = {}
+        for entry, tag in zip(pending, tags):
+            if tag is None or (tag[0] is None and widths[tag]
+                               < batch_min_width(entry[3][0])):
+                scalar.append(entry)
+            else:
+                found.setdefault(tag, []).append(entry)
+        wide = sum(kernel is None for kernel, _ in found)
+        share = -(-self.workers // wide) if wide else 1
+        groups = []
+        for (kernel, group), entries in found.items():
+            if kernel is not None:
+                groups.append((kernel, group, entries))
+                continue
+            chunks = min(share,
+                         len(entries) // batch_min_width(entries[0][3][0]))
+            size, extra = divmod(len(entries), chunks)
+            start = 0
+            for chunk in range(chunks):
+                end = start + size + (chunk < extra)
+                groups.append((BATCH_BACKEND, group, entries[start:end]))
+                start = end
+        return scalar, groups
+
+    @staticmethod
+    def _batch_tag(payload, by_rule):
+        """``(kernel, group key)`` of a batchable point, else ``None``;
+        the kernel is ``None`` for a point the width rule may batch."""
+        topology, route_set, config, _, boundaries, faults = payload
+        if config.backend is None:
+            if not (by_rule and batches_by_default(config)):
+                return None
+            kernel = None
+        else:
             try:
                 spec = backend_spec(config.backend)
             except SimulationError:
                 # unknown backend: keep the scalar path's error message
-                scalar.append(entry)
-                continue
+                return None
             if not spec.supports_batching:
-                scalar.append(entry)
-                continue
-            group = batch_group_key(topology, route_set, config, boundaries,
-                                    fault_schedule=faults)
-            groups.setdefault(group, []).append(entry)
-        return scalar, list(groups.items())
+                return None
+            kernel = spec.name
+        return kernel, batch_group_key(topology, route_set, config,
+                                       boundaries, fault_schedule=faults)
 
     def _record(self, collected, entries, stats_list, emitter=None) -> None:
         for (key, index, cache_key, payload), stats in zip(entries, stats_list):
@@ -317,7 +365,7 @@ class ExperimentRunner:
         if emitter is not None:
             for key, _, _, payload in scalar:
                 emitter.point_started(key, payload[3])
-            for group_key, entries in groups:
+            for _, group_key, entries in groups:
                 emitter.batch_group(group_key, len(entries))
         tasks: List[ExecutionTask] = [
             ExecutionTask(kind="scalar", payload=entry[3], entries=[entry],
@@ -325,10 +373,10 @@ class ExperimentRunner:
             for entry in scalar
         ]
         tasks.extend(
-            ExecutionTask(kind="batch", payload=_group_payload(group),
+            ExecutionTask(kind="batch", payload=_group_payload(kernel, group),
                           entries=group,
                           cache_keys=[entry[2] for entry in group])
-            for _, group in groups
+            for kernel, _, group in groups
         )
 
         def record(task: ExecutionTask, stats_list) -> None:

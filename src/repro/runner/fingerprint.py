@@ -38,8 +38,7 @@ import json
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ..routing.base import RouteSet
-from ..simulator.batchsim import LANE_VARIABLE_FIELDS
-from ..simulator.config import SimulationConfig
+from ..simulator.config import LANE_VARIABLE_FIELDS, SimulationConfig
 from ..topology.base import Topology
 from ..topology.links import physical, virtual_index
 from ..traffic.flow import FlowSet
@@ -207,7 +206,7 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     Two simulation points may share a lane of one vectorized
     :class:`~repro.simulator.batchsim.BatchSimulator` batch exactly when
     they agree on everything except the offered rate and the lane-variable
-    configuration fields (:data:`~repro.simulator.batchsim.LANE_VARIABLE_FIELDS`:
+    configuration fields (:data:`~repro.simulator.config.LANE_VARIABLE_FIELDS`:
     VC count, seed, backend and the bandwidth-variation knobs).  This key
     digests precisely that shared remainder — the same canonical payload as
     :func:`simulation_cache_key` minus ``offered_rate`` and the

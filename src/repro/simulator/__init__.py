@@ -15,12 +15,15 @@ Public entry points, lowest to highest level:
 * :class:`NetworkSimulator` — the ``reference`` backend: one routing
   configuration under one injection process, simulated cycle by cycle over
   flat per-(channel, VC) arrays;
-* :class:`FastSimulator` — the ``fast`` backend (the default):
-  event-skipping worklists and four-integer packet windows, bit-identical
-  to the reference;
+* :class:`FastSimulator` — the ``fast`` backend: event-skipping worklists
+  and four-integer packet windows, bit-identical to the reference;
+* :class:`BatchSimulator` — the ``batch`` backend: many sweep points of
+  one route set stepped together over numpy arrays;
 * :func:`create_simulator` / :func:`register_backend` /
   :func:`backend_spec` / :func:`available_backends` — the pluggable
-  backend registry (``SimulationConfig.backend`` selects the kernel);
+  backend registry (``SimulationConfig.backend`` selects the kernel; left
+  unset, the runner sends wide groups of points to ``batch`` and
+  everything else to ``fast``);
 * :func:`simulate_route_set` / :func:`sweep_injection_rates` /
   :func:`sweep_algorithm` / :func:`compare_algorithms` — the serial driver
   functions (one point, one sweep, one figure's worth of sweeps).

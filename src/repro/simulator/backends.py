@@ -37,13 +37,33 @@ the shared cache; the differential suite
 (``tests/test_backend_differential.py``) enforces the contract across every
 registered router, topology and workload family.
 
-Two kernels ship:
+Three kernels ship:
 
 * ``reference`` — :class:`~repro.simulator.network.NetworkSimulator`, the
   staged structure-of-arrays kernel (semantic ground truth);
-* ``fast`` (default) — :class:`~repro.simulator.fastsim.FastSimulator`, the
+* ``fast`` — :class:`~repro.simulator.fastsim.FastSimulator`, the
   event-skipping kernel with active-buffer worklists and one four-integer
-  packet window per buffer.
+  packet window per buffer;
+* ``batch`` — :class:`~repro.simulator.batchsim.BatchSimulator`, the
+  vectorized numpy kernel that steps many sweep points of one (topology,
+  route set) pair together.
+
+What runs by default
+--------------------
+
+A configuration whose ``backend`` is left unset (``None``) runs by the
+**width rule**: the runner groups its cache-miss points by batch-group key
+and sends every group of at least :func:`batch_min_width` points to
+:data:`BATCH_BACKEND` as one vectorized call, and every narrower group and
+every single point to :data:`DEFAULT_BACKEND`.  A vectorized cycle costs
+about the same for one lane as for many, so ``batch`` loses to ``fast`` on
+the one-point probes of a saturation search and wins on the wide groups of
+a figure sweep.  The width where it starts to win shrinks as the topology
+grows, so the rule is one constant in lanes times nodes,
+:data:`BATCH_MIN_LANE_NODES`, beside its measured crossover.  Without
+numpy, every point of an unset backend runs on ``fast``.  A named backend
+is used exactly as named: ``fast`` and ``reference`` never group,
+``batch`` groups at every width.
 
 New backends plug in with one decorator::
 
@@ -62,15 +82,51 @@ from ..exceptions import SimulationError
 from ..registry import Registry, Spec
 from ..routing.base import RouteSet
 from ..topology.base import Topology
-from .config import SimulationConfig
+from . import batchsim
 from .batchsim import BatchSimulator
+from .config import SimulationConfig
 from .fastsim import FastSimulator
 from .injection import InjectionProcess
 from .network import NetworkSimulator
 
-#: The backend used when neither the call site nor the configuration names
-#: one.  ``SimulationConfig.backend`` defaults to this value.
+#: The kernel a point runs on when neither the call site nor the
+#: configuration names one and the point is not part of a wide group.
 DEFAULT_BACKEND = "fast"
+
+#: The kernel wide groups of points with an unset backend run on.
+BATCH_BACKEND = "batch"
+
+#: Lanes times topology nodes of the narrowest group of cache-miss points
+#: an unset backend sends to :data:`BATCH_BACKEND` (see
+#: :func:`batch_min_width`).  fast ÷ batch time of one group of dor on
+#: transpose, by lanes (lanes vary in rate, seed and 1/2/4/8 VCs; above 1
+#: batch wins; CPU-time medians of 9 runs on 4x4, 5 on 8x8, 3 on 16x16,
+#: one 2-CPU x86 host, Python 3.11, numpy 2; wall-time medians agree to
+#: 0.01):
+#:
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#: lanes                 1     2     3     4     5     6     7     8
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#: 4x4, ``quick``     0.08  0.23  0.29  0.44  0.52  0.68  0.73  0.83
+#: 8x8, ``default``   0.33  0.69  0.97  1.18  1.36  1.45  1.60  2.03
+#: 16x16, ``default`` 0.61  1.11        1.80
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#:
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#: lanes                 9    10    11    12    13    14    15    16
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#: 4x4, ``quick``     0.89  0.89  0.93  1.00  1.05  1.13  1.16  1.18
+#: 8x8, ``default``   1.74  1.86  2.10  1.87  1.96  1.97  1.90  2.09
+#: =================  ====  ====  ====  ====  ====  ====  ====  ====
+#:
+#: (4x4 at 20 / 24 / 32 lanes: 1.52 / 1.65 / 1.79.)  No one lane count
+#: wins with margin on both meshes without giving most of the 8x8 gain
+#: away: the 4x4 mesh breaks even at 12 lanes and wins by 1.18x at 16,
+#: the 8x8 mesh breaks even at 3 and wins by 1.18x at 4.  In lanes times
+#: nodes both break even at about 192 and win by 1.18x at 256, which
+#: makes the width 16 points on 4x4 and 4 on 8x8; the 16x16 mesh, whose
+#: width is 2 by the same constant, wins there by 1.11x.
+BATCH_MIN_LANE_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -143,16 +199,31 @@ def create_simulator(topology: Topology, route_set: RouteSet,
     """Build the simulation kernel a run asks for.
 
     The backend is resolved from the explicit *backend* argument when given,
-    otherwise from ``config.backend``; either accepts any registered name or
-    alias.  This is the single construction point the simulation driver
-    and the profiling CLI both go through, so ``SimulationConfig.backend``
-    selects the kernel everywhere at once.
+    otherwise from ``config.backend``, otherwise it is
+    :data:`DEFAULT_BACKEND`; either accepts any registered name or alias.
+    This is the single construction point the simulation driver and the
+    profiling CLI both go through, so ``SimulationConfig.backend`` selects
+    the kernel everywhere at once.
     An optional non-empty *fault_schedule* arms mid-run link failures.
     """
-    spec = backend_spec(backend if backend is not None else config.backend)
+    spec = backend_spec(backend or config.backend or DEFAULT_BACKEND)
     return spec.create(topology, route_set, config, injection,
                        phase_boundaries=phase_boundaries,
                        fault_schedule=fault_schedule)
+
+
+def batch_min_width(topology: Topology) -> int:
+    """The narrowest group of points on *topology* the width rule sends to
+    :data:`BATCH_BACKEND`: :data:`BATCH_MIN_LANE_NODES` lanes times nodes,
+    and never a single point."""
+    return max(2, -(-BATCH_MIN_LANE_NODES // topology.num_nodes))
+
+
+def batches_by_default(config: SimulationConfig) -> bool:
+    """Whether a point of *config*, its backend unset, may join a wide
+    :data:`BATCH_BACKEND` group under the width rule: numpy is installed
+    and the batch kernel takes its VC count."""
+    return batchsim.np is not None and config.num_vcs <= batchsim.MAX_LANE_VCS
 
 
 # ----------------------------------------------------------------------

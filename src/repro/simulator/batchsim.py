@@ -54,7 +54,7 @@ from ..exceptions import SimulationError
 from ..metrics.statistics import SimulationStatistics
 from ..routing.base import RouteSet
 from ..topology.base import Topology
-from .config import SimulationConfig
+from .config import LANE_VARIABLE_FIELDS, SimulationConfig
 from .injection import BernoulliInjection, InjectionProcess
 from .state import compile_fault_events, compile_routes, vc_partitions
 
@@ -70,11 +70,8 @@ NUMPY_HELP = (
     "python kernel instead (--backend fast or --backend reference)"
 )
 
-#: Config fields allowed to differ between the lanes of one batch; every
-#: other field shapes the shared pipeline itself and must be uniform.
-LANE_VARIABLE_FIELDS = frozenset(
-    {"num_vcs", "seed", "backend", "bandwidth_variation",
-     "variation_dwell_cycles"})
+#: The most virtual channels one lane can have (one VC bitmask per buffer).
+MAX_LANE_VCS = 32
 
 #: Bernoulli arrivals are pre-drawn in blocks of this many cycles per lane.
 _CHUNK = 1024
@@ -176,11 +173,12 @@ class BatchSimulator:
         self._C = C
 
         for lane, config in enumerate(configs):
-            if config.num_vcs > 32:
+            if config.num_vcs > MAX_LANE_VCS:
                 raise SimulationError(
                     f"batch lane {lane} asks for {config.num_vcs} virtual "
                     f"channels; the batch backend's VC bitmasks support at "
-                    f"most 32 (use the fast or reference backend)"
+                    f"most {MAX_LANE_VCS} (use the fast or reference "
+                    f"backend)"
                 )
 
         # per-lane route compilation (validates static VCs against each

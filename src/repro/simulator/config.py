@@ -21,6 +21,13 @@ from typing import Optional
 
 from ..exceptions import SimulationError
 
+#: Config fields allowed to differ between the lanes of one batched
+#: simulation; every other field shapes the shared pipeline itself and must
+#: be uniform.  The runner's batch-group key drops exactly these fields.
+LANE_VARIABLE_FIELDS = frozenset(
+    {"num_vcs", "seed", "backend", "bandwidth_variation",
+     "variation_dwell_cycles"})
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -54,10 +61,13 @@ class SimulationConfig:
     #: the paper's assumption ("there is no packet loss").
     drop_when_source_full: bool = False
     #: simulator kernel executing the run (``repro.simulator.backends``
-    #: registry name).  Every registered backend is bit-identical, so the
-    #: choice affects wall-clock time only — and is deliberately **excluded**
-    #: from the result-cache fingerprint.
-    backend: str = "fast"
+    #: registry name).  ``None`` leaves the choice to the width rule of
+    #: :mod:`repro.simulator.backends`: the runner sends wide batchable
+    #: groups of points to ``batch`` and everything else to ``fast``.
+    #: Every registered backend is bit-identical, so the choice affects
+    #: wall-clock time only — and is deliberately **excluded** from the
+    #: result-cache fingerprint.
+    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_vcs < 1:
@@ -103,10 +113,12 @@ class SimulationConfig:
             raise SimulationError(
                 f"bandwidth_variation must be in [0, 1]: {self.bandwidth_variation}"
             )
-        if not isinstance(self.backend, str) or not self.backend.strip():
+        if self.backend is not None and (
+                not isinstance(self.backend, str) or not self.backend.strip()):
             raise SimulationError(
                 f"backend must be a non-empty simulator-backend name "
-                f"(see repro.simulator.backends), got {self.backend!r}"
+                f"(see repro.simulator.backends) or None, got "
+                f"{self.backend!r}"
             )
 
     @property

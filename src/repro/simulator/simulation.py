@@ -21,7 +21,7 @@ from ..routing.valiant import ValiantRouting
 from ..topology.base import Topology
 from ..topology.links import physical
 from ..traffic.flow import FlowSet
-from .backends import backend_spec, create_simulator
+from .backends import BATCH_BACKEND, backend_spec, create_simulator
 from .config import SimulationConfig
 from .injection import make_injection_process
 
@@ -81,10 +81,10 @@ def simulate_route_set(topology: Topology, route_set: RouteSet,
                        ) -> SimulationStatistics:
     """Simulate one route set at one offered injection rate.
 
-    The kernel executing the run comes from ``config.backend`` (or the
-    explicit *backend* override); every registered backend is bit-identical,
-    so the choice affects wall-clock time only.  A non-empty
-    *fault_schedule* arms cycle-stamped link failures (see
+    The kernel executing the run comes from the explicit *backend*
+    override, else ``config.backend``, else ``fast``; every registered
+    backend is bit-identical, so the choice affects wall-clock time only.
+    A non-empty *fault_schedule* arms cycle-stamped link failures (see
     :mod:`repro.faults`).
     """
     if not route_set.is_complete():
@@ -116,14 +116,15 @@ def simulate_route_set_batch(topology: Topology, route_set: RouteSet,
     same topology, routes and phase boundaries; configurations may differ
     only in the lane-variable fields (VC count, seed, backend and the
     variation knobs — see
-    :data:`repro.simulator.batchsim.LANE_VARIABLE_FIELDS`).  Results are
+    :data:`repro.simulator.config.LANE_VARIABLE_FIELDS`).  Results are
     returned in point order and are bit-identical to per-point
     :func:`simulate_route_set` calls, which is what lets the runner batch
     cache misses without touching per-point cache keys.
 
-    The backend (resolved from *backend* or the first configuration) must
-    advertise ``supports_batching``; a shared non-empty *fault_schedule*
-    applies to every lane, fail-stop masked lane-locally.
+    The backend (resolved from *backend*, else the first configuration,
+    else ``batch``) must advertise ``supports_batching``; a shared
+    non-empty *fault_schedule* applies to every lane, fail-stop masked
+    lane-locally.
     """
     if not points:
         raise SimulationError("batch simulation needs at least one point")
@@ -131,8 +132,7 @@ def simulate_route_set_batch(topology: Topology, route_set: RouteSet,
         missing = [flow.name for flow in route_set.missing_flows()]
         raise SimulationError(f"route set is missing routes for flows: {missing}")
     configs = [config for config, _ in points]
-    spec = backend_spec(backend if backend is not None
-                        else configs[0].backend)
+    spec = backend_spec(backend or configs[0].backend or BATCH_BACKEND)
     if not spec.supports_batching:
         raise SimulationError(
             f"simulator backend {spec.name!r} does not support batched "

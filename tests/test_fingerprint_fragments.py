@@ -52,7 +52,7 @@ from repro.runner.fingerprint import (
     simulation_cache_key,
 )
 from repro.simulator import SimulationConfig
-from repro.simulator.batchsim import LANE_VARIABLE_FIELDS
+from repro.simulator.config import LANE_VARIABLE_FIELDS
 from repro.topology import Mesh2D, Ring, Torus2D
 from repro.topology.links import physical, virtual_index
 from repro.traffic import FlowSet, transpose

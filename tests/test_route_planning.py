@@ -521,7 +521,7 @@ class TestNonOptimalPlansAreNotStored:
         """Whatever a rung of the ladder does on this host — every CDG cut
         short (raises), some (returned, not stored), none (stored) — a plan
         is stored exactly when every solve was optimal, and one that was
-        not is solved again on the next call."""
+        not is solved again on the next call, which may itself raise."""
         topology, flow_set = _mesh4_transpose()
         for rung, limit in enumerate((1e-9, 3e-4, 1e-3, 3e-3, 1e-2)):
             config = dataclasses.replace(QUICK, milp_time_limit=limit)
@@ -536,8 +536,14 @@ class TestNonOptimalPlansAreNotStored:
                           for solution in plan.solves.values())
             assert plan.stored == optimal
             assert cache.stats()["plan_entries"] == int(optimal)
-            again = plan_routes("bsor-milp", topology, flow_set, config,
-                                cache=cache)
+            try:
+                again = plan_routes("bsor-milp", topology, flow_set, config,
+                                    cache=cache)
+            except ReproError:
+                # solved again, and this time every CDG was cut short: only
+                # a plan that was not stored can get here
+                assert not optimal
+                continue
             assert again.cached == optimal
 
     def test_a_plan_with_one_solve_cut_short_is_returned_not_stored(

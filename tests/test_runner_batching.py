@@ -14,29 +14,51 @@ three load-bearing properties of that dispatch:
   *unchanged* per-point cache keys, so batched runs warm the cache for
   scalar backends and vice versa;
 * non-batching backends and unknown backends keep their scalar paths.
+
+With no backend named, the width rule applies: a group of
+:func:`~repro.simulator.backends.batch_min_width` or more misses runs on
+``batch`` when the misses can keep every worker busy, split no further than
+that takes, anything narrower on ``fast``, and everything on ``fast``
+without numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
 
+import repro.simulator.batchsim as batchsim
 from repro.routing import XYRouting
-from repro.runner import ExperimentRunner, SweepSpec, batch_group_key
+from repro.runner import (
+    ExperimentRunner,
+    ResultCache,
+    SweepSpec,
+    batch_group_key,
+)
+from repro.runner.backends import QueueExecutionBackend, run_task
 from repro.runner.fingerprint import simulation_cache_key
+from repro.runner.worker import run_worker_loop
 from repro.simulator import SimulationConfig
+from repro.simulator.backends import batch_min_width
 from repro.simulator.batchsim import np as _numpy
+from repro.study.spec import Study
 from repro.topology import Mesh2D, Torus2D
 
 needs_numpy = pytest.mark.skipif(
     _numpy is None, reason="the batch backend requires numpy")
 
 RATES = [0.3, 0.9, 2.0]
+
+#: The width rule's narrowest batched group on the 4x4 mesh.
+WIDTH = batch_min_width(Mesh2D(4))
 
 
 @pytest.fixture
@@ -190,6 +212,160 @@ class TestBatchedDispatch:
                             batch_config.with_backend("reference"), RATES)
         assert warm.last_report.cache_hits == len(RATES)
         assert scalar.statistics == batched.statistics
+
+
+def wide_rates(width):
+    """*width* distinct offered rates: one batchable group of that width."""
+    return [0.25 * (lane + 1) for lane in range(width)]
+
+
+@pytest.fixture
+def unset_config(batch_config) -> SimulationConfig:
+    """The batch fixture with no backend named: the width rule decides."""
+    return dataclasses.replace(batch_config, backend=None)
+
+
+@needs_numpy
+class TestUnsetBackendWidthRule:
+    @pytest.mark.parametrize("width, workers, groups", [
+        (WIDTH, 1, 1), (WIDTH - 1, 1, 0),
+        # one group for two workers would leave one of them idle
+        (WIDTH, 2, 0)])
+    def test_only_wide_groups_batch_and_match_fast(self, mesh4, xy_routes,
+                                                   unset_config, tmp_path,
+                                                   width, workers, groups):
+        rates = wide_rates(width)
+        fast_cache = ResultCache(tmp_path / "fast")
+        fast = ExperimentRunner(workers=1, cache=fast_cache).sweep(
+            mesh4, xy_routes, unset_config.with_backend("fast"), rates)
+        unset_cache = ResultCache(tmp_path / "unset")
+        runner = ExperimentRunner(workers=workers, cache=unset_cache)
+        unset = runner.sweep(mesh4, xy_routes, unset_config, rates)
+        assert runner.last_report.batch_groups == groups
+        assert runner.last_report.points_simulated == width
+        assert unset.statistics == fast.statistics
+        keys = sorted(unset_cache.keys())
+        assert keys == sorted(fast_cache.keys())
+        assert len(keys) == width
+
+    def test_without_numpy_everything_runs_on_fast(self, mesh4, xy_routes,
+                                                   unset_config,
+                                                   monkeypatch):
+        rates = wide_rates(WIDTH)
+        fast = ExperimentRunner(workers=1).sweep(
+            mesh4, xy_routes, unset_config.with_backend("fast"), rates)
+        monkeypatch.setattr(batchsim, "np", None)
+        runner = ExperimentRunner(workers=1)
+        unset = runner.sweep(mesh4, xy_routes, unset_config, rates)
+        assert runner.last_report.batch_groups == 0
+        assert unset.statistics == fast.statistics
+
+    def test_a_batch_task_frees_its_arena_when_it_returns(
+            self, mesh4, xy_routes, unset_config, monkeypatch):
+        """The kernel holds no reference cycle, so a task's arena goes the
+        moment the task returns, not at the next cyclic collection."""
+        kernels = []
+        run_all = batchsim.BatchSimulator.run_all
+
+        def recording(kernel):
+            kernels.append(weakref.ref(kernel))
+            return run_all(kernel)
+
+        monkeypatch.setattr(batchsim.BatchSimulator, "run_all", recording)
+        points = [(unset_config, rate) for rate in RATES]
+        gc.disable()
+        try:
+            run_task("batch", (mesh4, xy_routes, points, None, None, "batch"))
+            assert len(kernels) == 1 and kernels[0]() is None
+        finally:
+            gc.enable()
+
+    def test_mixed_wide_and_narrow_groups_at_one_and_two_workers(
+            self, mesh4, transpose4, xy_routes, unset_config):
+        from repro.routing import ROMMRouting
+        from repro.simulator.simulation import phase_boundaries_for
+
+        romm_algorithm = ROMMRouting(seed=1)
+        romm = romm_algorithm.compute_routes(mesh4, transpose4)
+        specs = {
+            # one group wide enough for two workers: the two VC counts
+            # share lanes
+            "vc2": SweepSpec(mesh4, xy_routes, unset_config,
+                             wide_rates(WIDTH)),
+            "vc4": SweepSpec(mesh4, xy_routes,
+                             dataclasses.replace(unset_config, num_vcs=4),
+                             wide_rates(WIDTH + 1)),
+            # one narrow group: other routes
+            "romm": SweepSpec(
+                mesh4, romm, unset_config, RATES,
+                phase_boundaries=phase_boundaries_for(romm_algorithm, romm)),
+        }
+        outcomes = []
+        for workers in (1, 2):
+            runner = ExperimentRunner(workers=workers)
+            results = runner.sweep_many(specs)
+            # the wide group runs whole on one worker, in two chunks of at
+            # least WIDTH points on two
+            assert runner.last_report.batch_groups == workers
+            outcomes.append({key: (curve_values(result), result.statistics)
+                             for key, result in results.items()})
+        assert outcomes[0] == outcomes[1]
+        fast = ExperimentRunner(workers=1).sweep_many({
+            key: dataclasses.replace(spec,
+                                     config=spec.config.with_backend("fast"))
+            for key, spec in specs.items()})
+        assert {key: result.statistics for key, result in fast.items()} == \
+            {key: statistics for key, (_, statistics) in outcomes[0].items()}
+
+    def test_groups_that_fill_the_workers_run_whole(
+            self, mesh4, transpose4, xy_routes, unset_config):
+        from repro.routing import ROMMRouting
+        from repro.simulator.simulation import phase_boundaries_for
+
+        romm_algorithm = ROMMRouting(seed=1)
+        romm = romm_algorithm.compute_routes(mesh4, transpose4)
+        rates = wide_rates(2 * WIDTH)
+        specs = {
+            "xy": SweepSpec(mesh4, xy_routes, unset_config, rates),
+            "romm": SweepSpec(
+                mesh4, romm, unset_config, rates,
+                phase_boundaries=phase_boundaries_for(romm_algorithm, romm)),
+        }
+        runner = ExperimentRunner(workers=2)
+        results = runner.sweep_many(specs)
+        # two groups already give both workers a task: neither is split
+        assert runner.last_report.batch_groups == 2
+        fast = ExperimentRunner(workers=1).sweep_many({
+            key: dataclasses.replace(spec,
+                                     config=spec.config.with_backend("fast"))
+            for key, spec in specs.items()})
+        assert {key: result.statistics for key, result in results.items()} \
+            == {key: result.statistics for key, result in fast.items()}
+
+    def test_a_wide_group_through_the_queue_is_the_local_document(
+            self, tmp_path):
+        vcs = [1, 2, 4, 8]
+        rates = wide_rates(WIDTH // len(vcs) + 1)
+        study = Study.from_dict({
+            "name": "wide", "profile": "quick", "workers": 1,
+            "scenarios": [{"topologies": ["mesh4x4"],
+                           "patterns": ["transpose"], "routers": ["dor"],
+                           "vcs": vcs, "rates": rates}]})
+        assert len(vcs) * len(rates) >= WIDTH
+        local = study.run(cache=False)
+        assert local.report.batch_groups == 1
+        worker = threading.Thread(
+            target=run_worker_loop,
+            kwargs=dict(queue_dir=tmp_path / "q", max_tasks=1,
+                        poll_interval=0.01),
+            daemon=True)
+        worker.start()
+        queued = study.run(cache=False, execution=QueueExecutionBackend(
+            queue_dir=tmp_path / "q", poll_interval=0.01, timeout=120))
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert queued.report.batch_groups == 1
+        assert queued.to_json() == local.to_json()
 
 
 DETERMINISM_SCRIPT = """

@@ -17,7 +17,13 @@ from repro.simulator import (
     register_backend,
     simulate_route_set,
 )
-from repro.simulator.backends import DEFAULT_BACKEND, _BACKENDS
+from repro.simulator.backends import (
+    BATCH_BACKEND,
+    DEFAULT_BACKEND,
+    _BACKENDS,
+    batch_min_width,
+)
+from repro.topology import Mesh2D
 from repro.traffic import FlowSet
 
 
@@ -42,9 +48,20 @@ class TestRegistry:
         assert not backend_spec("reference").supports_batching
         assert not backend_spec("fast").supports_batching
 
-    def test_default_backend_is_registered(self):
+    def test_default_backend_is_registered(self, point):
         assert DEFAULT_BACKEND in available_backends()
-        assert SimulationConfig().backend == DEFAULT_BACKEND
+        assert BATCH_BACKEND in available_backends()
+        # an unset backend is the width rule's; one point runs on fast
+        assert SimulationConfig().backend is None
+        mesh, routes, injection = point
+        kernel = create_simulator(mesh, routes, SimulationConfig(), injection)
+        assert isinstance(kernel, backend_spec(DEFAULT_BACKEND).factory)
+
+    @pytest.mark.parametrize("size, width", [(4, 16), (8, 4), (16, 2),
+                                             (32, 2)])
+    def test_the_width_rule_narrows_as_the_mesh_grows(self, size, width):
+        """256 lanes times nodes, and never a single point."""
+        assert batch_min_width(Mesh2D(size)) == width
 
     def test_aliases_and_display_names_resolve(self):
         assert backend_spec("ref").name == "reference"
@@ -125,4 +142,4 @@ class TestKernelSelection:
     def test_with_backend_round_trip(self, tiny_sim_config):
         assert tiny_sim_config.with_backend("reference").backend == "reference"
         # the original is untouched (frozen dataclass semantics)
-        assert tiny_sim_config.backend == DEFAULT_BACKEND
+        assert tiny_sim_config.backend is None

@@ -70,10 +70,15 @@ class TestSimulationConfigValidation:
         with pytest.raises(SimulationError, match="bandwidth_variation"):
             SimulationConfig(bandwidth_variation=value)
 
-    @pytest.mark.parametrize("value", ["", "   ", None, 3])
+    @pytest.mark.parametrize("value", ["", "   ", False, 3])
     def test_bad_backend_value_rejected(self, value):
         with pytest.raises(SimulationError, match="backend"):
             SimulationConfig(backend=value)
+
+    def test_an_unset_backend_is_the_default(self):
+        """``None`` leaves the kernel to the runner's width rule."""
+        assert SimulationConfig().backend is None
+        assert SimulationConfig(backend=None).backend is None
 
     def test_error_messages_name_the_offending_value(self):
         with pytest.raises(SimulationError, match="-3"):

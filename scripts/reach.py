@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Front-door reachability: the functions of src/repro no front door enters.
 
-Runs every front door at the quick profile (the make smoke targets, the
-pipeline benchmark at smoke scale with one traced cycle, the examples, the
-bundled studies, the tables, the figures, ``sweep``, ``profile`` and
-``compare``) with a ``sitecustomize`` hook on ``PYTHONPATH`` that records
+Runs every front door at the quick profile (the make smoke targets and
+``make docs``, the pipeline benchmark at smoke scale with one traced cycle,
+the examples, the bundled studies, the tables, the figures, ``sweep``,
+``profile``, ``compare``, ``cache stats`` and ``submit`` against a ``serve``
+subprocess) with a ``sitecustomize`` hook on ``PYTHONPATH`` that records
 every code object of src/repro a process enters.  Child processes load the
 hook too, and each process writes what it saw at exit, at ``os._exit`` (pool
 workers) and on SIGTERM.  Prints the unreached function lines per module
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import urllib.request
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +51,8 @@ sys.setprofile(_hook); threading.setprofile(_hook)
 
 QUICK = ["--profile", "quick", "--workers", "1"]
 FRONT_DOORS = (
-    [["make", "-s", "smoke", "smoke-cli", "report-smoke", "serve-smoke"],
+    [["make", "-s", "smoke", "smoke-cli", "report-smoke", "serve-smoke",
+      "docs"],
      ["benchmarks/pipeline/bench.py", "--scale", "smoke", "--trace", "1"]]
     + [[str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
     + [["-m", "repro", "run", str(path)] + QUICK
@@ -58,7 +61,30 @@ FRONT_DOORS = (
     + [["-m", "repro", "figure", f"6-{n}"] + QUICK for n in range(1, 11)]
     + [["-m", "repro", "sweep", "--rates", "0.5,2.0"] + QUICK,
        ["-m", "repro", "profile", "--rate", "1.0"] + QUICK,
-       ["-m", "repro", "compare", "--topology", "mesh4x4"] + QUICK])
+       ["-m", "repro", "compare", "--topology", "mesh4x4"] + QUICK,
+       ["-m", "repro", "cache", "stats"],
+       ["-m", "repro", "submit",
+        str(ROOT / "examples" / "studies" / "smoke.yaml")]])
+
+
+def submit_to_server(command, env) -> None:
+    """Run a ``repro submit`` *command* against a ``repro serve``
+    subprocess, then shut the server down."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--progress", "quiet"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        url = server.stdout.readline().strip().removeprefix("serving on ")
+        subprocess.run(command + ["--url", url], cwd=ROOT, env=env,
+                       check=True, stdout=subprocess.DEVNULL)
+        urllib.request.urlopen(urllib.request.Request(
+            url + "/shutdown", method="POST"), timeout=30).read()
+        server.wait(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.terminate()
+            server.wait()
 
 
 def function_lines(path: Path):
@@ -91,8 +117,11 @@ def main() -> int:
             if door[0].endswith("bench.py"):
                 command += ["--work-dir", str(Path(tmp) / "bench")]
             print("$", " ".join(door), file=sys.stderr, flush=True)
-            subprocess.run(command, cwd=ROOT, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
+            if "submit" in door:
+                submit_to_server(command, env)
+            else:
+                subprocess.run(command, cwd=ROOT, env=env, check=True,
+                               stdout=subprocess.DEVNULL)
         entered = set()
         for record in out.iterdir():
             for line in record.read_text().splitlines():

@@ -26,6 +26,11 @@ approach by limiting the number of iterations").
 
 Per-flow variable pruning keeps the model small: only edges that can lie on
 a path respecting the flow's hop bound get a variable.
+
+scipy and numpy are imported at the first solve, not with this module:
+importing scipy costs about a third of a second, and most processes (queue
+workers, the study server, every study that plans no ``bsor-milp``) never
+solve a MILP.
 """
 
 from __future__ import annotations
@@ -35,16 +40,28 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ...exceptions import SolverError, UnroutableFlowError
+from ...exceptions import ReproError, SolverError, UnroutableFlowError
 from ...flowgraph.flowgraph import FlowGraph, Terminal
 from ...topology.links import Channel, physical
 from ...traffic.flow import Flow, FlowSet
 from ..base import Route, RouteSet
 
+
+def milp(**problem):
+    """:func:`scipy.optimize.milp` on *problem*; scipy is imported by the
+    first call."""
+    from scipy.optimize import milp as solve
+
+    return solve(**problem)
+
+
+#: What a MILP solve raises when scipy (or numpy) cannot be imported.
+SCIPY_HELP = (
+    "the bsor-milp route selector requires scipy, which cannot be imported "
+    "in this environment ({error}); install it (pip install scipy) or "
+    "route with bsor-dijkstra instead"
+)
 
 #: HiGHS status "iteration or time limit reached"; no iteration limit is
 #: ever set here, so it means the ``time_limit`` option cut the solve short.
@@ -116,8 +133,9 @@ class MILPSelector:
     # ------------------------------------------------------------------
     # model construction helpers
     # ------------------------------------------------------------------
-    def _admissible_edges(self, flow: Flow) -> List[Tuple]:
-        """Flow-graph edges that can appear on a hop-bounded path of *flow*."""
+    def _admissible_edges(self, flow: Flow) -> Tuple[int, List[Tuple]]:
+        """The minimal flow-graph edge count of *flow*'s paths, and the
+        flow-graph edges that can appear on a hop-bounded path of it."""
         graph = self.flow_graph.graph
         source = self.flow_graph.add_source_terminal(flow.source)
         sink = self.flow_graph.add_sink_terminal(flow.destination)
@@ -145,12 +163,16 @@ class MILPSelector:
                 continue
             if du + 1 + dv <= allowed_edges:
                 admissible.append((u, v))
-        return admissible
+        return minimal_edges, admissible
 
     # ------------------------------------------------------------------
     # model construction
     # ------------------------------------------------------------------
     def _build_and_solve(self, flow_set: FlowSet):
+        import numpy as np
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint
+
         flows = list(flow_set)
         if not flows:
             raise SolverError("cannot route an empty flow set")
@@ -160,9 +182,10 @@ class MILPSelector:
         # per (flow, admissible edge).
         var_index: Dict[Tuple[int, Tuple], int] = {}
         admissible: Dict[int, List[Tuple]] = {}
+        minimal_edges: Dict[int, int] = {}
         next_var = 1
         for fidx, flow in enumerate(flows):
-            edges = self._admissible_edges(flow)
+            minimal_edges[fidx], edges = self._admissible_edges(flow)
             admissible[fidx] = edges
             for edge in edges:
                 var_index[(fidx, edge)] = next_var
@@ -223,7 +246,7 @@ class MILPSelector:
             row += 1
 
         # --- hop bounds -------------------------------------------------------
-        for fidx, flow in enumerate(flows):
+        for fidx in range(len(flows)):
             used = False
             for edge in admissible[fidx]:
                 head = edge[1]
@@ -233,13 +256,8 @@ class MILPSelector:
                 used = True
             if not used:
                 continue
-            source = self.flow_graph.source_terminal(flow.source)
-            sink = self.flow_graph.sink_terminal(flow.destination)
-            minimal_edges = nx.shortest_path_length(
-                self.flow_graph.graph, source, sink
-            )
             lower.append(-np.inf)
-            upper.append(float(minimal_edges - 1 + self.hop_slack))
+            upper.append(float(minimal_edges[fidx] - 1 + self.hop_slack))
             row += 1
 
         constraint_matrix = sparse.csr_matrix(
@@ -291,7 +309,7 @@ class MILPSelector:
     # ------------------------------------------------------------------
     # solution extraction
     # ------------------------------------------------------------------
-    def _extract_route(self, flow: Flow, fidx: int, solution: np.ndarray,
+    def _extract_route(self, flow: Flow, fidx: int, solution,
                        var_index: Dict, admissible: Dict) -> List:
         chosen = {}
         for edge in admissible[fidx]:
@@ -321,8 +339,13 @@ class MILPSelector:
 
     def select_routes(self, flow_set: FlowSet) -> RouteSet:
         """Solve the MILP and return the route of every flow."""
-        (result, var_index, admissible, flows, num_constraints, num_vars,
-         wall_seconds) = self._build_and_solve(flow_set)
+        try:
+            (result, var_index, admissible, flows, num_constraints, num_vars,
+             wall_seconds) = self._build_and_solve(flow_set)
+        except ImportError as error:
+            # not a SolverError, which the exploration records as one CDG's
+            # failure: without scipy no CDG can be solved
+            raise ReproError(SCIPY_HELP.format(error=error)) from error
 
         if result.x is None:
             self.last_solution = MILPSolution(

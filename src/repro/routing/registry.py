@@ -11,7 +11,7 @@ be named, constructed and documented.  This module provides it:
 * :func:`create_router` — build a :class:`~repro.routing.base.RoutingAlgorithm`
   by name, forwarding only the options its factory understands, so one
   option bag (seed, hop slack, MILP time limit, ...) can configure a whole
-  comparison matrix;
+  comparison matrix; an option no registered router takes is rejected;
 * :func:`router_spec` / :func:`available_routers` — lookup and enumeration,
   with aliases (``"xy"`` for ``"dor"``) and display names (the strings the
   figures print, e.g. ``"BSOR-Dijkstra"``) resolved case-insensitively;
@@ -30,6 +30,7 @@ New algorithms plug in with one decorator::
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,11 +83,30 @@ available_routers = _ROUTERS.names
 router_specs = _ROUTERS.specs
 #: Look a spec up by canonical name, alias or display name.
 router_spec = _ROUTERS.lookup
-#: ``create_router(name, **options)`` — a fresh algorithm by name.  Options
-#: its factory does not declare are dropped and ``None`` means "the factory
-#: default", so one option bag — ``seed``, ``hop_slack``,
-#: ``milp_time_limit``, ``strategies`` — drives a heterogeneous comparison.
-create_router = _ROUTERS.create
+
+
+def create_router(name: str, **options) -> RoutingAlgorithm:
+    """A fresh algorithm by name.
+
+    Options its factory does not declare are dropped and ``None`` means
+    "the factory default", so one option bag — ``seed``, ``hop_slack``,
+    ``milp_time_limit``, ``strategies`` — drives a heterogeneous
+    comparison.  An option that no registered router takes is a typo, not
+    part of a bag: it raises :class:`RoutingError` naming the option and
+    the closest accepted name.
+    """
+    spec = router_spec(name)
+    accepted = sorted({option for entry in router_specs()
+                       for option in entry.accepted_options()})
+    for option in options:
+        if option not in accepted:
+            close = difflib.get_close_matches(option, accepted, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise RoutingError(
+                f"no registered router takes the option {option!r}{hint}; "
+                f"accepted options: {accepted}"
+            )
+    return spec.create(**options)
 
 
 def normalize_router_name(name: str) -> str:

@@ -8,9 +8,12 @@ third-party top-level module is missing from the declaration — the state
 the repository was in while README claimed "no third-party dependencies"
 and CI installed neither ``networkx`` nor ``scipy``.
 
-Imports guarded by ``try: ... except ImportError`` are optional by
-construction (``yaml`` for YAML specs, ``numpy`` inside the batch kernel's
-registry entry) and are not required to be declared.
+An import inside a function counts like one at module level: scipy, and
+the numpy of the MILP model, are imported only when ``bsor-milp`` first
+solves a MILP, so ``import repro`` works without them, but that router
+still needs them.  Imports guarded by ``try: ... except ImportError`` are
+optional by construction (``yaml`` for YAML specs, ``numpy`` inside the
+batch kernel's registry entry) and are not required to be declared.
 """
 
 from __future__ import annotations

@@ -97,6 +97,17 @@ class TestOptions:
         assert router.hop_slack == 5
         assert router.milp_time_limit == 12.0
 
+    def test_an_option_another_router_takes_is_dropped(self):
+        # the option bag of router_for and compare: hop_slack is bsor-milp's
+        assert isinstance(create_router("dor", hop_slack=2), XYRouting)
+
+    def test_an_option_no_router_takes_is_rejected(self):
+        with pytest.raises(RoutingError,
+                           match="'hop_slak' \\(did you mean 'hop_slack'"):
+            create_router("dor", hop_slak=3)
+        with pytest.raises(RoutingError, match="'colour'; accepted options"):
+            create_router("bsor-milp", colour="red")
+
     def test_none_options_mean_default(self):
         assert create_router("romm", seed=None).seed == 0
 
